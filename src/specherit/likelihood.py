@@ -210,7 +210,9 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
     iterations. A run pinned at the upper boundary reports
     ``cfg.clamp_value`` with ``clamped=True``. When starts disagree, the
     candidate farthest from the boundaries (largest min(eta, clamp - eta))
-    wins; ties break on higher log-likelihood, then lower start index.
+    wins, ties breaking on higher log-likelihood; starts whose reported eta
+    agree with the winner's within ``tol`` are tied with it, and the lowest
+    start index among them is chosen.
     The winner is verified against a coarse grid and replaced by the grid
     argmax if it is not within ``verify_tol`` of the grid maximum.
     """
@@ -265,15 +267,14 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
     if not np.isfinite(objective).any():
         raise NumericalFailureError("no start produced a finite log-likelihood")
 
-    order = sorted(
+    # Converged starts differ only in round-off, so starts whose reported
+    # eta agree within the step tolerance count as one and the lowest
+    # start index among them wins.
+    best = max(
         range(len(reported)),
-        key=lambda s: (
-            min(reported[s], cfg.clamp_value - reported[s]),
-            objective[s],
-            -s,
-        ),
+        key=lambda s: (min(reported[s], cfg.clamp_value - reported[s]), objective[s]),
     )
-    chosen = order[-1]
+    chosen = min(s for s in range(len(reported)) if abs(reported[s] - reported[best]) <= cfg.tol)
     eta_hat = reported[chosen]
     clamped = run_clamped[chosen]
 

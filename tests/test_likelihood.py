@@ -194,6 +194,7 @@ def test_scale_invariance_of_maximizer(c):
     scaled = newton_estimate(lam, c * y)
     assert abs(scaled.eta_hat - base.eta_hat) <= 1e-8
     assert scaled.sigma2_hat == pytest.approx(c**2 * base.sigma2_hat, rel=1e-9)
+    assert scaled.chosen_start == base.chosen_start
 
 
 def test_permutation_invariance():
