@@ -22,10 +22,11 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,10 +64,6 @@ EXIT_DATA = 2
 # ---------------------------------------------------------------------------
 
 
-def _sniff_delimiter(line: str) -> str:
-    return "\t" if "\t" in line else ","
-
-
 def _is_numeric_row(tokens: list[str]) -> bool:
     try:
         for t in tokens:
@@ -76,26 +73,35 @@ def _is_numeric_row(tokens: list[str]) -> bool:
         return False
 
 
-def read_genotypes(path: str) -> np.ndarray:
-    """Read a genotype matrix, autodetecting delimiter and optional header."""
+def _read_matrix(path: str, kind: str, allowed, rule: str) -> np.ndarray:
+    """Read a delimited matrix, autodetecting delimiter and optional header.
+
+    ``allowed`` maps the matrix to a mask of acceptable entries; the first
+    other entry is reported with its line and column, followed by ``rule``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
-        if not first.strip():
-            raise DataParseError(f"{path}: line 1: empty genotype file")
-        delim = _sniff_delimiter(first)
-        header = not _is_numeric_row([t for t in first.strip().split(delim) if t != ""])
+    if not first.strip():
+        raise DataParseError(f"{path}: line 1: empty {kind} file")
+    delim = "\t" if "\t" in first else ","
+    header = 0 if _is_numeric_row([t for t in first.strip().split(delim) if t != ""]) else 1
     try:
-        W = np.loadtxt(path, delimiter=delim, skiprows=1 if header else 0, ndmin=2)
+        M = np.loadtxt(path, delimiter=delim, skiprows=header, ndmin=2)
     except ValueError as exc:
         raise DataParseError(f"{path}: {exc}") from exc
-    bad = ~np.isin(W, (0.0, 1.0, 2.0))
+    bad = ~allowed(M)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        line = int(i) + 1 + (1 if header else 0)
         raise DataParseError(
-            f"{path}: line {line}, column {int(j) + 1}: genotype entry {W[i, j]!r} "
-            "not in {0, 1, 2}"
+            f"{path}: line {int(i) + 1 + header}, column {int(j) + 1}: "
+            f"{kind} entry {float(M[i, j])!r} {rule}"
         )
+    return M
+
+
+def read_genotypes(path: str) -> np.ndarray:
+    """Read a genotype matrix with entries in {0, 1, 2}."""
+    W = _read_matrix(path, "genotype", lambda W: np.isin(W, (0.0, 1.0, 2.0)), "not in {0, 1, 2}")
     return W.astype(np.int8)
 
 
@@ -108,26 +114,20 @@ def read_phenotype(path: str) -> np.ndarray:
             if not text:
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError as exc:
                 raise DataParseError(f"{path}: line {lineno}: {text!r} is not a number") from exc
+            if not math.isfinite(value):
+                raise DataParseError(f"{path}: line {lineno}: {text!r} is not finite")
+            values.append(value)
     if not values:
         raise DataParseError(f"{path}: no phenotype values found")
     return np.asarray(values, dtype=np.float64)
 
 
 def read_covariates(path: str) -> np.ndarray:
-    """Read a covariate matrix, one row per individual."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise DataParseError(f"{path}: line 1: empty covariate file")
-        delim = _sniff_delimiter(first)
-        header = not _is_numeric_row([t for t in first.strip().split(delim) if t != ""])
-    try:
-        return np.loadtxt(path, delimiter=delim, skiprows=1 if header else 0, ndmin=2)
-    except ValueError as exc:
-        raise DataParseError(f"{path}: {exc}") from exc
+    """Read a covariate matrix of finite values, one row per individual."""
+    return _read_matrix(path, "covariate", np.isfinite, "is not finite")
 
 
 def write_genotypes(path: str, W: np.ndarray) -> None:
@@ -627,7 +627,7 @@ def _cmd_simulate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = SimulationConfig.from_json(fh.read())
     if args.seed is not None:
-        config = SimulationConfig(**{**config.__dict__, "seed": args.seed})
+        config = replace(config, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     cohort = simulate_cohort(config, replicate=0)
     geno_path = os.path.join(args.out_dir, "genotypes.csv")
@@ -644,12 +644,7 @@ def _cmd_mc_study(args) -> int:
     with open(args.study, "r", encoding="utf-8") as fh:
         spec = StudySpec.from_json(fh.read())
     if args.seed is not None:
-        base = SimulationConfig(**{**spec.base.__dict__, "seed": args.seed})
-        spec = StudySpec(
-            base=base, eta_grid=spec.eta_grid, a_grid=spec.a_grid, q_grid=spec.q_grid,
-            design=spec.design, workers=spec.workers, ci_level=spec.ci_level,
-            outputs=spec.outputs,
-        )
+        spec = replace(spec, base=replace(spec.base, seed=args.seed))
     replicates_path, summary_path = run_study(
         spec, args.out_dir, workers=args.workers, allow_large=args.allow_large
     )

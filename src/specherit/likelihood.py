@@ -9,20 +9,26 @@ leaving the scalar objective
 
     L(eta) = -log sigma2(eta) - (1/n) sum_i log(eta (lambda_i - 1) + 1)
 
-to maximize over eta in [0, 1 - delta]. First and second derivatives are
-analytic; the solver runs plain Newton iterations from several starts,
-clamps iterates into the search interval, applies the boundary reporting
-rule, and verifies the selected maximizer against a coarse grid.
+to maximize over eta in [0, 1 - delta]. The data enter only through
+(lambda_i, w_i = y_i^2 / m) and m = mean(y^2): L = L_w - log m, where L_w
+is L with w in place of y^2. ``_prepare`` validates and forms these once and
+``_moments`` evaluates L_w and its analytic derivatives over a vector of
+eta; the public functions wrap the two. The solver runs plain Newton
+iterations from several starts, clamps iterates into the search interval,
+applies the boundary reporting rule, and verifies the selected maximizer
+against a coarse grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ConfigurationError,
+    DataError,
     DegenerateDataError,
     NumericalFailureError,
     ShapeMismatchError,
@@ -33,27 +39,74 @@ from .errors import (
 # the objective is constant and eta is unidentifiable.
 _FLAT_SPECTRUM_TOL = 1e-12
 
+# Newton stops when a step moves eta by less than _TOL, or after _MAX_ITER
+# steps. Fits pinned at the upper boundary report _CLAMP_VALUE.
+_MAX_ITER = 20
+_TOL = 1e-8
+_CLAMP_VALUE = 0.99
 
-def _as_inputs(lambdas, y_rot) -> tuple[np.ndarray, np.ndarray]:
+# The returned eta may score at most _VERIFY_TOL below the best point of a
+# grid with spacing _VERIFY_GRID_STEP.
+_VERIFY_GRID_STEP = 1e-3
+_VERIFY_TOL = 1e-6
+
+
+def _prepare(lambdas, y_rot) -> tuple[np.ndarray, np.ndarray, float]:
+    """Validate the spectral data once and reduce y to scale-free weights.
+
+    Returns ``lam``, ``w = u^2 / mean(u^2)`` with ``u = y / max|y|``, and
+    ``m = mean(y^2)``. Dividing by max|y| before squaring keeps ``w`` clear
+    of overflow and of wholesale underflow at any scale of y; ``m`` leaves
+    the float range only when mean(y^2) itself does.
+    """
     lam = np.asarray(lambdas, dtype=np.float64)
     y = np.asarray(y_rot, dtype=np.float64)
     if lam.ndim != 1 or y.ndim != 1 or lam.size != y.size:
         raise ShapeMismatchError(
             f"eigenvalues ({lam.shape}) and rotated observations ({y.shape}) disagree"
         )
-    return lam, y
+    if not (np.isfinite(lam).all() and np.isfinite(y).all()):
+        raise DataError("eigenvalues and rotated observations must be finite")
+    s = float(np.max(np.abs(y), initial=0.0))
+    if s == 0.0:
+        raise DegenerateDataError("rotated observations are identically zero")
+    u2 = (y / s) ** 2
+    mean_u2 = float(np.mean(u2))
+    return lam, u2 / mean_u2, s * (s * mean_u2)
 
 
-def _denominators(eta: float, lam: np.ndarray) -> np.ndarray:
-    # eta (lambda - 1) + 1 >= min(1 - eta, 1) > 0 for lambda >= 0, eta < 1.
-    if not 0.0 <= eta < 1.0:
-        raise ConfigurationError(f"eta must be in [0, 1), got {eta}")
-    d = eta * (lam - 1.0) + 1.0
+def _moments(etas, lam: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarray]:
+    """Scale-free profile quantities at each eta, up to derivative ``order``.
+
+    Returns ``[mean(w / d), L_w, L_w', L_w'']`` cut after entry
+    ``order + 1``, each a vector over ``etas``, with d = eta (lam - 1) + 1.
+    """
+    etas = np.asarray(etas, dtype=np.float64)
+    inside = (etas >= 0.0) & (etas < 1.0)
+    if not inside.all():
+        raise ConfigurationError(f"eta must be in [0, 1), got {etas[~inside][0]}")
+    c = lam - 1.0
+    # d >= min(1 - eta, 1) > 0 for lambda >= 0 and eta < 1.
+    d = etas[:, None] * c + 1.0
     if d.size and d.min() <= 0.0:
-        raise NumericalFailureError(
-            f"non-positive denominator at eta={eta}: min eigenvalue {lam.min()}"
-        )
-    return d
+        raise NumericalFailureError(f"non-positive denominator: min eigenvalue {lam.min()}")
+    # No (etas x n) temporary outlives its reduction on the order-0 grid
+    # pass: holding one more there makes the pass several times slower.
+    s0 = (w / d).mean(axis=1)
+    out = [s0, -np.log(s0) - np.log(d).mean(axis=1)]
+    if order >= 1:
+        h = c / d
+        r = w / d * h
+        t = r.mean(axis=1) / s0
+        out.append(t - h.mean(axis=1))
+        if order >= 2:
+            r *= h
+            out.append(-2.0 * r.mean(axis=1) / s0 + t**2 + (h * h).mean(axis=1))
+    return out
+
+
+def _sigma2(eta: float, lam: np.ndarray, w: np.ndarray, m: float) -> float:
+    return m * float(_moments([eta], lam, w, 0)[0][0])
 
 
 def g(eta: float, lam):
@@ -62,68 +115,44 @@ def g(eta: float, lam):
     This is d/d_eta log(eta (lam - 1) + 1); its empirical variance over the
     spectrum drives every standard-error formula in the package.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    d = _denominators(float(eta), np.atleast_1d(lam))
-    result = (np.atleast_1d(lam) - 1.0) / d
-    return float(result[0]) if lam.ndim == 0 else result
+    eta = float(eta)
+    if not 0.0 <= eta < 1.0:
+        raise ConfigurationError(f"eta must be in [0, 1), got {eta}")
+    c = np.asarray(lam, dtype=np.float64) - 1.0
+    d = eta * c + 1.0
+    if np.any(d <= 0.0):
+        raise NumericalFailureError(f"non-positive denominator at eta={eta}")
+    result = c / d
+    return float(result) if result.ndim == 0 else result
 
 
 def profile_sigma2(eta: float, lambdas, y_rot) -> float:
     """Closed-form residual-variance profile at a given heritability."""
-    lam, y = _as_inputs(lambdas, y_rot)
-    if not np.any(y != 0.0):
-        raise DegenerateDataError("rotated observations are identically zero")
-    d = _denominators(float(eta), lam)
-    return float(np.mean(y**2 / d))
+    return _sigma2(float(eta), *_prepare(lambdas, y_rot))
 
 
 def loglik(eta: float, lambdas, y_rot) -> float:
     """Profile log-likelihood (up to constants) at eta."""
-    lam, y = _as_inputs(lambdas, y_rot)
-    if not np.any(y != 0.0):
-        raise DegenerateDataError("rotated observations are identically zero")
-    d = _denominators(float(eta), lam)
-    return float(-np.log(np.mean(y**2 / d)) - np.mean(np.log(d)))
+    lam, w, m = _prepare(lambdas, y_rot)
+    return float(_moments([float(eta)], lam, w, 0)[1][0]) - math.log(m)
 
 
 def loglik_grid(etas: np.ndarray, lambdas, y_rot) -> np.ndarray:
     """Vectorized profile log-likelihood over a grid of eta values."""
-    lam, y = _as_inputs(lambdas, y_rot)
-    if not np.any(y != 0.0):
-        raise DegenerateDataError("rotated observations are identically zero")
-    etas = np.asarray(etas, dtype=np.float64)
-    if etas.size and not ((etas >= 0.0) & (etas < 1.0)).all():
-        raise ConfigurationError("grid values must lie in [0, 1)")
-    d = etas[:, None] * (lam - 1.0) + 1.0
-    if d.size and d.min() <= 0.0:
-        raise NumericalFailureError("non-positive denominator on the evaluation grid")
-    y2 = y**2
-    return -np.log(np.mean(y2 / d, axis=1)) - np.mean(np.log(d), axis=1)
+    lam, w, m = _prepare(lambdas, y_rot)
+    return _moments(etas, lam, w, 0)[1] - math.log(m)
 
 
 def dloglik(eta: float, lambdas, y_rot) -> float:
     """Analytic first derivative of the profile log-likelihood."""
-    lam, y = _as_inputs(lambdas, y_rot)
-    if not np.any(y != 0.0):
-        raise DegenerateDataError("rotated observations are identically zero")
-    d = _denominators(float(eta), lam)
-    y2 = y**2
-    s0 = np.mean(y2 / d)
-    s1 = np.mean(y2 * (lam - 1.0) / d**2)
-    return float(s1 / s0 - np.mean((lam - 1.0) / d))
+    lam, w, _ = _prepare(lambdas, y_rot)
+    return float(_moments([float(eta)], lam, w, 1)[2][0])
 
 
 def d2loglik(eta: float, lambdas, y_rot) -> float:
     """Analytic second derivative of the profile log-likelihood."""
-    lam, y = _as_inputs(lambdas, y_rot)
-    if not np.any(y != 0.0):
-        raise DegenerateDataError("rotated observations are identically zero")
-    d = _denominators(float(eta), lam)
-    y2 = y**2
-    s0 = np.mean(y2 / d)
-    s1 = np.mean(y2 * (lam - 1.0) / d**2)
-    s2 = np.mean(y2 * (lam - 1.0) ** 2 / d**3)
-    return float(-2.0 * s2 / s0 + (s1 / s0) ** 2 + np.mean((lam - 1.0) ** 2 / d**2))
+    lam, w, _ = _prepare(lambdas, y_rot)
+    return float(_moments([float(eta)], lam, w, 2)[3][0])
 
 
 @dataclass(frozen=True)
@@ -131,18 +160,13 @@ class SolverConfig:
     """Newton solver settings.
 
     ``delta`` bounds the search interval [0, 1 - delta]; ``inits`` are the
-    multi-start initializations; iteration stops when the Newton step drops
-    below ``tol`` or after ``max_iter`` steps. Runs pinned at the upper
-    boundary report ``clamp_value`` instead of the boundary itself.
+    multi-start initializations. The iteration budget (20 steps), step
+    tolerance (1e-8), boundary report value (0.99) and verification grid
+    (step 1e-3, tolerance 1e-6) are fixed.
     """
 
     delta: float = 0.01
     inits: tuple[float, ...] = (0.1, 0.5, 0.9)
-    max_iter: int = 20
-    tol: float = 1e-8
-    clamp_value: float = 0.99
-    verify_grid_step: float = 1e-3
-    verify_tol: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
@@ -155,10 +179,6 @@ class SolverConfig:
                 raise ConfigurationError(
                     f"initialization {e0} outside the open interval (0, {upper})"
                 )
-        if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be >= 1")
-        if not self.tol > 0.0:
-            raise ConfigurationError("tol must be positive")
 
     @property
     def upper(self) -> float:
@@ -187,12 +207,15 @@ class SolverResult:
         }
 
 
-def _eta_grid(upper: float, step: float) -> np.ndarray:
+def _grid_argmax(upper: float, step: float, lam, w) -> tuple[float, float]:
+    """Best point of a uniform grid on [0, upper] and its L_w; ties go to the lowest eta."""
     count = int(np.floor(upper / step + 1e-9))
     grid = np.linspace(0.0, count * step, count + 1)
     if upper - grid[-1] > 1e-12:
         grid = np.append(grid, upper)
-    return grid
+    scores = _moments(grid, lam, w, 0)[1]
+    best = int(np.argmax(scores))
+    return float(grid[best]), float(scores[best])
 
 
 def _check_identifiable(lam: np.ndarray) -> None:
@@ -206,97 +229,71 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
     """Maximize the profile log-likelihood by multi-start Newton-Raphson.
 
     Each start iterates eta <- eta - L'(eta)/L''(eta) with iterates clamped
-    into [0, 1 - delta], stopping on a small step or after ``max_iter``
-    iterations. A run pinned at the upper boundary reports
-    ``cfg.clamp_value`` with ``clamped=True``. When starts disagree, the
-    candidate farthest from the boundaries (largest min(eta, clamp - eta))
-    wins, ties breaking on higher log-likelihood; starts whose reported eta
-    agree with the winner's within ``tol`` are tied with it, and the lowest
-    start index among them is chosen.
-    The winner is verified against a coarse grid and replaced by the grid
-    argmax if it is not within ``verify_tol`` of the grid maximum.
+    into [0, 1 - delta], stopping on a step below 1e-8 or after 20 steps.
+    A run pinned at the upper boundary reports 0.99 with ``clamped=True``.
+    The candidate farthest from the boundaries (largest min(eta, 0.99 -
+    eta)), then with the higher log-likelihood, wins; starts whose eta agree
+    with it within 1e-8 tie, and the lowest start index among them is
+    chosen. If the winner scores more than 1e-6 below the best point of a
+    grid of step 1e-3, Newton restarts there and the better of the restart
+    and the grid point is returned with ``chosen_start=-1``.
     """
     cfg = cfg or SolverConfig()
-    lam, y = _as_inputs(lambdas, y_rot)
+    lam, w, m = _prepare(lambdas, y_rot)
     _check_identifiable(lam)
-    if not np.any(y != 0.0):
-        raise DegenerateDataError("rotated observations are identically zero")
 
     upper = cfg.upper
     boundary_tol = 1e-12
 
-    def _newton_run(eta0: float) -> tuple[float, int, bool]:
-        eta = float(eta0)
+    def _newton_run(eta: float) -> tuple[float, int, bool]:
         steps = 0
-        for _ in range(cfg.max_iter):
-            d2 = d2loglik(eta, lam, y)
+        for _ in range(_MAX_ITER):
+            _, _, d1, d2 = _moments([eta], lam, w, 2)
+            d1, d2 = float(d1[0]), float(d2[0])
             if not np.isfinite(d2) or d2 == 0.0:
                 return eta, steps, False
-            step = dloglik(eta, lam, y) / d2
+            step = d1 / d2
             if not np.isfinite(step):
                 return eta, steps, False
             new = float(np.clip(eta - step, 0.0, upper))
             steps += 1
-            if abs(new - eta) < cfg.tol:
+            if abs(new - eta) < _TOL:
                 return new, steps, True
             eta = new
         return eta, steps, False
 
-    candidates: list[float] = []
-    iterations: list[int] = []
-    converged: list[bool] = []
-    for eta0 in cfg.inits:
-        eta, steps, ok = _newton_run(eta0)
-        candidates.append(eta)
-        iterations.append(steps)
-        converged.append(ok)
+    candidates, iterations, converged = zip(*(_newton_run(float(e0)) for e0 in cfg.inits))
 
     # Boundary-pinned runs report the clamp value.
     run_clamped = [eta >= upper - boundary_tol for eta in candidates]
-    reported = [
-        cfg.clamp_value if clamped else eta
-        for eta, clamped in zip(candidates, run_clamped)
-    ]
-
-    objective = []
-    for eta in reported:
-        try:
-            objective.append(loglik(min(eta, 1.0 - 1e-12), lam, y))
-        except (NumericalFailureError, ConfigurationError):
-            objective.append(-np.inf)
+    reported = [_CLAMP_VALUE if pinned else eta for eta, pinned in zip(candidates, run_clamped)]
+    objective = _moments(reported, lam, w, 0)[1]
     if not np.isfinite(objective).any():
         raise NumericalFailureError("no start produced a finite log-likelihood")
 
-    # Converged starts differ only in round-off, so starts whose reported
-    # eta agree within the step tolerance count as one and the lowest
-    # start index among them wins.
-    best = max(
-        range(len(reported)),
-        key=lambda s: (min(reported[s], cfg.clamp_value - reported[s]), objective[s]),
-    )
-    chosen = min(s for s in range(len(reported)) if abs(reported[s] - reported[best]) <= cfg.tol)
+    # Converged starts differ only in round-off, hence the tie within _TOL.
+    starts = range(len(reported))
+    best = max(starts, key=lambda s: (min(reported[s], _CLAMP_VALUE - reported[s]), objective[s]))
+    chosen = min(s for s in starts if abs(reported[s] - reported[best]) <= _TOL)
     eta_hat = reported[chosen]
     clamped = run_clamped[chosen]
 
     # Post-hoc verification: the return may not sit measurably below the
     # likelihood anywhere on a coarse grid. On failure, restart Newton from
     # the grid argmax and keep whichever of the two scores higher.
-    grid = _eta_grid(upper, cfg.verify_grid_step)
-    grid_values = loglik_grid(grid, lam, y)
-    best_grid = int(np.argmax(grid_values))
-    if loglik(min(eta_hat, 1.0 - 1e-12), lam, y) < grid_values[best_grid] - cfg.verify_tol:
-        eta_hat = float(grid[best_grid])
-        polished, _, _ = _newton_run(eta_hat)
-        if loglik(polished, lam, y) >= grid_values[best_grid]:
-            eta_hat = polished
+    grid_eta, grid_score = _grid_argmax(upper, _VERIFY_GRID_STEP, lam, w)
+    if objective[chosen] < grid_score - _VERIFY_TOL:
+        polished, _, _ = _newton_run(grid_eta)
+        polished_score = _moments([polished], lam, w, 0)[1][0]
+        eta_hat = polished if polished_score >= grid_score else grid_eta
         clamped = eta_hat >= upper - boundary_tol
         if clamped:
-            eta_hat = cfg.clamp_value
+            eta_hat = _CLAMP_VALUE
         chosen = -1
 
     return SolverResult(
         eta_hat=eta_hat,
-        sigma2_hat=profile_sigma2(min(eta_hat, 1.0 - 1e-12), lam, y),
+        sigma2_hat=_sigma2(eta_hat, lam, w, m),
         iterations_per_start=tuple(iterations),
         converged=tuple(converged),
         chosen_start=chosen,
@@ -314,7 +311,5 @@ def grid_oracle(lambdas, y_rot, grid_step: float, delta: float = 0.01) -> float:
         raise ConfigurationError(f"grid_step must be in (0, 0.01], got {grid_step}")
     if not 0.0 < delta < 0.5:
         raise ConfigurationError(f"delta must be in (0, 0.5), got {delta}")
-    lam, y = _as_inputs(lambdas, y_rot)
-    grid = _eta_grid(1.0 - delta, grid_step)
-    values = loglik_grid(grid, lam, y)
-    return float(grid[int(np.argmax(values))])
+    lam, w, _ = _prepare(lambdas, y_rot)
+    return _grid_argmax(1.0 - delta, grid_step, lam, w)[0]

@@ -84,6 +84,11 @@ def test_phenotype_round_trip_and_errors(tmp_path):
     with pytest.raises(DataParseError) as excinfo:
         read_phenotype(str(bad))
     assert "line 2" in str(excinfo.value)
+    for token in ("nan", "inf", "-inf", "1e309"):
+        bad.write_text(f"1.0\n2.0\n{token}\n")
+        with pytest.raises(DataParseError) as excinfo:
+            read_phenotype(str(bad))
+        assert f"{bad}: line 3" in str(excinfo.value)
 
 
 def test_covariates_reader(tmp_path):
@@ -91,6 +96,11 @@ def test_covariates_reader(tmp_path):
     path.write_text("age,sex\n30,1\n40,0\n50,1\n")
     X = read_covariates(str(path))
     assert X.shape == (3, 2)
+    for token in ("nan", "inf", "-inf"):
+        path.write_text(f"age,sex\n30,1\n40,{token}\n50,1\n")
+        with pytest.raises(DataParseError) as excinfo:
+            read_covariates(str(path))
+        assert f"{path}: line 3, column 2" in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +207,12 @@ def test_cmd_estimate_cli_and_exit_codes(tmp_path, capsys):
 
 def test_cli_entry_point_runs():
     proc = subprocess.run(
-        [sys.executable, "-m", "specherit.harness", "mp-check", "--n", "80",
+        [sys.executable, "-m", "specherit", "mp-check", "--n", "80",
          "--N", "160", "--dist", "gaussian", "--seed", "1"],
         capture_output=True, text=True,
     )
     assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
     doc = json.loads(proc.stdout)
     assert set(doc) >= {"ks_distance", "a", "pass"}
 
@@ -250,6 +261,25 @@ def test_mc_study_determinism_across_workers(tmp_path):
     rep1, _ = run_study(spec, str(tmp_path / "serial"), workers=1)
     rep2, _ = run_study(spec, str(tmp_path / "parallel"), workers=2)
     assert open(rep1).read() == open(rep2).read()
+
+
+def test_seed_flags_match_config_seed(tmp_path):
+    config = _write_config(tmp_path, n=30, N=60)
+    assert main(["simulate", str(config), str(tmp_path / "flag"), "--seed", "12"]) == EXIT_OK
+    config = _write_config(tmp_path, n=30, N=60, seed=12)
+    assert main(["simulate", str(config), str(tmp_path / "file")]) == EXIT_OK
+    for name in ("genotypes.csv", "phenotypes.txt"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+    study = _study_doc(tmp_path, replicates=2)
+    assert main(["mc-study", str(study), str(tmp_path / "mc_flag"), "--seed", "9"]) == EXIT_OK
+    doc = json.loads(study.read_text())
+    doc["base"]["seed"] = 9
+    study.write_text(json.dumps(doc))
+    assert main(["mc-study", str(study), str(tmp_path / "mc_file")]) == EXIT_OK
+    flag = (tmp_path / "mc_flag" / "replicates.csv").read_bytes()
+    assert flag == (tmp_path / "mc_file" / "replicates.csv").read_bytes()
+    assert b",9," in flag
 
 
 def test_mc_study_large_cell_guard(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,18 @@ def test_scale_invariance_of_maximizer(c):
     scaled = newton_estimate(lam, c * y)
     assert abs(scaled.eta_hat - base.eta_hat) <= 1e-8
     assert scaled.sigma2_hat == pytest.approx(c**2 * base.sigma2_hat, rel=1e-9)
+    assert scaled.chosen_start == base.chosen_start
+
+
+@pytest.mark.parametrize("c", [1e-160, 1e160])
+def test_extreme_scale_matches_unscaled_fit(c):
+    # y^2 would underflow to subnormals at 1e-160 and overflow at 1e160
+    lam, y = simulated_spectrum(seed=6, n=80, N=160, eta_star=0.5)
+    base = newton_estimate(lam, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = newton_estimate(lam, c * y)
+    assert abs(scaled.eta_hat - base.eta_hat) <= 1e-8
     assert scaled.chosen_start == base.chosen_start
 
 
