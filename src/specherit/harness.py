@@ -7,7 +7,8 @@ Formats (all UTF-8 text, chosen for desk-scale transparency):
   single header row;
 * phenotype: one decimal value per line;
 * covariates: delimited, one row per individual;
-* simulation/study configs, truth files and reports: JSON;
+* simulation/study configs, truth files and reports: strict JSON, with
+  non-finite floats written as ``null``;
 * replicate and summary tables: CSV with fixed column order, floats
   written with 17 significant digits.
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -93,10 +95,22 @@ def _read_matrix(path: str, kind: str, allowed, rule: str) -> np.ndarray:
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise DataParseError(
-            f"{path}: line {int(i) + 1 + header}, column {int(j) + 1}: "
+            f"{path}: line {_data_line(path, header, int(i))}, column {int(j) + 1}: "
             f"{kind} entry {float(M[i, j])!r} {rule}"
         )
     return M
+
+
+def _data_line(path: str, header: int, row: int) -> int:
+    """File line number of data row ``row`` (0-based) as ``np.loadtxt`` counts rows.
+
+    ``np.loadtxt`` skips lines that are empty once a ``#`` comment and the
+    line ending are removed, so data rows and file lines can drift apart.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = enumerate(fh, start=1)
+        data = (k for k, line in lines if k > header and line.split("#", 1)[0].rstrip("\r\n"))
+        return next(itertools.islice(data, row, None))
 
 
 def read_genotypes(path: str) -> np.ndarray:
@@ -143,10 +157,24 @@ def write_phenotype(path: str, Y: np.ndarray) -> None:
             fh.write(f"{v:.17g}\n")
 
 
+def _json_text(doc: dict) -> str:
+    """Strict JSON: non-finite floats (say an overflowing sigma2_hat) become null."""
+
+    def finite(obj):
+        if isinstance(obj, float):
+            return obj if math.isfinite(obj) else None
+        if isinstance(obj, dict):
+            return {k: finite(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [finite(v) for v in obj]
+        return obj
+
+    return json.dumps(finite(doc), indent=2, sort_keys=True, allow_nan=False)
+
+
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(doc) + "\n")
 
 
 def _fingerprint(path: str, shape: tuple[int, ...]) -> dict:
@@ -563,7 +591,7 @@ def _solver_from_args(args) -> SolverConfig:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = _json_text(doc)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

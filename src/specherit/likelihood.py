@@ -40,15 +40,19 @@ from .errors import (
 _FLAT_SPECTRUM_TOL = 1e-12
 
 # Newton stops when a step moves eta by less than _TOL, or after _MAX_ITER
-# steps. Fits pinned at the upper boundary report _CLAMP_VALUE.
+# steps.
 _MAX_ITER = 20
 _TOL = 1e-8
-_CLAMP_VALUE = 0.99
 
 # The returned eta may score at most _VERIFY_TOL below the best point of a
 # grid with spacing _VERIFY_GRID_STEP.
 _VERIFY_GRID_STEP = 1e-3
 _VERIFY_TOL = 1e-6
+
+# ``_moments`` walks its etas in blocks of about this many (eta x n)
+# elements, so each temporary stays in cache instead of costing a fresh
+# page-faulted allocation per grid pass.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _prepare(lambdas, y_rot) -> tuple[np.ndarray, np.ndarray, float]:
@@ -80,16 +84,27 @@ def _moments(etas, lam: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarra
 
     Returns ``[mean(w / d), L_w, L_w', L_w'']`` cut after entry
     ``order + 1``, each a vector over ``etas``, with d = eta (lam - 1) + 1.
+    Rows are evaluated in blocks of ``_BLOCK_ELEMENTS // n`` etas; every
+    row is computed and reduced on its own, so the blocking changes no bit.
     """
     etas = np.asarray(etas, dtype=np.float64)
     inside = (etas >= 0.0) & (etas < 1.0)
     if not inside.all():
         raise ConfigurationError(f"eta must be in [0, 1), got {etas[~inside][0]}")
     c = lam - 1.0
-    # d >= min(1 - eta, 1) > 0 for lambda >= 0 and eta < 1.
-    d = etas[:, None] * c + 1.0
-    if d.size and d.min() <= 0.0:
+    # d >= min(1 - eta, 1) > 0 for lambda >= 0 and eta < 1. Each d_i is
+    # monotone in eta, so the extreme etas bound every row of every block.
+    if etas.size and (np.array([etas.min(), etas.max()])[:, None] * c + 1.0).min() <= 0.0:
         raise NumericalFailureError(f"non-positive denominator: min eigenvalue {lam.min()}")
+    rows = max(1, _BLOCK_ELEMENTS // lam.size)
+    if etas.size <= rows:
+        return _moments_block(etas, c, w, order)
+    blocks = [_moments_block(etas[i : i + rows], c, w, order) for i in range(0, etas.size, rows)]
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
+def _moments_block(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarray]:
+    d = etas[:, None] * c + 1.0
     # No (etas x n) temporary outlives its reduction on the order-0 grid
     # pass: holding one more there makes the pass several times slower.
     s0 = (w / d).mean(axis=1)
@@ -160,9 +175,9 @@ class SolverConfig:
     """Newton solver settings.
 
     ``delta`` bounds the search interval [0, 1 - delta]; ``inits`` are the
-    multi-start initializations. The iteration budget (20 steps), step
-    tolerance (1e-8), boundary report value (0.99) and verification grid
-    (step 1e-3, tolerance 1e-6) are fixed.
+    multi-start initializations; fits pinned at the upper boundary report
+    ``upper = 1 - delta``. The iteration budget (20 steps), step tolerance
+    (1e-8) and verification grid (step 1e-3, tolerance 1e-6) are fixed.
     """
 
     delta: float = 0.01
@@ -225,18 +240,47 @@ def _check_identifiable(lam: np.ndarray) -> None:
         )
 
 
+def _newton(starts, upper: float, lam, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton from every start in lockstep, one ``_moments`` call per step.
+
+    Returns each start's final eta, step count and convergence flag. A
+    start stops on a step below _TOL (converged), on a zero or non-finite
+    L'' or step (failed, eta kept), or after _MAX_ITER steps.
+    """
+    eta = np.array(starts, dtype=np.float64)
+    steps = np.zeros(eta.size, dtype=np.int64)
+    converged = np.zeros(eta.size, dtype=bool)
+    active = np.arange(eta.size)
+    for _ in range(_MAX_ITER):
+        if not active.size:
+            break
+        _, _, d1, d2 = _moments(eta[active], lam, w, 2)
+        with np.errstate(all="ignore"):
+            step = d1 / d2
+        ok = np.isfinite(d2) & (d2 != 0.0) & np.isfinite(step)
+        active, step = active[ok], step[ok]
+        new = np.clip(eta[active] - step, 0.0, upper)
+        steps[active] += 1
+        done = np.abs(new - eta[active]) < _TOL
+        eta[active] = new
+        converged[active[done]] = True
+        active = active[~done]
+    return eta, steps, converged
+
+
 def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverResult:
     """Maximize the profile log-likelihood by multi-start Newton-Raphson.
 
     Each start iterates eta <- eta - L'(eta)/L''(eta) with iterates clamped
-    into [0, 1 - delta], stopping on a step below 1e-8 or after 20 steps.
-    A run pinned at the upper boundary reports 0.99 with ``clamped=True``.
-    The candidate farthest from the boundaries (largest min(eta, 0.99 -
-    eta)), then with the higher log-likelihood, wins; starts whose eta agree
-    with it within 1e-8 tie, and the lowest start index among them is
-    chosen. If the winner scores more than 1e-6 below the best point of a
-    grid of step 1e-3, Newton restarts there and the better of the restart
-    and the grid point is returned with ``chosen_start=-1``.
+    into [0, 1 - delta], stopping on a step below 1e-8 or after 20 steps;
+    all starts step in lockstep. A run pinned at the upper boundary reports
+    1 - delta with ``clamped=True``. The candidate farthest from the
+    boundaries (largest min(eta, 1 - delta - eta)), then with the higher
+    log-likelihood, wins; starts whose eta agree with it within 1e-8 tie,
+    and the lowest start index among them is chosen. If the winner scores
+    more than 1e-6 below the best point of a grid of step 1e-3, Newton
+    restarts there and the better of the restart and the grid point is
+    returned with ``chosen_start=-1``.
     """
     cfg = cfg or SolverConfig()
     lam, w, m = _prepare(lambdas, y_rot)
@@ -245,35 +289,18 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
     upper = cfg.upper
     boundary_tol = 1e-12
 
-    def _newton_run(eta: float) -> tuple[float, int, bool]:
-        steps = 0
-        for _ in range(_MAX_ITER):
-            _, _, d1, d2 = _moments([eta], lam, w, 2)
-            d1, d2 = float(d1[0]), float(d2[0])
-            if not np.isfinite(d2) or d2 == 0.0:
-                return eta, steps, False
-            step = d1 / d2
-            if not np.isfinite(step):
-                return eta, steps, False
-            new = float(np.clip(eta - step, 0.0, upper))
-            steps += 1
-            if abs(new - eta) < _TOL:
-                return new, steps, True
-            eta = new
-        return eta, steps, False
+    candidates, iterations, converged = _newton(cfg.inits, upper, lam, w)
 
-    candidates, iterations, converged = zip(*(_newton_run(float(e0)) for e0 in cfg.inits))
-
-    # Boundary-pinned runs report the clamp value.
-    run_clamped = [eta >= upper - boundary_tol for eta in candidates]
-    reported = [_CLAMP_VALUE if pinned else eta for eta, pinned in zip(candidates, run_clamped)]
+    # Boundary-pinned runs report the upper end of the search interval.
+    run_clamped = (candidates >= upper - boundary_tol).tolist()
+    reported = np.where(run_clamped, upper, candidates).tolist()
     objective = _moments(reported, lam, w, 0)[1]
     if not np.isfinite(objective).any():
         raise NumericalFailureError("no start produced a finite log-likelihood")
 
     # Converged starts differ only in round-off, hence the tie within _TOL.
     starts = range(len(reported))
-    best = max(starts, key=lambda s: (min(reported[s], _CLAMP_VALUE - reported[s]), objective[s]))
+    best = max(starts, key=lambda s: (min(reported[s], upper - reported[s]), objective[s]))
     chosen = min(s for s in starts if abs(reported[s] - reported[best]) <= _TOL)
     eta_hat = reported[chosen]
     clamped = run_clamped[chosen]
@@ -283,19 +310,19 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
     # the grid argmax and keep whichever of the two scores higher.
     grid_eta, grid_score = _grid_argmax(upper, _VERIFY_GRID_STEP, lam, w)
     if objective[chosen] < grid_score - _VERIFY_TOL:
-        polished, _, _ = _newton_run(grid_eta)
+        polished = float(_newton([grid_eta], upper, lam, w)[0][0])
         polished_score = _moments([polished], lam, w, 0)[1][0]
         eta_hat = polished if polished_score >= grid_score else grid_eta
         clamped = eta_hat >= upper - boundary_tol
         if clamped:
-            eta_hat = _CLAMP_VALUE
+            eta_hat = upper
         chosen = -1
 
     return SolverResult(
         eta_hat=eta_hat,
         sigma2_hat=_sigma2(eta_hat, lam, w, m),
-        iterations_per_start=tuple(iterations),
-        converged=tuple(converged),
+        iterations_per_start=tuple(iterations.tolist()),
+        converged=tuple(converged.tolist()),
         chosen_start=chosen,
         clamped=bool(clamped),
     )

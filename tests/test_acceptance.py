@@ -72,6 +72,7 @@ def _ks_to_standard_normal(sample):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_01_unbiasedness():
     start = time.time()
     records = cell(0.5, 0.1, 1.0, 500, 300, "genotype")
@@ -87,6 +88,7 @@ def test_criterion_01_unbiasedness():
     )
 
 
+@pytest.mark.slow
 def test_criterion_02_clt_pivot():
     records = cell(0.5, 0.1, 1.0, 500, 500, "gaussian")[:300]
     pivots = np.array([r.pivot_q1 for r in records])
@@ -111,6 +113,7 @@ def test_criterion_02_clt_pivot():
     )
 
 
+@pytest.mark.slow
 def test_criterion_03_se_calibration():
     lines = []
     ok = True
@@ -125,6 +128,7 @@ def test_criterion_03_se_calibration():
     _report(3, ok, "; ".join(lines) + "  [all within 20%]")
 
 
+@pytest.mark.slow
 def test_criterion_04_sparse_variance_inflation():
     records = cell(0.7, 0.5, 0.5, 400, 300, "gaussian")
     sd = _eta_hats(records).std(ddof=1)
@@ -312,6 +316,7 @@ def test_criterion_10_structural_invariants():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_11_ci_coverage():
     records = cell(0.5, 0.1, 1.0, 500, 500, "gaussian")
     coverage = np.mean([r.covered for r in records])
@@ -320,7 +325,7 @@ def test_criterion_11_ci_coverage():
     _info(
         f"criterion 11 under the genotype design (300 replicates): coverage "
         f"{np.mean([r.covered for r in geno]):.3f}; boundary-clamped replicates "
-        f"report the 0.99 sentinel whose interval cannot cover"
+        f"report the boundary value 1 - delta = 0.99, whose interval cannot cover"
     )
     _report(
         11,

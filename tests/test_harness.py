@@ -103,6 +103,24 @@ def test_covariates_reader(tmp_path):
         assert f"{path}: line 3, column 2" in str(excinfo.value)
 
 
+def test_readers_report_file_lines_past_blank_lines(tmp_path):
+    # np.loadtxt skips blank and comment-only lines; errors name the file line
+    path = tmp_path / "c.csv"
+    path.write_text("1,2\n\n3,4\n5,nan\n")
+    with pytest.raises(DataParseError) as excinfo:
+        read_covariates(str(path))
+    assert f"{path}: line 4, column 2" in str(excinfo.value)
+    path.write_text("age,sex\n30,1\n\n# note\n\n40,1\n50,inf\n")
+    with pytest.raises(DataParseError) as excinfo:
+        read_covariates(str(path))
+    assert f"{path}: line 7, column 2" in str(excinfo.value)
+    geno = tmp_path / "g.csv"
+    geno.write_text("0,1,2\n\n2,1,0\n\n\n0,3,1\n")
+    with pytest.raises(DataParseError) as excinfo:
+        read_genotypes(str(geno))
+    assert f"{geno}: line 6, column 2" in str(excinfo.value)
+
+
 # ---------------------------------------------------------------------------
 # estimation from files
 # ---------------------------------------------------------------------------
@@ -203,6 +221,26 @@ def test_cmd_estimate_cli_and_exit_codes(tmp_path, capsys):
     assert main([]) == EXIT_USAGE
     assert main(["estimate"]) == EXIT_USAGE
     assert main(["estimate", "nope.csv", "nope.txt"]) == EXIT_DATA
+
+
+def test_estimate_cli_writes_strict_json(cohort_files, tmp_path, capsys):
+    # mean(y^2) overflows, so sigma2_hat is inf; the report must stay valid JSON
+    cohort, geno, _ = cohort_files
+    Y = cohort.Y.copy()
+    Y[7] = 1e308
+    pheno = tmp_path / "huge.txt"
+    write_phenotype(pheno, Y)
+    out = tmp_path / "report.json"
+    assert main(["estimate", geno, str(pheno), "--out", str(out)]) == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert json.loads(out.read_text(), parse_constant=reject) == doc
+    assert doc["sigma2_hat"] is None
+    assert doc["solver"]["sigma2_hat"] is None
+    assert 0.0 <= doc["eta_hat"] <= 0.99
 
 
 def test_cli_entry_point_runs():

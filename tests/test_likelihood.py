@@ -22,6 +22,8 @@ from specherit import (
     replicate_rng,
 )
 
+from specherit.likelihood import loglik_grid
+
 from conftest import simulated_spectrum
 
 
@@ -169,6 +171,11 @@ def test_newton_clamped_instance():
     assert result.clamped
     assert result.eta_hat == 0.99
     assert grid_oracle(lam, y, 1e-3) == pytest.approx(0.99)
+    # the boundary value follows delta: [0, 0.95] reports 0.95
+    narrow = newton_estimate(lam, y, SolverConfig(delta=0.05))
+    assert narrow.clamped
+    assert narrow.eta_hat == 0.95
+    assert narrow.sigma2_hat == profile_sigma2(0.95, lam, y)
 
 
 def test_newton_grid_dominance_invariant():
@@ -238,6 +245,105 @@ def test_grid_oracle_edge_behaviors():
     assert grid_oracle(lam, yv, 1e-3) == pytest.approx(0.99)
     with pytest.raises(ConfigurationError):
         grid_oracle(np.ones(3), y[:3], 0.5)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity guards: grid blocking and lockstep starts change no bit
+# ---------------------------------------------------------------------------
+
+
+def seeded_spectrum(seed, n, eta):
+    rng = replicate_rng(seed)
+    lam = rng.uniform(0.0, 3.0, n)
+    y = rng.standard_normal(n) * np.sqrt(eta * lam + 1.0 - eta)
+    return lam, y
+
+
+@pytest.mark.parametrize(
+    "n, sizes",
+    [
+        (7, [1, 991, 4681, 4682, 9500]),  # 4681 etas per block
+        (1500, [1, 20, 21, 22, 100, 991]),  # 21 etas per block
+        (40000, [1, 2, 37]),  # one eta per block
+    ],
+)
+def test_loglik_grid_equals_pointwise_loglik(n, sizes):
+    lam, y = seeded_spectrum(seed=n, n=n, eta=0.5)
+    for size in sizes:
+        etas = np.linspace(0.0, 0.99, size)
+        assert np.array_equal(loglik_grid(etas, lam, y), [loglik(e, lam, y) for e in etas])
+
+
+# (seed, n, eta*, delta, inits, oracle step) -> newton_estimate summary and
+# grid_oracle value, recorded before the grid was blocked and the starts
+# stepped in lockstep.
+GOLDEN_FITS = [
+    pytest.param(
+        (23, 5, 0.0, 0.01, (0.1, 0.5, 0.9), 5e-4),
+        {"eta_hat": 0.9375553031837494, "sigma2_hat": 1.7678124792904737,
+         "iterations_per_start": [4, 4, 9], "converged": [True, True, True],
+         "chosen_start": -1, "clamped": False},
+        0.9375,
+        id="grid-override",
+    ),
+    pytest.param(
+        (0, 5, 0.0, 0.01, (0.1, 0.5, 0.9), 5e-4),
+        {"eta_hat": 0.99, "sigma2_hat": 0.37681856059481983,
+         "iterations_per_start": [5, 3, 4], "converged": [True, True, True],
+         "chosen_start": -1, "clamped": True},
+        0.99,
+        id="grid-override-clamped",
+    ),
+    pytest.param(
+        (3, 5, 0.0, 0.01, (0.1, 0.5, 0.9), 5e-4),
+        {"eta_hat": 0.0, "sigma2_hat": 0.30359403135856716,
+         "iterations_per_start": [20, 20, 20], "converged": [False, False, False],
+         "chosen_start": 0, "clamped": False},
+        0.0,
+        id="zero-unconverged",
+    ),
+    pytest.param(
+        (0, 40, 0.9, 0.01, (0.1, 0.5, 0.9), 5e-4),
+        {"eta_hat": 0.99, "sigma2_hat": 1.0758505048179363,
+         "iterations_per_start": [4, 2, 20], "converged": [True, True, False],
+         "chosen_start": 0, "clamped": True},
+        0.99,
+        id="clamped",
+    ),
+    pytest.param(
+        (1, 1500, 0.5, 0.01, (0.1, 0.5, 0.9), 5e-4),
+        {"eta_hat": 0.5263005977927662, "sigma2_hat": 0.9751319062858537,
+         "iterations_per_start": [5, 4, 7], "converged": [True, True, True],
+         "chosen_start": 0, "clamped": False},
+        0.5265,
+        id="interior-n1500",
+    ),
+    pytest.param(
+        (2, 33000, 0.5, 0.01, (0.1, 0.5, 0.9), 1e-3),
+        {"eta_hat": 0.5057315024074435, "sigma2_hat": 1.0089734382585644,
+         "iterations_per_start": [5, 3, 7], "converged": [True, True, True],
+         "chosen_start": 0, "clamped": False},
+        0.506,
+        id="interior-n-above-block",
+    ),
+    pytest.param(
+        (1, 30, 0.5, 0.05, (0.2, 0.6), 5e-4),
+        {"eta_hat": 0.37578239700548194, "sigma2_hat": 0.8785408022117482,
+         "iterations_per_start": [3, 5], "converged": [True, True],
+         "chosen_start": 0, "clamped": False},
+        0.376,
+        id="two-starts-delta-0.05",
+    ),
+]
+
+
+@pytest.mark.parametrize("case, summary, oracle", GOLDEN_FITS)
+def test_solver_golden_values(case, summary, oracle):
+    seed, n, eta_star, delta, inits, step = case
+    lam, y = seeded_spectrum(seed, n, eta_star)
+    result = newton_estimate(lam, y, SolverConfig(delta=delta, inits=inits))
+    assert result.summary() == summary
+    assert grid_oracle(lam, y, step, delta) == oracle
 
 
 @pytest.mark.xfail(
