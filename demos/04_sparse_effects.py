@@ -29,11 +29,8 @@ print(f"cell: eta*={eta_star}, a={a}, q={q}, n={n}, N={N}, gaussian design")
 # --- Monte-Carlo spread vs the two SEs --------------------------------------
 
 reps = 150
-records = [
-    run_replicate(n=n, N=N, eta_star=eta_star, q=q, seed=555, replicate=r,
-                  design="gaussian")
-    for r in range(reps)
-]
+cell = SimulationConfig(n=n, N=N, eta_star=eta_star, q=q, seed=555)
+records = [run_replicate(cell, r, design="gaussian") for r in range(reps)]
 eta_hats = np.array([r.eta_hat for r in records])
 print(f"\nover {reps} replicates:")
 print(f"  SD(eta_hat)        = {eta_hats.std(ddof=1):.4f}")

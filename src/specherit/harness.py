@@ -7,6 +7,8 @@ Formats (all UTF-8 text, chosen for desk-scale transparency):
   single header row;
 * phenotype: one decimal value per line;
 * covariates: delimited, one row per individual;
+* in all three, ``#`` starts a comment and blank lines are skipped; errors
+  name the file line (and column);
 * simulation/study configs, truth files and reports: strict JSON, with
   non-finite floats written as ``null``;
 * replicate and summary tables: CSV with fixed column order, floats
@@ -28,7 +30,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -75,42 +77,71 @@ def _is_numeric_row(tokens: list[str]) -> bool:
         return False
 
 
+def _data_lines(path: str, skip: int = 0):
+    """Yield ``(file line, text)`` past line ``skip`` as ``np.loadtxt`` reads rows.
+
+    ``np.loadtxt`` drops a ``#`` comment and the line ending and skips lines
+    left empty, so data rows and file lines drift apart; errors name the
+    file line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for k, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].rstrip("\r\n")
+            if k > skip and text:
+                yield k, text
+
+
+def _is_number(token: str) -> bool:
+    """``float()``, less the digit separators that ``np.loadtxt`` rejects."""
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return "_" not in token
+
+
+def _first_bad_line(rows, delim: str) -> str | None:
+    """Describe the first row with a changed column count or a non-number."""
+    width = None
+    for k, text in rows:
+        tokens = text.split(delim)
+        width = len(tokens) if width is None else width
+        if len(tokens) != width:
+            return f"line {k}: {len(tokens)} columns, expected {width}"
+        for j, token in enumerate(tokens, start=1):
+            if not _is_number(token):
+                return f"line {k}, column {j}: {token.strip()!r} is not a number"
+    return None
+
+
 def _read_matrix(path: str, kind: str, allowed, rule: str) -> np.ndarray:
     """Read a delimited matrix, autodetecting delimiter and optional header.
 
-    ``allowed`` maps the matrix to a mask of acceptable entries; the first
-    other entry is reported with its line and column, followed by ``rule``.
+    The first data line sets the delimiter and, if it is not numeric, is
+    the header. ``allowed`` maps the matrix to a mask of acceptable entries;
+    the first other entry is reported with its line and column, followed
+    by ``rule``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-    if not first.strip():
-        raise DataParseError(f"{path}: line 1: empty {kind} file")
-    delim = "\t" if "\t" in first else ","
-    header = 0 if _is_numeric_row([t for t in first.strip().split(delim) if t != ""]) else 1
+    first = next(_data_lines(path), None)
+    if first is None:
+        raise DataParseError(f"{path}: no {kind} values found")
+    k, text = first
+    delim = "\t" if "\t" in text else ","
+    skip = 0 if _is_numeric_row([t for t in text.strip().split(delim) if t != ""]) else k
     try:
-        M = np.loadtxt(path, delimiter=delim, skiprows=header, ndmin=2)
+        M = np.loadtxt(path, delimiter=delim, skiprows=skip, ndmin=2)
     except ValueError as exc:
-        raise DataParseError(f"{path}: {exc}") from exc
+        where = _first_bad_line(_data_lines(path, skip), delim)
+        raise DataParseError(f"{path}: {where or exc}") from exc
     bad = ~allowed(M)
     if bad.any():
         i, j = np.argwhere(bad)[0]
+        line = next(itertools.islice(_data_lines(path, skip), int(i), None))[0]
         raise DataParseError(
-            f"{path}: line {_data_line(path, header, int(i))}, column {int(j) + 1}: "
+            f"{path}: line {line}, column {int(j) + 1}: "
             f"{kind} entry {float(M[i, j])!r} {rule}"
         )
     return M
-
-
-def _data_line(path: str, header: int, row: int) -> int:
-    """File line number of data row ``row`` (0-based) as ``np.loadtxt`` counts rows.
-
-    ``np.loadtxt`` skips lines that are empty once a ``#`` comment and the
-    line ending are removed, so data rows and file lines can drift apart.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = enumerate(fh, start=1)
-        data = (k for k, line in lines if k > header and line.split("#", 1)[0].rstrip("\r\n"))
-        return next(itertools.islice(data, row, None))
 
 
 def read_genotypes(path: str) -> np.ndarray:
@@ -120,20 +151,19 @@ def read_genotypes(path: str) -> np.ndarray:
 
 
 def read_phenotype(path: str) -> np.ndarray:
-    """Read a phenotype vector, one decimal per line."""
+    """Read a phenotype vector, one decimal per line; ``#`` starts a comment."""
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError as exc:
-                raise DataParseError(f"{path}: line {lineno}: {text!r} is not a number") from exc
-            if not math.isfinite(value):
-                raise DataParseError(f"{path}: line {lineno}: {text!r} is not finite")
-            values.append(value)
+    for lineno, text in _data_lines(path):
+        text = text.strip()
+        if not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise DataParseError(f"{path}: line {lineno}: {text!r} is not a number") from exc
+        if not math.isfinite(value):
+            raise DataParseError(f"{path}: line {lineno}: {text!r} is not finite")
+        values.append(value)
     if not values:
         raise DataParseError(f"{path}: no phenotype values found")
     return np.asarray(values, dtype=np.float64)
@@ -262,12 +292,6 @@ def estimate_files(
 # ---------------------------------------------------------------------------
 
 
-REPLICATE_COLUMNS = (
-    "replicate_id", "seed", "eta_star", "a", "q", "n", "N",
-    "eta_hat", "sigma2_hat", "se_q1", "se_sparse", "pivot_q1", "pivot_sparse",
-    "ci_lo", "ci_hi", "covered", "iterations", "clamped", "error",
-)
-
 SUMMARY_COLUMNS = (
     "eta_star", "a", "q", "n", "N", "replicates", "errors",
     "mean_eta_hat", "sd_eta_hat", "mean_se_q1", "mean_se_sparse", "coverage",
@@ -314,13 +338,17 @@ class ReplicateRecord:
         return row
 
 
+REPLICATE_COLUMNS = tuple(f.name for f in fields(ReplicateRecord))
+
+
 @dataclass(frozen=True)
 class StudySpec:
     """Grid of simulation cells around a base configuration.
 
-    ``a_grid`` values map to marker counts N = round(n / a). The sparse
-    standard error in every record assumes the cell's own q (labelled
-    "assumed q" because real data never reveals it).
+    Each grid point is one ``SimulationConfig`` cell; ``a_grid`` values map
+    to marker counts N = round(n / a), and an empty grid keeps the base
+    value. The sparse standard error in every record assumes the cell's
+    own q (labelled "assumed q" because real data never reveals it).
     """
 
     base: SimulationConfig
@@ -330,24 +358,18 @@ class StudySpec:
     design: str = "genotype"
     workers: int = 1
     ci_level: float = 0.95
-    outputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.design not in ("genotype", "gaussian"):
             raise ConfigurationError(f"design must be genotype|gaussian, got {self.design!r}")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        for eta in self.eta_grid:
-            if not 0.0 <= eta < 1.0:
-                raise ConfigurationError(f"eta grid value {eta} outside [0, 1)")
         for a in self.a_grid:
             if not a > 0.0:
                 raise ConfigurationError(f"a grid value {a} must be positive")
-        for q in self.q_grid:
-            if not 0.0 < q <= 1.0:
-                raise ConfigurationError(f"q grid value {q} outside (0, 1]")
         if not 0.0 < self.ci_level < 1.0:
             raise ConfigurationError(f"ci_level must be in (0, 1), got {self.ci_level}")
+        self.cells()  # each cell's SimulationConfig checks eta_star, q and N >= 1
 
     @classmethod
     def from_json(cls, text: str) -> "StudySpec":
@@ -357,57 +379,59 @@ class StudySpec:
             raise ConfigurationError(f"invalid study JSON: {exc}") from exc
         if not isinstance(doc, dict) or "base" not in doc:
             raise ConfigurationError("study spec must be a JSON object with a 'base' config")
-        base = SimulationConfig(**doc["base"])
-        return cls(
-            base=base,
-            eta_grid=tuple(doc.get("eta_grid", [base.eta_star])),
-            a_grid=tuple(doc.get("a_grid", [base.n / base.N])),
-            q_grid=tuple(doc.get("q_grid", [base.q])),
-            design=doc.get("design", "genotype"),
-            workers=int(doc.get("workers", 1)),
-            ci_level=float(doc.get("ci_level", 0.95)),
-            outputs=dict(doc.get("outputs", {})),
-        )
+        extra = set(doc) - {f.name for f in fields(cls)}
+        if extra:
+            raise ConfigurationError(f"unknown study spec fields: {sorted(extra)}")
+        try:
+            return cls(
+                base=SimulationConfig(**doc["base"]),
+                eta_grid=tuple(doc.get("eta_grid", ())),
+                a_grid=tuple(doc.get("a_grid", ())),
+                q_grid=tuple(doc.get("q_grid", ())),
+                design=doc.get("design", "genotype"),
+                workers=int(doc.get("workers", 1)),
+                ci_level=float(doc.get("ci_level", 0.95)),
+            )
+        except ConfigurationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"invalid study spec: {exc}") from exc
 
-    def cells(self) -> list[tuple[float, float, float]]:
-        etas = self.eta_grid or (self.base.eta_star,)
-        aa = self.a_grid or (self.base.n / self.base.N,)
-        qq = self.q_grid or (self.base.q,)
-        return [(eta, a, q) for eta in etas for a in aa for q in qq]
+    def cells(self) -> list[SimulationConfig]:
+        base = self.base
+        return [
+            replace(base, eta_star=eta, N=round(base.n / a), q=q)
+            for eta in self.eta_grid or (base.eta_star,)
+            for a in self.a_grid or (base.n / base.N,)
+            for q in self.q_grid or (base.q,)
+        ]
 
 
 def run_replicate(
-    *,
-    n: int,
-    N: int,
-    eta_star: float,
-    q: float,
-    seed: int,
+    config: SimulationConfig,
     replicate: int,
+    *,
     design: str = "genotype",
-    sigma_star2: float = 1.0,
-    freq_lo: float = 0.1,
-    freq_hi: float = 0.5,
     ci_level: float = 0.95,
     solver: SolverConfig | None = None,
 ) -> ReplicateRecord:
-    """Simulate one cohort and estimate it; failures land in the record."""
+    """Simulate replicate ``replicate`` of ``config`` and estimate it.
+
+    The sparse SE assumes the cell's own q; failures land in the record.
+    """
     record = ReplicateRecord(
-        replicate_id=replicate, seed=seed, eta_star=eta_star,
-        a=n / N, q=q, n=n, N=N,
+        replicate_id=replicate, seed=config.seed, eta_star=config.eta_star,
+        a=config.n / config.N, q=config.q, n=config.n, N=config.N,
     )
     try:
-        config = SimulationConfig(
-            n=n, N=N, eta_star=eta_star, q=q, sigma_star2=sigma_star2,
-            freq_lo=freq_lo, freq_hi=freq_hi, seed=seed, replicates=1,
-        )
         cohort = simulate_cohort(config, replicate=replicate, design=design)
         report = estimate_from_design(
-            cohort.Z, cohort.Y, q_assumed=q, ci_level=ci_level, solver=solver
+            cohort.Z, cohort.Y, q_assumed=config.q, ci_level=ci_level, solver=solver
         )
     except SpecheritError as exc:
         record.error = f"{type(exc).__name__}: {exc}"
         return record
+    eta_star = config.eta_star
     record.eta_hat = report.eta_hat
     record.sigma2_hat = report.sigma2_hat
     record.se_q1 = report.se_q1
@@ -423,8 +447,8 @@ def run_replicate(
 
 
 def _study_task(payload: tuple) -> tuple[int, int, dict]:
-    cell_idx, rep, kwargs = payload
-    record = run_replicate(**kwargs)
+    cell_idx, rep, cell, design, ci_level = payload
+    record = run_replicate(cell, rep, design=design, ci_level=ci_level)
     return cell_idx, rep, record.to_row()
 
 
@@ -442,31 +466,20 @@ def run_study(
     """
     os.makedirs(out_dir, exist_ok=True)
     workers = spec.workers if workers is None else workers
-    base = spec.base
-
-    tasks = []
-    for cell_idx, (eta, a, q) in enumerate(spec.cells()):
-        N = int(round(base.n / a))
-        if N > MAX_MARKERS_DEFAULT and not allow_large:
+    cells = spec.cells()
+    for cell in cells:
+        if cell.N > MAX_MARKERS_DEFAULT and not allow_large:
             raise ConfigurationError(
-                f"cell (eta={eta}, a={a}, q={q}) needs N={N} > {MAX_MARKERS_DEFAULT} "
-                "markers; pass --allow-large to run it anyway"
+                f"cell (eta={cell.eta_star}, n={cell.n}, q={cell.q}) needs N={cell.N} > "
+                f"{MAX_MARKERS_DEFAULT} markers; pass --allow-large to run it anyway"
             )
-        for rep in range(base.replicates):
-            tasks.append(
-                (
-                    cell_idx,
-                    rep,
-                    dict(
-                        n=base.n, N=N, eta_star=eta, q=q, seed=base.seed,
-                        replicate=rep, design=spec.design,
-                        sigma_star2=base.sigma_star2, freq_lo=base.freq_lo,
-                        freq_hi=base.freq_hi, ci_level=spec.ci_level,
-                    ),
-                )
-            )
+    tasks = [
+        (cell_idx, rep, cell, spec.design, spec.ci_level)
+        for cell_idx, cell in enumerate(cells)
+        for rep in range(cell.replicates)
+    ]
 
-    log.info("running %d replicates across %d cells", len(tasks), len(spec.cells()))
+    log.info("running %d replicates across %d cells", len(tasks), len(cells))
     results: dict[tuple[int, int], dict] = {}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -477,14 +490,14 @@ def run_study(
             cell_idx, rep, row = _study_task(payload)
             results[(cell_idx, rep)] = row
 
-    replicates_path = os.path.join(out_dir, spec.outputs.get("replicates", "replicates.csv"))
+    replicates_path = os.path.join(out_dir, "replicates.csv")
     with open(replicates_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=REPLICATE_COLUMNS)
         writer.writeheader()
         for key in sorted(results):
             writer.writerow(results[key])
 
-    summary_path = os.path.join(out_dir, spec.outputs.get("summary", "summary.csv"))
+    summary_path = os.path.join(out_dir, "summary.csv")
     summary_rows = summarize_replicates(replicates_path)
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)

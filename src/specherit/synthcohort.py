@@ -83,7 +83,12 @@ class SimulationConfig:
             raise ConfigurationError(f"unknown simulation config fields: {sorted(extra)}")
         if "n" not in doc or "N" not in doc or "eta_star" not in doc:
             raise ConfigurationError("simulation config requires at least n, N, eta_star")
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except ConfigurationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"invalid simulation config: {exc}") from exc
 
 
 @dataclass

@@ -18,6 +18,7 @@ import pytest
 from scipy.stats import norm
 
 from specherit import (
+    SimulationConfig,
     d2loglik,
     dloglik,
     grid_oracle,
@@ -48,8 +49,8 @@ def cell(eta_star, a, q, n, reps, design):
     records = []
     for rep in range(reps):
         record = run_replicate(
-            n=n, N=round(n / a), eta_star=eta_star, q=q,
-            seed=MASTER_SEED, replicate=rep, design=design,
+            SimulationConfig(n=n, N=round(n / a), eta_star=eta_star, q=q, seed=MASTER_SEED),
+            rep, design=design,
         )
         assert record.error == "", record.error
         records.append(record)

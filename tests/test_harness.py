@@ -121,6 +121,46 @@ def test_readers_report_file_lines_past_blank_lines(tmp_path):
     assert f"{geno}: line 6, column 2" in str(excinfo.value)
 
 
+def test_readers_find_the_header_past_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "g.csv"
+    path.write_text("\n0,1\n1,2\n")
+    assert np.array_equal(read_genotypes(str(path)), [[0, 1], [1, 2]])
+    path.write_text("# cohort A\nm1,m2\n0,1\n1,2\n")
+    assert np.array_equal(read_genotypes(str(path)), [[0, 1], [1, 2]])
+    path.write_text("\n# x\n\n")
+    with pytest.raises(DataParseError, match="no genotype values found"):
+        read_genotypes(str(path))
+
+
+def test_readers_report_parse_errors_by_file_line(tmp_path):
+    # np.loadtxt counts data rows from 0 for conversions and from 1 for
+    # column counts; the reader names the file line and column instead
+    path = tmp_path / "c.csv"
+    path.write_text("1,2\n\n\n3,4\n5,x\n")
+    with pytest.raises(DataParseError) as excinfo:
+        read_covariates(str(path))
+    assert str(excinfo.value) == f"{path}: line 5, column 2: 'x' is not a number"
+    path.write_text("age,sex\n# note\n30,1\n\n40,1,7\n")
+    with pytest.raises(DataParseError) as excinfo:
+        read_covariates(str(path))
+    assert str(excinfo.value) == f"{path}: line 5: 3 columns, expected 2"
+    geno = tmp_path / "g.tsv"
+    geno.write_text("m1\tm2\n0\t1\n\n1\t1_0\n")
+    with pytest.raises(DataParseError) as excinfo:
+        read_genotypes(str(geno))
+    assert str(excinfo.value) == f"{geno}: line 4, column 2: '1_0' is not a number"
+
+
+def test_phenotype_reader_skips_comments(tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_text("# trait: height\n1.5\n\n2.5  # outlier?\n# end\n-1\n")
+    assert np.array_equal(read_phenotype(str(path)), [1.5, 2.5, -1.0])
+    path.write_text("# trait: height\n1.5\n# note\nnan\n")
+    with pytest.raises(DataParseError) as excinfo:
+        read_phenotype(str(path))
+    assert f"{path}: line 4" in str(excinfo.value)
+
+
 # ---------------------------------------------------------------------------
 # estimation from files
 # ---------------------------------------------------------------------------
@@ -348,6 +388,71 @@ def test_mc_study_sparse_grid_records_sparse_pivot(tmp_path):
     for row in rows:
         assert float(row["se_sparse"]) >= float(row["se_q1"])
         assert row["pivot_sparse"] != ""
+
+
+def test_study_cell_without_markers_is_usage_error(tmp_path):
+    # a = 100 rounds N = n / a to 0 for n = 40
+    base = SimulationConfig(n=40, N=80, eta_star=0.5, seed=5)
+    with pytest.raises(ConfigurationError, match="N=0"):
+        StudySpec(base=base, a_grid=(0.5, 100.0))
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({"base": {"n": 40, "N": 80, "eta_star": 0.5}, "a_grid": [100]}))
+    assert main(["mc-study", str(path), str(tmp_path / "out")]) == EXIT_USAGE
+
+
+def test_study_cells_are_simulation_configs():
+    base = SimulationConfig(n=40, N=80, eta_star=0.5, sigma_star2=2.0, seed=5, replicates=2)
+    spec = StudySpec(base=base, eta_grid=(0.2, 0.4), a_grid=(2.0,))
+    assert spec.cells() == [
+        SimulationConfig(n=40, N=20, eta_star=eta, sigma_star2=2.0, seed=5, replicates=2)
+        for eta in (0.2, 0.4)
+    ]
+    assert StudySpec(base=base).cells() == [base]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"workers": "two"},
+        {"eta_grid": 0.5},
+        {"base": {"n": "40", "N": 80, "eta_star": 0.5}},
+        {"base": {"n": 40, "N": 80, "eta_star": 0.5, "seeds": 3}},
+        {"worker": 2},
+        {"outputs": {"replicates": "r.csv"}},
+        {"eta_grid": [0.5, 1.5]},
+    ],
+    ids=["workers-str", "grid-scalar", "base-n-str", "base-unknown", "unknown-key",
+         "outputs", "eta-out-of-range"],
+)
+def test_malformed_study_json_is_usage_error(tmp_path, capsys, overrides):
+    doc = {"base": {"n": 40, "N": 80, "eta_star": 0.5, "replicates": 1}, **overrides}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError):
+        StudySpec.from_json(path.read_text())
+    assert main(["mc-study", str(path), str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides", [{"n": "40"}, {"replicates": [2]}, {"N": None}])
+def test_malformed_config_json_is_usage_error(tmp_path, capsys, overrides):
+    config = _write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigurationError):
+        SimulationConfig.from_json(config.read_text())
+    assert main(["simulate", str(config), str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_replicate_csv_header_order(tmp_path):
+    spec = StudySpec(base=SimulationConfig(n=30, N=60, eta_star=0.5, seed=1))
+    replicates_path, _ = run_study(spec, str(tmp_path / "out"))
+    with open(replicates_path, "rb") as fh:
+        header = fh.readline()
+    assert header == (
+        b"replicate_id,seed,eta_star,a,q,n,N,eta_hat,sigma2_hat,se_q1,se_sparse,"
+        b"pivot_q1,pivot_sparse,ci_lo,ci_hi,covered,iterations,clamped,error\r\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from specherit import (
     ConfigurationError,
+    SimulationConfig,
     UnidentifiableModelError,
     build_report,
     confidence_interval,
@@ -251,7 +252,7 @@ def test_clt_pivot_gaussian_q1():
     pivots = []
     for rep in range(300):
         record = run_replicate(
-            n=500, N=1000, eta_star=0.5, q=1.0, seed=31415, replicate=rep,
+            SimulationConfig(n=500, N=1000, eta_star=0.5, q=1.0, seed=31415), rep,
             design="gaussian",
         )
         assert record.error == ""
@@ -265,8 +266,8 @@ def test_sparse_pivot_gaussian():
     # sparse pivot sqrt(n) (eta_hat - eta*) / tau_n at q = 0.5, a = 0.5,
     # gaussian design; the mis-specified q=1 SE sits below the MC spread
     records = [
-        run_replicate(n=400, N=800, eta_star=0.7, q=0.5, seed=12345,
-                      replicate=rep, design="gaussian")
+        run_replicate(SimulationConfig(n=400, N=800, eta_star=0.7, q=0.5, seed=12345),
+                      rep, design="gaussian")
         for rep in range(300)
     ]
     pivots = np.array([r.pivot_sparse for r in records])
