@@ -27,6 +27,7 @@ import itertools
 import json
 import logging
 import math
+import mmap
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -46,6 +47,7 @@ from .inference import EstimateReport, build_report
 from .likelihood import SolverConfig, newton_estimate
 from .spectral import MPLaw, decompose, esd, mp_cdf, residualize, standardize
 from .synthcohort import (
+    GenotypeMatrix,
     SimulationConfig,
     replicate_rng,
     sample_allele_frequencies,
@@ -75,6 +77,16 @@ def _is_numeric_row(tokens: list[str]) -> bool:
         return True
     except ValueError:
         return False
+
+
+def _sniff(text: str) -> tuple[str, bool]:
+    """Delimiter of the first data line, and whether that line is a header.
+
+    The delimiter is a tab if the line holds one, else a comma; the line is
+    a header if any of its fields is not a number.
+    """
+    delim = "\t" if "\t" in text else ","
+    return delim, not _is_numeric_row([t for t in text.strip().split(delim) if t != ""])
 
 
 def _data_lines(path: str, skip: int = 0):
@@ -126,8 +138,10 @@ def _read_matrix(path: str, kind: str, allowed, rule: str) -> np.ndarray:
     if first is None:
         raise DataParseError(f"{path}: no {kind} values found")
     k, text = first
-    delim = "\t" if "\t" in text else ","
-    skip = 0 if _is_numeric_row([t for t in text.strip().split(delim) if t != ""]) else k
+    delim, header = _sniff(text)
+    skip = k if header else 0
+    if header and next(_data_lines(path, skip), None) is None:
+        raise DataParseError(f"{path}: no {kind} values found")
     try:
         M = np.loadtxt(path, delimiter=delim, skiprows=skip, ndmin=2)
     except ValueError as exc:
@@ -144,10 +158,58 @@ def _read_matrix(path: str, kind: str, allowed, rule: str) -> np.ndarray:
     return M
 
 
+def _decode_digits(data) -> np.ndarray | None:
+    """Decode rows of single digits 0-2 straight from the file's bytes.
+
+    The layout is what ``write_genotypes`` writes: an optional header line,
+    then rows of equal width, one delimiter between digits, each row ending
+    in ``\n`` (the last newline may be missing). The first line is sniffed
+    as ``_read_matrix`` does. ``data`` is ``bytes`` or a read-only ``mmap``.
+    Returns ``None`` for any other layout, which the general parser then
+    reads or rejects with its ``file:line`` errors.
+    """
+    end = data.find(b"\n")
+    try:
+        first = data[: len(data) if end < 0 else end].decode("utf-8").rstrip("\r")
+    except UnicodeDecodeError:
+        return None
+    if not first or "#" in first:
+        return None
+    delim, header = _sniff(first)
+    start = end + 1 if header else 0
+    if (header and end < 0) or start == len(data):
+        return None
+    if data[-1:] != b"\n":
+        data, start = data[start:] + b"\n", 0
+    width = data.find(b"\n", start) + 1 - start
+    if width % 2 or (len(data) - start) % width:
+        return None
+    rows = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(-1, width)
+    if not ((rows[:, 1:-1:2] == ord(delim)).all() and (rows[:, -1] == ord("\n")).all()):
+        return None
+    digits = rows[:, 0::2] - np.uint8(ord("0"))  # bytes below '0' wrap past 2
+    if not (digits <= 2).all():
+        return None
+    return digits.view(np.int8)
+
+
 def read_genotypes(path: str) -> np.ndarray:
-    """Read a genotype matrix with entries in {0, 1, 2}."""
-    W = _read_matrix(path, "genotype", lambda W: np.isin(W, (0.0, 1.0, 2.0)), "not in {0, 1, 2}")
-    return W.astype(np.int8)
+    """Read a genotype matrix with entries in {0, 1, 2} as a C-contiguous int8 array.
+
+    Single-digit files decode straight from bytes; every other layout goes
+    through ``np.loadtxt`` and its ``file:line`` errors.
+    """
+    W = None
+    with open(path, "rb") as fh:
+        # Map the file rather than read it: freeing a read buffer of a few MB
+        # raises malloc's mmap threshold, and the estimate's peak memory with it.
+        if os.fstat(fh.fileno()).st_size:  # an empty file cannot be mapped
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+                W = _decode_digits(data)
+    if W is None:
+        M = _read_matrix(path, "genotype", lambda M: np.isin(M, (0.0, 1.0, 2.0)), "not in {0, 1, 2}")
+        W = M.astype(np.int8)
+    return W
 
 
 def read_phenotype(path: str) -> np.ndarray:
@@ -175,10 +237,14 @@ def read_covariates(path: str) -> np.ndarray:
 
 
 def write_genotypes(path: str, W: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.asarray(W):
-            fh.write(",".join(str(int(v)) for v in row))
-            fh.write("\n")
+    """Write allele counts as comma-separated single digits, one row per line."""
+    W = GenotypeMatrix(W).entries  # 2-D, n >= 2, N >= 1, entries in {0, 1, 2}
+    # One byte per digit, comma or newline: the rows are built in one array.
+    text = np.full((W.shape[0], 2 * W.shape[1]), ord(","), dtype=np.uint8)
+    text[:, 0::2] = W.astype(np.uint8) + ord("0")
+    text[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(text.tobytes())
 
 
 def write_phenotype(path: str, Y: np.ndarray) -> None:

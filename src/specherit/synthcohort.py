@@ -13,6 +13,7 @@ replicate streams are independent of each other and of scheduling order.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -51,6 +52,12 @@ class SimulationConfig:
     replicates: int = 1
 
     def __post_init__(self):
+        for name in ("n", "N", "seed", "replicates"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.n < 2 or self.N < 1:
             raise ConfigurationError(f"need n >= 2 and N >= 1, got n={self.n}, N={self.N}")
         if not 0.0 < self.q <= 1.0:
@@ -110,7 +117,13 @@ class GenotypeMatrix:
             raise ConfigurationError(
                 f"need n >= 2 individuals and N >= 1 markers, got shape {self.entries.shape}"
             )
-        if not np.isin(self.entries, (0, 1, 2)).all():
+        E = self.entries
+        if E.dtype.kind in "iu":
+            # read as unsigned of the same width, a negative count lands above 2
+            valid = (E.view(f"u{E.dtype.itemsize}") <= 2).all()
+        else:
+            valid = np.isin(E, (0, 1, 2)).all()
+        if not valid:
             raise ConfigurationError("genotype entries must all be in {0, 1, 2}")
 
     @property

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specherit import (
     ConfigurationError,
@@ -17,6 +19,7 @@ from specherit import (
     simulate_cohort,
     summarize_replicates,
 )
+from specherit import harness
 from specherit.harness import (
     EXIT_DATA,
     EXIT_OK,
@@ -72,6 +75,120 @@ def test_genotype_non_numeric_reports_error(tmp_path):
     path.write_text("0,1,2\n0,x,1\n")
     with pytest.raises(DataParseError):
         read_genotypes(str(path))
+
+
+def _general_reader(path):
+    """``np.loadtxt`` behind the header sniffer and file-line errors, alone."""
+    M = harness._read_matrix(
+        path, "genotype", lambda M: np.isin(M, (0.0, 1.0, 2.0)), "not in {0, 1, 2}"
+    )
+    return M.astype(np.int8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    W=st.integers(1, 6).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(0, 2), min_size=cols, max_size=cols), min_size=1, max_size=6
+        )
+    ),
+    delim=st.sampled_from([",", "\t"]),
+    header=st.booleans(),
+    final_newline=st.booleans(),
+)
+def test_single_digit_files_decode_like_loadtxt(tmp_path_factory, W, delim, header, final_newline):
+    lines = [delim.join(str(v) for v in row) for row in W]
+    if header:
+        lines.insert(0, delim.join(f"m{j}" for j in range(len(W[0]))))
+    data = ("\n".join(lines) + ("\n" if final_newline else "")).encode()
+    path = tmp_path_factory.mktemp("geno") / "g.csv"
+    path.write_bytes(data)
+    assert harness._decode_digits(data) is not None  # the byte decoder takes it
+    got = read_genotypes(str(path))
+    expected = np.loadtxt(path, delimiter=delim, skiprows=int(header), ndmin=2).astype(np.int8)
+    assert got.dtype == np.int8 and got.flags.c_contiguous
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got, _general_reader(str(path)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0,1,2\r\n2,1,0\r\n",
+        "m1,m2,m3\r\n0,1,2\n2,1,0\n",
+        "# cohort A\n0,1,2\n2,1,0\n",
+        "0,1,2\n2,1,0  # note\n",
+        "0,1,2\n\n2,1,0\n",
+        "m1,m2,m3\n\n0,1,2\n",
+        "0,1,2\n2,1,0\n\n",
+        "0,1.0,2\n2,1,0\n",
+        "0, 1,2\n2,1,0\n",
+        " 0,1,2\n2,1,0\n",
+        "0,10,2\n2,1,0\n",
+        "0,1,2\n2,3,0\n",
+        "0\t1\t2\n2\t-1\t0\n",
+        "0,1,2\n2,x,0\n",
+        "0,1,2\n2,1\n",
+        "0,1,2\n2,1,0,1\n",
+        "0,1\n12\n",
+        "m1\tm2\n0\t1\n\n1\t1_0\n",
+        "m1\tm2\n0,1\n",
+        "0,,2\n2,,0\n",
+        "0;1\n1;2\n",
+        "0,1\n1,2,0,1\n",
+        "",
+    ],
+    ids=["crlf", "crlf-header", "comment-line", "trailing-comment", "blank-line",
+         "blank-after-header", "trailing-blank", "float", "space", "leading-space",
+         "two-digits", "three", "minus-one-tab", "letter", "short-row", "long-row",
+         "no-delimiter", "digit-separator", "mixed-delimiters", "empty-field",
+         "semicolon", "double-width-row", "empty"],
+)
+def test_near_miss_files_read_like_the_general_parser(tmp_path, text):
+    path = tmp_path / "g.csv"
+    path.write_bytes(text.encode())
+    try:
+        expected = _general_reader(str(path))
+    except DataParseError as exc:
+        with pytest.raises(DataParseError) as excinfo:
+            read_genotypes(str(path))
+        assert str(excinfo.value) == str(exc)
+    else:
+        got = read_genotypes(str(path))
+        assert got.dtype == np.int8 and got.flags.c_contiguous
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.filterwarnings("error")
+def test_header_only_files_have_no_values(tmp_path, cohort_files, capsys):
+    _, geno, pheno = cohort_files
+    path = tmp_path / "header.csv"
+    for text in ("m1,m2\n", "m1,m2", "m1\tm2\n# none\n\n"):
+        path.write_text(text)
+        for reader, kind in ((read_genotypes, "genotype"), (read_covariates, "covariate")):
+            with pytest.raises(DataParseError) as excinfo:
+                reader(str(path))
+            assert str(excinfo.value) == f"{path}: no {kind} values found"
+    assert main(["estimate", str(path), pheno]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}: no genotype values found\n"
+    assert main(["estimate", geno, pheno, "--covariates", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}: no covariate values found\n"
+
+
+def test_write_genotypes_matches_per_entry_format(cohort_files, tmp_path):
+    cohort, geno, _ = cohort_files
+    W = cohort.genotypes.entries
+    expected = "".join(",".join(str(int(v)) for v in row) + "\n" for row in W).encode()
+    assert open(geno, "rb").read() == expected
+    path = tmp_path / "g.csv"
+    for entries in (W.astype(np.int64), W.astype(np.float64), W.tolist()):
+        write_genotypes(path, entries)
+        assert path.read_bytes() == expected
+    for value in (3, -1, 0.5):
+        bad = W.astype(np.float64)
+        bad[5, 7] = value
+        with pytest.raises(ConfigurationError, match="must all be in"):
+            write_genotypes(path, bad)
 
 
 def test_phenotype_round_trip_and_errors(tmp_path):
@@ -435,7 +552,11 @@ def test_malformed_study_json_is_usage_error(tmp_path, capsys, overrides):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("overrides", [{"n": "40"}, {"replicates": [2]}, {"N": None}])
+@pytest.mark.parametrize(
+    "overrides",
+    [{"n": "40"}, {"replicates": [2]}, {"N": None}, {"seed": -1}, {"seed": "x"}, {"n": 30.5},
+     {"replicates": True}],
+)
 def test_malformed_config_json_is_usage_error(tmp_path, capsys, overrides):
     config = _write_config(tmp_path, **overrides)
     with pytest.raises(ConfigurationError):

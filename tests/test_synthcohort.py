@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from specherit import (
     ConfigurationError,
+    GenotypeMatrix,
     ShapeMismatchError,
     SimulationConfig,
     effect_scale,
@@ -52,6 +53,24 @@ def test_genotypes_entries_and_distribution():
     W = sample_genotypes(200, sample_allele_frequencies(40, 0.1, 0.5, rng), rng)
     assert W.entries.shape == (200, 40)
     assert np.isin(W.entries, (0, 1, 2)).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+def test_genotype_matrix_checks_every_entry(dtype):
+    valid = np.array([[0, 1, 2], [2, 1, 0]], dtype=dtype)
+    assert np.array_equal(GenotypeMatrix(valid).entries, valid)
+    bad_values = [-1, 3, 127] + {
+        np.int8: [-128],
+        np.int64: [257, -254, 2**32 + 1, -(2**63)],
+        np.float64: [0.5, 2.0000000000000004, np.nan, np.inf],
+    }[dtype]
+    for value in bad_values:
+        entries = valid.copy()
+        entries[1, 2] = value
+        with pytest.raises(ConfigurationError, match="must all be in"):
+            GenotypeMatrix(entries)
+        with pytest.raises(ConfigurationError, match="must all be in"):
+            GenotypeMatrix(entries[:, ::-1])  # a strided view is checked too
 
 
 def test_genotypes_rare_allele_limit():
