@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    DataError,
     MonomorphicColumnError,
     NumericalFailureError,
     RankDeficientCovariatesError,
@@ -37,6 +38,9 @@ from .errors import (
 EIGENVALUE_CLAMP_TOL = 1e-8
 
 DEFAULT_QUADRATURE_ORDER = 512
+
+# Side of the square blocks in which ``eigendecompose`` compares R with R'.
+_SYMMETRY_BLOCK = 128
 
 
 @dataclass
@@ -89,25 +93,37 @@ def standardize(W, policy: str = "error") -> StandardizedDesign:
     """
     if policy not in ("error", "drop"):
         raise ConfigurationError(f"policy must be 'error' or 'drop', got {policy!r}")
-    Wm = np.asarray(getattr(W, "entries", W), dtype=np.float64)
+    Wm = np.asarray(getattr(W, "entries", W))
     if Wm.ndim != 2:
         raise ShapeMismatchError("design matrix must be 2-D")
     n = Wm.shape[0]
     if n < 2:
         raise ConfigurationError(f"standardization needs n >= 2 rows, got {n}")
-    mean = Wm.mean(axis=0)
-    centered = Wm - mean
-    s = np.sqrt(np.mean(centered**2, axis=0))
+    # One n x N array is centered and scaled in place. A non-finite entry
+    # makes its column's mean or scale non-finite, and so does an entry whose
+    # square overflows; those O(N) vectors are checked instead of Z itself.
+    Z = Wm.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = Z.mean(axis=0)
+        Z -= mean
+        s = np.sqrt(np.mean(Z**2, axis=0))
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(s)))
+    if bad.size:
+        raise DataError(
+            f"column {int(bad[0])} has a non-finite mean or scale: it holds nan/inf "
+            f"or entries too large to square ({bad.size} such column(s))"
+        )
     monomorphic = np.flatnonzero(s == 0.0)
     dropped: tuple[int, ...] = ()
     if monomorphic.size:
         if policy == "error":
             raise MonomorphicColumnError(monomorphic)
         keep = s > 0.0
-        centered = centered[:, keep]
+        Z = Z[:, keep]
         s = s[keep]
         dropped = tuple(int(j) for j in monomorphic)
-    return StandardizedDesign(Z=centered / s, dropped=dropped)
+    Z /= s
+    return StandardizedDesign(Z=Z, dropped=dropped)
 
 
 def residualize(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -141,8 +157,23 @@ def kinship(Z) -> np.ndarray:
     Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
     if Zm.ndim != 2:
         raise ShapeMismatchError("design matrix must be 2-D")
-    R = Zm @ Zm.T / Zm.shape[1]
-    return (R + R.T) / 2.0
+    R = Zm @ Zm.T
+    R /= Zm.shape[1]
+    R += R.T
+    R *= 0.5
+    return R
+
+
+def _asymmetry(R: np.ndarray) -> float:
+    """max |R_ij - R_ji| over blocks of the upper triangle, with no n x n temporary."""
+    n, b = R.shape[0], _SYMMETRY_BLOCK
+    worst = 0.0
+    with np.errstate(over="ignore"):
+        for i in range(0, n, b):
+            for j in range(i, n, b):
+                diff = R[i : i + b, j : j + b] - R[j : j + b, i : i + b].T
+                worst = max(worst, float(np.abs(diff).max()))
+    return worst
 
 
 def eigendecompose(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +185,9 @@ def eigendecompose(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     R = np.asarray(R, dtype=np.float64)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got {R.shape}")
-    if not np.allclose(R, R.T, rtol=0.0, atol=1e-10):
+    if not np.isfinite(R).all():
+        raise DataError("matrix has non-finite (nan or inf) entries")
+    if _asymmetry(R) > 1e-10:
         raise ShapeMismatchError("matrix is not symmetric within 1e-10")
     try:
         lam, U = np.linalg.eigh(R)
@@ -177,16 +210,57 @@ def rotate(U: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def decompose(Z, Y: np.ndarray, keep_eigvecs: bool = False) -> SpectralDecomposition:
-    """Full spectral pipeline: kinship, eigendecomposition, rotation."""
+    """Full spectral pipeline: kinship, eigendecomposition, rotation.
+
+    With N >= n, or when the eigenvectors are kept, this is
+    ``eigendecompose(kinship(Z))`` followed by ``rotate``. With N < n the
+    n x n kinship has at least n - N zero eigenvalues, so the N x N Gram
+    Z'Z is decomposed instead (see ``_decompose_gram``).
+    """
     Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
+    if Zm.ndim != 2 or 0 in Zm.shape:
+        raise ShapeMismatchError(f"design matrix must be 2-D and non-empty, got {Zm.shape}")
+    n, N = Zm.shape
+    if N < n and not keep_eigvecs:
+        lam, y_rot = _decompose_gram(Zm, Y)
+        return SpectralDecomposition(lambdas=lam, y_rot=y_rot, a=n / N)
     lam, U = eigendecompose(kinship(Zm))
     y_rot = rotate(U, Y)
     return SpectralDecomposition(
         lambdas=lam,
         y_rot=y_rot,
-        a=Zm.shape[0] / Zm.shape[1],
+        a=n / N,
         eigvecs=U if keep_eigvecs else None,
     )
+
+
+def _decompose_gram(Zm: np.ndarray, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and rotated observations of R = Z Z'/N from the Gram side.
+
+    ``kinship(Z')`` = Z'Z/n has eigenpairs (nu, V); R's nonzero eigenvalues
+    are mu = (n/N) nu with eigenvectors U1 = Z V / sqrt(n nu). Eigenvalues
+    at or below EIGENVALUE_CLAMP_TOL join the null block. The estimator
+    depends on the spectrum only through the pairs (lambda_i, y_i^2), so
+    any orthonormal basis of the null space gives the same fit; the one
+    chosen puts the whole null mass ||Y - U1 U1'Y||^2 on its first vector.
+    The mass is taken from the residual, not as ||Y||^2 - ||U1'Y||^2,
+    which cancels when the mass is small.
+    """
+    Y = np.asarray(Y, dtype=np.float64)
+    n, N = Zm.shape
+    zy = rotate(Zm, Y)  # Z'Y
+    nu, V = eigendecompose(kinship(Zm.T))
+    mu = nu * (n / N)
+    r = int(np.count_nonzero(mu > EIGENVALUE_CLAMP_TOL))
+    V1, scale = V[:, :r], np.sqrt(n * nu[:r])
+    top = (V1.T @ zy) / scale
+    residual = Y - Zm @ (V1 @ (top / scale))
+    lam = np.zeros(n)
+    lam[:r] = mu[:r]
+    y_rot = np.zeros(n)
+    y_rot[:r] = top
+    y_rot[r] = np.sqrt(residual @ residual)
+    return lam, y_rot
 
 
 def esd(lambdas: np.ndarray, x) -> float | np.ndarray:

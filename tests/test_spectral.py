@@ -1,24 +1,33 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from specherit import (
     ConfigurationError,
+    DataError,
     MPLaw,
     MonomorphicColumnError,
     RankDeficientCovariatesError,
     ShapeMismatchError,
+    SimulationConfig,
     decompose,
     eigendecompose,
     esd,
+    estimate_from_design,
+    gamma_n2,
     kinship,
     mp_cdf,
     mp_integrate,
+    newton_estimate,
     replicate_rng,
     residualize,
     rotate,
+    simulate_cohort,
     standardize,
 )
+from specherit.likelihood import loglik_grid
 from specherit.synthcohort import sample_allele_frequencies, sample_genotypes
 
 from conftest import riemann_mp
@@ -61,6 +70,44 @@ def test_standardize_identities_random():
 def test_standardize_needs_two_rows():
     with pytest.raises(ConfigurationError):
         standardize(np.array([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+def test_standardize_matches_two_pass_formula(dtype):
+    # Z is centered and scaled in place in one array; the result must equal
+    # the formula with a separate centered array, bit for bit.
+    rng = replicate_rng(22)
+    W = sample_genotypes(40, sample_allele_frequencies(90, 0.1, 0.5, rng), rng).entries.astype(dtype)
+    before = W.copy()
+    Wm = np.asarray(W, dtype=np.float64)
+    centered = Wm - Wm.mean(axis=0)
+    expected = centered / np.sqrt(np.mean(centered**2, axis=0))
+    assert np.array_equal(standardize(W).Z, expected)
+    assert np.array_equal(W, before)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{5: np.nan}, {5: np.inf}, {5: -np.inf}, {5: 1e200}, {5: np.nan, 9: np.inf, 30: 1e200}],
+)
+def test_standardize_rejects_non_finite_columns(bad):
+    rng = replicate_rng(23)
+    W = rng.standard_normal((20, 40))
+    for column, value in bad.items():
+        W[3, column] = value
+    with pytest.raises(DataError, match="column 5 has a non-finite mean or scale"):
+        standardize(W)
+    with pytest.raises(DataError, match="column 5 "):
+        standardize(W, policy="drop")
+
+
+def test_estimate_from_design_names_non_finite_design():
+    rng = replicate_rng(24)
+    Z = rng.standard_normal((20, 40))
+    Z[3, 5] = np.nan
+    with pytest.raises(DataError, match="non-finite") as excinfo:
+        estimate_from_design(Z, rng.standard_normal(20))
+    assert not isinstance(excinfo.value, ShapeMismatchError)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +197,34 @@ def test_eigendecompose_rejects_asymmetric():
         eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("n", [5, 300])  # one block and several blocks
+def test_eigendecompose_symmetry_tolerance(n):
+    R = np.eye(n)
+    R[n - 1, 1] = 1e-10
+    assert eigendecompose(R)[0].size == n
+    R[n - 1, 1] = 3e-10
+    with pytest.raises(ShapeMismatchError, match="not symmetric within 1e-10"):
+        eigendecompose(R)
+    R[n - 1, 1] = 0.0
+    R[1, n - 1], R[n - 1, 1] = 1e308, -1e308
+    with pytest.raises(ShapeMismatchError):
+        eigendecompose(R)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{(0, 2): np.nan}, {(0, 2): np.nan, (2, 0): np.nan}, {(1, 1): np.inf}, {(3, 0): -np.inf}],
+    ids=["nan-off-diagonal", "nan-symmetric-pair", "inf-on-diagonal", "minus-inf-off-diagonal"],
+)
+def test_eigendecompose_rejects_non_finite(entries):
+    R = np.eye(4)
+    for index, value in entries.items():
+        R[index] = value
+    with pytest.raises(DataError, match="non-finite") as excinfo:
+        eigendecompose(R)
+    assert not isinstance(excinfo.value, ShapeMismatchError)
+
+
 def test_rotate_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         rotate(np.eye(3), np.arange(4.0))
@@ -197,6 +272,102 @@ def test_decompose_structure():
     assert abs(np.linalg.norm(spec.y_rot) - np.linalg.norm(Y)) <= 1e-10 * np.linalg.norm(Y)
     with_vecs = decompose(Z, Y, keep_eigvecs=True)
     assert with_vecs.eigvecs.shape == (25, 25)
+
+
+def test_decompose_rejects_empty_design():
+    # ``policy="drop"`` on an all-monomorphic file leaves no columns.
+    design = standardize(np.ones((4, 2)), policy="drop")
+    with pytest.raises(ShapeMismatchError, match="non-empty"):
+        estimate_from_design(design.Z, np.arange(4.0))
+
+
+def _n_side(Z, Y):
+    lam, U = eigendecompose(kinship(Z))
+    return lam, rotate(U, Y)
+
+
+@pytest.mark.parametrize("n, N", [(30, 30), (30, 31), (30, 90)])
+def test_decompose_n_side_is_the_plain_pipeline(n, N):
+    rng = replicate_rng(25)
+    Z = standardize(sample_genotypes(n, sample_allele_frequencies(N, 0.2, 0.5, rng), rng)).Z
+    Y = rng.standard_normal(n)
+    lam, y_rot = _n_side(Z, Y)
+    spec = decompose(Z, Y)
+    assert np.array_equal(spec.lambdas, lam)
+    assert np.array_equal(spec.y_rot, y_rot)
+
+
+def test_decompose_keeps_full_basis_below_n():
+    rng = replicate_rng(26)
+    Z = rng.standard_normal((40, 15))
+    Y = rng.standard_normal(40)
+    spec = decompose(Z, Y, keep_eigvecs=True)
+    U = spec.eigvecs
+    assert U.shape == (40, 40)
+    R = kinship(Z)
+    assert np.abs(U @ np.diag(spec.lambdas) @ U.T - R).max() <= 1e-12 * spec.lambdas.max()
+    assert np.array_equal(rotate(U, Y), spec.y_rot)
+
+
+def test_decompose_gram_side_has_exact_structural_zeros():
+    # mc-study's a = 2 cell: n - N of the n eigenvalues are structural zeros.
+    config = SimulationConfig(n=500, N=250, eta_star=0.5, q=0.5, seed=27)
+    cohort = simulate_cohort(config, replicate=0, design="genotype")
+    spec = decompose(cohort.Z, cohort.Y)
+    assert spec.a == 2.0
+    assert np.count_nonzero(spec.lambdas == 0.0) == 250
+    assert np.all(spec.lambdas[:250] > 0.0)
+    assert abs(spec.lambdas.sum() - 500) <= 500 * 1e-10  # trace identity
+    assert np.count_nonzero(spec.y_rot[251:]) == 0
+
+
+def _design(seed, n, N, kind, duplicated):
+    rng = replicate_rng(seed)
+    distinct = N - duplicated
+    if kind == "genotype":
+        freqs = sample_allele_frequencies(distinct, 0.2, 0.5, rng)
+        Z = standardize(sample_genotypes(n, freqs, rng), policy="drop").Z
+    else:
+        Z = rng.standard_normal((n, distinct))
+    return np.hstack([Z, Z[:, :duplicated]]), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 60),
+    shape=st.floats(0.05, 0.95),
+    kind=st.sampled_from(["gaussian", "genotype"]),
+    duplicate=st.booleans(),
+    noise=st.sampled_from([1.0, 1e-6]),
+)
+def test_decompose_gram_side_matches_n_side(seed, n, shape, kind, duplicate, noise):
+    # N < n takes the Gram route; every quantity the estimator reads must
+    # agree with the n x n eigendecomposition. ``duplicated`` columns make
+    # the Gram rank deficient; ``noise=1e-6`` puts Y almost in col(Z).
+    N = max(1, int(shape * n))
+    duplicated = N // 3 if duplicate else 0
+    Z, rng = _design(seed, n, N, kind, duplicated)
+    assume(Z.shape[1] > 0)  # every genotype column came out monomorphic
+    Y = Z @ rng.standard_normal(Z.shape[1]) + noise * rng.standard_normal(n)
+    spec = decompose(Z, Y)
+    lam, y_rot = _n_side(Z, Y)
+
+    etas = np.linspace(0.0, 0.99, 34)
+    reference = loglik_grid(etas, lam, y_rot)
+    gram = loglik_grid(etas, spec.lambdas, spec.y_rot)
+    assert np.all(np.abs(gram - reference) <= 1e-10 * np.maximum(np.abs(reference), 1.0))
+    eta_hat = newton_estimate(lam, y_rot).eta_hat
+    assert abs(newton_estimate(spec.lambdas, spec.y_rot).eta_hat - eta_hat) <= 1e-9
+    for eta in (0.0, 0.5, eta_hat):
+        assert gamma_n2(eta, spec.lambdas) == pytest.approx(gamma_n2(eta, lam), rel=1e-10)
+
+    c = rng.standard_normal(3)
+    RY = kinship(Z) @ Y
+    direct = c[0] * (Y @ Y) + c[1] * (Y @ RY) + c[2] * (RY @ RY)
+    h = c[0] + c[1] * spec.lambdas + c[2] * spec.lambdas**2
+    size = np.abs(c) @ [Y @ Y, abs(Y @ RY), RY @ RY]
+    assert abs(np.sum(h * spec.y_rot**2) - direct) <= 1e-10 * size
 
 
 # ---------------------------------------------------------------------------
