@@ -18,6 +18,8 @@ quadratic forms y' H y is also exposed as an oracle for tests.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,8 +156,10 @@ def normal_quantile(p: float) -> float:
 
 def confidence_interval(eta_hat: float, se: float, level: float) -> tuple[float, float]:
     """Normal-approximation interval for the heritability, clipped to [0, 1]."""
-    if se < 0.0:
-        raise ConfigurationError(f"standard error must be >= 0, got {se}")
+    if not 0.0 <= eta_hat <= 1.0:
+        raise ConfigurationError(f"eta_hat must be in [0, 1], got {eta_hat}")
+    if not (math.isfinite(se) and se >= 0.0):
+        raise ConfigurationError(f"standard error must be finite and >= 0, got {se}")
     if not 0.0 < level < 1.0:
         raise ConfigurationError(f"level must be in (0, 1), got {level}")
     z = normal_quantile(0.5 * (1.0 + level))
@@ -275,9 +279,19 @@ def build_report(
 
     The interval uses the assumed-q sparse standard error when a q
     assumption is supplied (identical to the q = 1 interval at q = 1) and
-    the non-sparse standard error otherwise.
+    the non-sparse standard error otherwise. ``n_markers`` must be a
+    positive integer (not a bool), and ``lambdas`` and ``y_rot`` non-empty
+    vectors of one length.
     """
+    if isinstance(n_markers, bool) or not isinstance(n_markers, numbers.Integral) or n_markers < 1:
+        raise ConfigurationError(f"n_markers must be a positive integer, got {n_markers!r}")
     lam = np.asarray(lambdas, dtype=np.float64)
+    y = np.asarray(y_rot)
+    if lam.ndim != 1 or lam.size == 0 or y.shape != lam.shape:
+        raise ShapeMismatchError(
+            f"eigenvalues ({lam.shape}) and rotated observations ({y.shape}) must be "
+            "non-empty vectors of one length"
+        )
     n = lam.size
     a = n / n_markers
     eta_hat = solver_result.eta_hat
@@ -304,7 +318,7 @@ def build_report(
         ci_hi=hi,
         a=a,
         n=n,
-        N=n_markers,
+        N=int(n_markers),
         solver=solver_result.summary(),
         q_assumed=q_assumed,
         tau_n2=tau_n2,

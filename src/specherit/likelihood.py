@@ -16,7 +16,9 @@ is L with w in place of y^2. ``_prepare`` validates and forms these once and
 eta; the public functions wrap the two. The solver runs plain Newton
 iterations from several starts, clamps iterates into the search interval,
 applies the boundary reporting rule, and verifies the selected maximizer
-against a coarse grid.
+against a coarse grid. The grid's log-determinant half, mean(log d), depends
+on the spectrum alone and is kept for the last spectrum seen, so many traits
+that share one decomposition pay for it once.
 """
 
 from __future__ import annotations
@@ -79,13 +81,17 @@ def _prepare(lambdas, y_rot) -> tuple[np.ndarray, np.ndarray, float]:
     return lam, u2 / mean_u2, s * (s * mean_u2)
 
 
-def _moments(etas, lam: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarray]:
+def _moments(
+    etas, lam: np.ndarray, w: np.ndarray, order: int, logdet: np.ndarray | None = None
+) -> list[np.ndarray]:
     """Scale-free profile quantities at each eta, up to derivative ``order``.
 
-    Returns ``[mean(w / d), L_w, L_w', L_w'']`` cut after entry
-    ``order + 1``, each a vector over ``etas``, with d = eta (lam - 1) + 1.
-    Rows are evaluated in blocks of ``_BLOCK_ELEMENTS // n`` etas; every
-    row is computed and reduced on its own, so the blocking changes no bit.
+    Returns ``[mean(w / d), mean(log d), L_w, L_w', L_w'']`` cut after
+    entry ``order + 2``, each a vector over ``etas``, with
+    d = eta (lam - 1) + 1. A given ``logdet`` row is used as mean(log d),
+    which depends on lam and the etas only. Rows are evaluated in blocks of
+    ``_BLOCK_ELEMENTS // n`` etas; every row is computed and reduced on its
+    own, so the blocking changes no bit.
     """
     etas = np.asarray(etas, dtype=np.float64)
     inside = (etas >= 0.0) & (etas < 1.0)
@@ -98,17 +104,24 @@ def _moments(etas, lam: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarra
         raise NumericalFailureError(f"non-positive denominator: min eigenvalue {lam.min()}")
     rows = max(1, _BLOCK_ELEMENTS // lam.size)
     if etas.size <= rows:
-        return _moments_block(etas, c, w, order)
-    blocks = [_moments_block(etas[i : i + rows], c, w, order) for i in range(0, etas.size, rows)]
+        return _moments_block(etas, c, w, order, logdet)
+    blocks = []
+    for i in range(0, etas.size, rows):
+        part = None if logdet is None else logdet[i : i + rows]
+        blocks.append(_moments_block(etas[i : i + rows], c, w, order, part))
     return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
-def _moments_block(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarray]:
+def _moments_block(
+    etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int, logdet: np.ndarray | None
+) -> list[np.ndarray]:
     d = etas[:, None] * c + 1.0
     # No (etas x n) temporary outlives its reduction on the order-0 grid
     # pass: holding one more there makes the pass several times slower.
     s0 = (w / d).mean(axis=1)
-    out = [s0, -np.log(s0) - np.log(d).mean(axis=1)]
+    if logdet is None:
+        logdet = np.log(d).mean(axis=1)
+    out = [s0, logdet, -np.log(s0) - logdet]
     if order >= 1:
         h = c / d
         r = w / d * h
@@ -149,25 +162,25 @@ def profile_sigma2(eta: float, lambdas, y_rot) -> float:
 def loglik(eta: float, lambdas, y_rot) -> float:
     """Profile log-likelihood (up to constants) at eta."""
     lam, w, m = _prepare(lambdas, y_rot)
-    return float(_moments([float(eta)], lam, w, 0)[1][0]) - math.log(m)
+    return float(_moments([float(eta)], lam, w, 0)[2][0]) - math.log(m)
 
 
 def loglik_grid(etas: np.ndarray, lambdas, y_rot) -> np.ndarray:
     """Vectorized profile log-likelihood over a grid of eta values."""
     lam, w, m = _prepare(lambdas, y_rot)
-    return _moments(etas, lam, w, 0)[1] - math.log(m)
+    return _moments(etas, lam, w, 0)[2] - math.log(m)
 
 
 def dloglik(eta: float, lambdas, y_rot) -> float:
     """Analytic first derivative of the profile log-likelihood."""
     lam, w, _ = _prepare(lambdas, y_rot)
-    return float(_moments([float(eta)], lam, w, 1)[2][0])
+    return float(_moments([float(eta)], lam, w, 1)[3][0])
 
 
 def d2loglik(eta: float, lambdas, y_rot) -> float:
     """Analytic second derivative of the profile log-likelihood."""
     lam, w, _ = _prepare(lambdas, y_rot)
-    return float(_moments([float(eta)], lam, w, 2)[3][0])
+    return float(_moments([float(eta)], lam, w, 2)[4][0])
 
 
 @dataclass(frozen=True)
@@ -222,13 +235,25 @@ class SolverResult:
         }
 
 
+# The last grid's log-determinant row, (upper, step, copy of lam,
+# mean(log d) per grid eta): it depends only on the spectrum, so solves that
+# share one skip the log. Read once and replaced whole, so concurrent
+# callers can at worst recompute it.
+_LAST_LOGDET = None
+
+
 def _grid_argmax(upper: float, step: float, lam, w) -> tuple[float, float]:
     """Best point of a uniform grid on [0, upper] and its L_w; ties go to the lowest eta."""
+    global _LAST_LOGDET
     count = int(np.floor(upper / step + 1e-9))
     grid = np.linspace(0.0, count * step, count + 1)
     if upper - grid[-1] > 1e-12:
         grid = np.append(grid, upper)
-    scores = _moments(grid, lam, w, 0)[1]
+    memo = _LAST_LOGDET
+    hit = memo is not None and memo[:2] == (upper, step) and np.array_equal(memo[2], lam)
+    _, logdet, scores = _moments(grid, lam, w, 0, memo[3] if hit else None)
+    if not hit:
+        _LAST_LOGDET = (upper, step, lam.copy(), logdet)
     best = int(np.argmax(scores))
     return float(grid[best]), float(scores[best])
 
@@ -254,7 +279,7 @@ def _newton(starts, upper: float, lam, w) -> tuple[np.ndarray, np.ndarray, np.nd
     for _ in range(_MAX_ITER):
         if not active.size:
             break
-        _, _, d1, d2 = _moments(eta[active], lam, w, 2)
+        d1, d2 = _moments(eta[active], lam, w, 2)[3:]
         with np.errstate(all="ignore"):
             step = d1 / d2
         ok = np.isfinite(d2) & (d2 != 0.0) & np.isfinite(step)
@@ -294,7 +319,7 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
     # Boundary-pinned runs report the upper end of the search interval.
     run_clamped = (candidates >= upper - boundary_tol).tolist()
     reported = np.where(run_clamped, upper, candidates).tolist()
-    objective = _moments(reported, lam, w, 0)[1]
+    objective = _moments(reported, lam, w, 0)[2]
     if not np.isfinite(objective).any():
         raise NumericalFailureError("no start produced a finite log-likelihood")
 
@@ -311,7 +336,7 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
     grid_eta, grid_score = _grid_argmax(upper, _VERIFY_GRID_STEP, lam, w)
     if objective[chosen] < grid_score - _VERIFY_TOL:
         polished = float(_newton([grid_eta], upper, lam, w)[0][0])
-        polished_score = _moments([polished], lam, w, 0)[1][0]
+        polished_score = _moments([polished], lam, w, 0)[2][0]
         eta_hat = polished if polished_score >= grid_score else grid_eta
         clamped = eta_hat >= upper - boundary_tol
         if clamped:

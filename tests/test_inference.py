@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from specherit import (
     ConfigurationError,
+    ShapeMismatchError,
     SimulationConfig,
     UnidentifiableModelError,
     build_report,
@@ -169,6 +170,11 @@ def test_confidence_interval_cases():
     assert (round(lo, 3), round(hi, 3)) == (0.304, 0.696)
     assert confidence_interval(0.98, 0.1, 0.95)[1] == 1.0
     assert confidence_interval(0.01, 0.1, 0.95)[0] == 0.0
+    nan, inf = float("nan"), float("inf")
+    bad = [(0.5, nan), (0.5, inf), (0.5, -0.1), (nan, 0.1), (inf, 0.1), (1.5, 0.1), (-0.2, 0.1)]
+    for eta_hat, se in bad:
+        with pytest.raises(ConfigurationError):
+            confidence_interval(eta_hat, se, 0.95)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +250,40 @@ def test_build_report_sparse_se_dominates(small_instance):
     assert sparse.ci_lo <= sparse.eta_hat <= sparse.ci_hi
     doc = sparse.to_dict()
     assert {"eta_hat", "se_q1", "tau_n2", "se_sparse", "ci_lo", "ci_hi"} <= set(doc)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        pytest.param(lambda lam, y: {"n_markers": 0}, ConfigurationError, id="N-zero"),
+        pytest.param(lambda lam, y: {"n_markers": -5}, ConfigurationError, id="N-negative"),
+        pytest.param(lambda lam, y: {"n_markers": 2.5}, ConfigurationError, id="N-fraction"),
+        pytest.param(lambda lam, y: {"n_markers": 120.0}, ConfigurationError, id="N-float"),
+        pytest.param(lambda lam, y: {"n_markers": True}, ConfigurationError, id="N-bool"),
+        pytest.param(lambda lam, y: {"n_markers": "120"}, ConfigurationError, id="N-str"),
+        pytest.param(lambda lam, y: {"y_rot": y[:-1]}, ShapeMismatchError, id="y-short"),
+        pytest.param(lambda lam, y: {"y_rot": np.append(y, 1.0)}, ShapeMismatchError, id="y-long"),
+        pytest.param(lambda lam, y: {"lambdas": [], "y_rot": []}, ShapeMismatchError, id="empty"),
+        pytest.param(
+            lambda lam, y: {"lambdas": lam.reshape(-1, 2), "y_rot": y.reshape(-1, 2)},
+            ShapeMismatchError,
+            id="matrix",
+        ),
+    ],
+)
+def test_build_report_rejects_bad_input(small_instance, bad, error):
+    lam, y = small_instance
+    kwargs = {"lambdas": lam, "y_rot": y, "n_markers": 120, **bad(lam, y)}
+    with pytest.raises(error):
+        build_report(solver_result=newton_estimate(lam, y), **kwargs)
+
+
+def test_build_report_accepts_numpy_integer_markers(small_instance):
+    lam, y = small_instance
+    result = newton_estimate(lam, y)
+    want = build_report(lam, y, n_markers=120, solver_result=result).to_dict()
+    doc = build_report(lam, y, n_markers=np.int64(120), solver_result=result).to_dict()
+    assert doc == want and type(doc["N"]) is int
 
 
 def test_clt_pivot_gaussian_q1():

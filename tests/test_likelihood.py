@@ -22,6 +22,7 @@ from specherit import (
     replicate_rng,
 )
 
+from specherit import likelihood
 from specherit.likelihood import loglik_grid
 
 from conftest import simulated_spectrum
@@ -344,6 +345,67 @@ def test_solver_golden_values(case, summary, oracle):
     result = newton_estimate(lam, y, SolverConfig(delta=delta, inits=inits))
     assert result.summary() == summary
     assert grid_oracle(lam, y, step, delta) == oracle
+
+
+# ---------------------------------------------------------------------------
+# the grid's log-determinant memo changes no bit
+# ---------------------------------------------------------------------------
+
+
+def cold(fn, *args):
+    """``fn(*args)`` on an empty log-determinant memo."""
+    likelihood._LAST_LOGDET = None
+    return fn(*args)
+
+
+def fit(lam, y, delta=0.01, inits=(0.1, 0.5, 0.9)):
+    return newton_estimate(lam, y, SolverConfig(delta=delta, inits=inits)).summary()
+
+
+@pytest.mark.parametrize("case, summary, oracle", GOLDEN_FITS)
+def test_warm_memo_fit_equals_cold_fit(case, summary, oracle):
+    seed, n, eta_star, delta, inits, step = case
+    lam, y = seeded_spectrum(seed, n, eta_star)
+    want = cold(fit, lam, y, delta, inits)
+    entry = likelihood._LAST_LOGDET
+    fit(lam, y[::-1].copy(), delta, inits)  # another trait on the same spectrum
+    assert likelihood._LAST_LOGDET is entry
+    assert fit(lam, y, delta, inits) == want == summary
+
+
+def test_memo_keeps_a_copy_of_the_spectrum():
+    lam, y = seeded_spectrum(seed=1, n=300, eta=0.5)
+    before = fit(lam, y), grid_oracle(lam, y, 1e-3)
+    lam *= 4.0  # the caller reuses its array for another spectrum
+    after = fit(lam, y), grid_oracle(lam, y, 1e-3)
+    assert after == (cold(fit, lam, y), cold(grid_oracle, lam, y, 1e-3))
+    assert after != before
+
+
+@pytest.mark.parametrize("seed, n, eta_star", [(23, 5, 0.0), (1, 1500, 0.5)])
+def test_memo_alternating_keys_match_cold_values(seed, n, eta_star):
+    lam, y = seeded_spectrum(seed, n, eta_star)
+    calls = [
+        (fit, (lam, y, 0.01)),
+        (grid_oracle, (lam, y, 5e-4, 0.01)),
+        (fit, (lam, y, 0.05)),
+        (grid_oracle, (lam, y, 1e-3, 0.05)),
+        (grid_oracle, (lam, y, 1e-3, 0.01)),
+        (fit, (lam, y, 0.01)),
+        (grid_oracle, (lam, y, 5e-4, 0.05)),
+    ]
+    want = [cold(fn, *args) for fn, args in calls]
+    for _ in range(2):
+        assert [fn(*args) for fn, args in calls] == want
+
+
+def test_memo_not_shared_between_spectra_of_one_size():
+    y = seeded_spectrum(seed=0, n=40, eta=0.9)[1]
+    spectra = [seeded_spectrum(seed, n=40, eta=0.9)[0] for seed in (0, 1)]
+    want = [(cold(fit, lam, y), cold(grid_oracle, lam, y, 1e-3)) for lam in spectra]
+    assert want[0][1] != want[1][1]
+    for _ in range(2):
+        assert [(fit(lam, y), grid_oracle(lam, y, 1e-3)) for lam in spectra] == want
 
 
 @pytest.mark.xfail(
