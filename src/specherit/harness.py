@@ -479,7 +479,6 @@ def run_replicate(
     *,
     design: str = "genotype",
     ci_level: float = 0.95,
-    solver: SolverConfig | None = None,
 ) -> ReplicateRecord:
     """Simulate replicate ``replicate`` of ``config`` and estimate it.
 
@@ -491,9 +490,7 @@ def run_replicate(
     )
     try:
         cohort = simulate_cohort(config, replicate=replicate, design=design)
-        report = estimate_from_design(
-            cohort.Z, cohort.Y, q_assumed=config.q, ci_level=ci_level, solver=solver
-        )
+        report = estimate_from_design(cohort.Z, cohort.Y, q_assumed=config.q, ci_level=ci_level)
     except SpecheritError as exc:
         record.error = f"{type(exc).__name__}: {exc}"
         return record
@@ -512,26 +509,19 @@ def run_replicate(
     return record
 
 
-def _study_task(payload: tuple) -> tuple[int, int, dict]:
-    cell_idx, rep, cell, design, ci_level = payload
-    record = run_replicate(cell, rep, design=design, ci_level=ci_level)
-    return cell_idx, rep, record.to_row()
+def _study_task(payload: tuple) -> dict:
+    cell, rep, design, ci_level = payload
+    return run_replicate(cell, rep, design=design, ci_level=ci_level).to_row()
 
 
-def run_study(
-    spec: StudySpec,
-    out_dir: str,
-    *,
-    workers: int | None = None,
-    allow_large: bool = False,
-) -> tuple[str, str]:
+def run_study(spec: StudySpec, out_dir: str, *, allow_large: bool = False) -> tuple[str, str]:
     """Run every cell of a study and write replicate and summary CSVs.
 
-    Replicate streams depend only on (master seed, replicate index), so
-    the output is identical for any worker count.
+    Replicate streams depend only on (master seed, replicate index), and
+    rows are written in task order, so the output is identical for any
+    ``spec.workers`` at a fixed BLAS thread count.
     """
     os.makedirs(out_dir, exist_ok=True)
-    workers = spec.workers if workers is None else workers
     cells = spec.cells()
     for cell in cells:
         if cell.N > MAX_MARKERS_DEFAULT and not allow_large:
@@ -540,28 +530,21 @@ def run_study(
                 f"{MAX_MARKERS_DEFAULT} markers; pass --allow-large to run it anyway"
             )
     tasks = [
-        (cell_idx, rep, cell, spec.design, spec.ci_level)
-        for cell_idx, cell in enumerate(cells)
-        for rep in range(cell.replicates)
+        (cell, rep, spec.design, spec.ci_level) for cell in cells for rep in range(cell.replicates)
     ]
 
     log.info("running %d replicates across %d cells", len(tasks), len(cells))
-    results: dict[tuple[int, int], dict] = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cell_idx, rep, row in pool.map(_study_task, tasks, chunksize=4):
-                results[(cell_idx, rep)] = row
+    if spec.workers > 1:
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+            rows = list(pool.map(_study_task, tasks, chunksize=4))
     else:
-        for payload in tasks:
-            cell_idx, rep, row = _study_task(payload)
-            results[(cell_idx, rep)] = row
+        rows = [_study_task(payload) for payload in tasks]
 
     replicates_path = os.path.join(out_dir, "replicates.csv")
     with open(replicates_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=REPLICATE_COLUMNS)
         writer.writeheader()
-        for key in sorted(results):
-            writer.writerow(results[key])
+        writer.writerows(rows)
 
     summary_path = os.path.join(out_dir, "summary.csv")
     summary_rows = summarize_replicates(replicates_path)
@@ -752,9 +735,9 @@ def _cmd_mc_study(args) -> int:
         spec = StudySpec.from_json(fh.read())
     if args.seed is not None:
         spec = replace(spec, base=replace(spec.base, seed=args.seed))
-    replicates_path, summary_path = run_study(
-        spec, args.out_dir, workers=args.workers, allow_large=args.allow_large
-    )
+    if args.workers is not None:
+        spec = replace(spec, workers=args.workers)
+    replicates_path, summary_path = run_study(spec, args.out_dir, allow_large=args.allow_large)
     print(json.dumps({"replicates": replicates_path, "summary": summary_path}))
     return EXIT_OK
 

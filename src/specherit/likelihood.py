@@ -356,8 +356,9 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
 def grid_oracle(lambdas, y_rot, grid_step: float, delta: float = 0.01) -> float:
     """Brute-force argmax of the profile log-likelihood over a uniform grid.
 
-    Ties resolve to the lowest eta. Deliberately independent of the Newton
-    path so the two can cross-validate each other.
+    Ties resolve to the lowest eta. Independent of the Newton iterations
+    only: the solver's verification step scans with the same
+    ``_grid_argmax`` and its log-determinant memo.
     """
     if not 0.0 < grid_step <= 0.01:
         raise ConfigurationError(f"grid_step must be in (0, 0.01], got {grid_step}")

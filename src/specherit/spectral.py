@@ -37,7 +37,8 @@ from .errors import (
 # for the caller to notice.
 EIGENVALUE_CLAMP_TOL = 1e-8
 
-DEFAULT_QUADRATURE_ORDER = 512
+# Gauss-Legendre nodes behind every Marchenko-Pastur integral and CDF value.
+QUADRATURE_ORDER = 512
 
 # Side of the square blocks in which ``eigendecompose`` compares R with R'.
 _SYMMETRY_BLOCK = 128
@@ -298,35 +299,30 @@ class MPLaw:
         return max(0.0, 1.0 - 1.0 / self.a)
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
 
 
-def _theta_nodes(order: int, upper: float) -> tuple[np.ndarray, np.ndarray]:
+def _bulk_quadrature(a: float, upper: float) -> tuple[np.ndarray, np.ndarray]:
     # Gauss-Legendre nodes mapped onto [0, upper] in the theta variable.
-    x, w = _gauss_legendre(order)
-    return 0.5 * upper * (x + 1.0), 0.5 * upper * w
-
-
-def _bulk_quadrature(a: float, upper: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    theta, wt = _theta_nodes(order, upper)
+    x, w = _gauss_legendre()
+    theta, wt = 0.5 * upper * (x + 1.0), 0.5 * upper * w
     lam = 1.0 + a - 2.0 * np.sqrt(a) * np.cos(theta)
     density = (2.0 / np.pi) * np.sin(theta) ** 2 / lam
     return lam, density * wt
 
 
-def mp_integrate(law: MPLaw, f, order: int = DEFAULT_QUADRATURE_ORDER) -> float:
+def mp_integrate(law: MPLaw, f) -> float:
     """Integrate f against the Marchenko-Pastur law.
 
     ``f`` is evaluated on an ndarray of quadrature nodes inside the bulk
     support (it must broadcast) and, when the law has an atom at zero, once
-    at 0.0. Absolute accuracy is ~1e-9 or better for smooth integrands at
-    the default order; step discontinuities inside the support are only
-    resolved to O(1/order).
+    at 0.0. Absolute accuracy is ~1e-9 or better for smooth integrands;
+    step discontinuities inside the support are only resolved to
+    O(1/QUADRATURE_ORDER).
     """
-    lam, weights = _bulk_quadrature(law.a, np.pi, order)
+    lam, weights = _bulk_quadrature(law.a, np.pi)
     values = np.asarray(f(lam), dtype=np.float64)
     atom = law.mass_at_zero
     atom_term = atom * float(f(np.float64(0.0))) if atom > 0.0 else 0.0
@@ -336,7 +332,7 @@ def mp_integrate(law: MPLaw, f, order: int = DEFAULT_QUADRATURE_ORDER) -> float:
     return total
 
 
-def mp_cdf(law: MPLaw, x, order: int = DEFAULT_QUADRATURE_ORDER) -> float | np.ndarray:
+def mp_cdf(law: MPLaw, x) -> float | np.ndarray:
     """Marchenko-Pastur distribution function at x.
 
     Computed as mass_at_zero * 1{x >= 0} plus the bulk integral up to x,
@@ -357,7 +353,7 @@ def mp_cdf(law: MPLaw, x, order: int = DEFAULT_QUADRATURE_ORDER) -> float | np.n
         else:
             cos_theta = (1.0 + law.a - xi) / (2.0 * sqrt_a)
             theta_x = float(np.arccos(np.clip(cos_theta, -1.0, 1.0)))
-            _, weights = _bulk_quadrature(law.a, theta_x, order)
+            _, weights = _bulk_quadrature(law.a, theta_x)
             out.ravel()[i] = law.mass_at_zero + float(weights.sum())
     if not np.isfinite(out).all():
         raise NumericalFailureError("CDF quadrature produced non-finite values")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specherit import SimulationConfig, decompose, simulate_cohort
+from specherit import SimulationConfig, decompose, replicate_rng, simulate_cohort
 
 
 def riemann_mp(a, f, points=10**7):
@@ -21,6 +21,15 @@ def riemann_mp(a, f, points=10**7):
     weights = density * 2.0 * s * (s_hi - s_lo) / points
     atom = max(0.0, 1.0 - 1.0 / a)
     return float(np.dot(f(lam), weights) + atom * f(np.float64(0.0)))
+
+
+def seeded_spectrum(seed, n, eta):
+    """Uniform eigenvalues and matching observations, drawn without BLAS, so
+    a fit on them is the same bits on any machine."""
+    rng = replicate_rng(seed)
+    lam = rng.uniform(0.0, 3.0, n)
+    y = rng.standard_normal(n) * np.sqrt(eta * lam + 1.0 - eta)
+    return lam, y
 
 
 def simulated_spectrum(seed, n, N, eta_star, q=1.0, design="genotype"):

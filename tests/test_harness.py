@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -453,9 +454,17 @@ def test_mc_study_single_replicate(tmp_path):
 def test_mc_study_determinism_across_workers(tmp_path):
     path = _study_doc(tmp_path)
     spec = StudySpec.from_json(path.read_text())
-    rep1, _ = run_study(spec, str(tmp_path / "serial"), workers=1)
-    rep2, _ = run_study(spec, str(tmp_path / "parallel"), workers=2)
+    rep1, _ = run_study(replace(spec, workers=1), str(tmp_path / "serial"))
+    rep2, _ = run_study(replace(spec, workers=2), str(tmp_path / "parallel"))
     assert open(rep1).read() == open(rep2).read()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_mc_study_workers_flag_is_checked_like_the_spec(tmp_path, capsys, workers):
+    study = _study_doc(tmp_path, replicates=1)
+    assert main(["mc-study", str(study), str(tmp_path / "out"), "--workers", workers]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: workers must be >= 1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_flags_match_config_seed(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from specherit import (
     ConfigurationError,
+    DataError,
     ShapeMismatchError,
     SimulationConfig,
     UnidentifiableModelError,
@@ -26,7 +27,7 @@ from specherit import (
     var_quadform_oracle,
 )
 
-from conftest import riemann_mp
+from conftest import riemann_mp, seeded_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,21 @@ def test_s_empirical_permutation_invariance():
     assert gamma_n2(0.6, lam) == pytest.approx(gamma_n2(0.6, lam[perm]), rel=1e-12)
 
 
+@pytest.mark.parametrize("statistic", [gamma_n2, s_empirical])
+@pytest.mark.parametrize(
+    "lambdas, error",
+    [
+        pytest.param([], ShapeMismatchError, id="empty"),
+        pytest.param([[0.5, 1.5], [1.0, 2.0]], ShapeMismatchError, id="matrix"),
+        pytest.param([0.5, np.nan, 2.0], DataError, id="nan"),
+        pytest.param([0.5, np.inf, 2.0], DataError, id="inf"),
+    ],
+)
+def test_spectral_statistics_reject_bad_spectra(statistic, lambdas, error):
+    with pytest.raises(error):
+        statistic(0.5, lambdas)
+
+
 def test_s_empirical_converges_to_limit(wide_gaussian_spectrum):
     emp = s_empirical(0.5, wide_gaussian_spectrum)
     lim = s_limit(0.5, 0.5)
@@ -160,6 +176,14 @@ def test_normal_quantile_tabulated():
     assert normal_quantile(0.025) == pytest.approx(-normal_quantile(0.975))
     with pytest.raises(ConfigurationError):
         normal_quantile(0.0)
+
+
+def test_normal_quantile_golden_values():
+    # recorded before normal_quantile moved to statistics.NormalDist; a one-ulp
+    # change here moves every reported interval
+    assert normal_quantile(0.95) == 1.6448536269514715
+    assert normal_quantile(0.975) == 1.9599639845400536
+    assert normal_quantile(0.995) == 2.5758293035489
 
 
 def test_confidence_interval_cases():
@@ -264,6 +288,7 @@ def test_build_report_sparse_se_dominates(small_instance):
         pytest.param(lambda lam, y: {"y_rot": y[:-1]}, ShapeMismatchError, id="y-short"),
         pytest.param(lambda lam, y: {"y_rot": np.append(y, 1.0)}, ShapeMismatchError, id="y-long"),
         pytest.param(lambda lam, y: {"lambdas": [], "y_rot": []}, ShapeMismatchError, id="empty"),
+        pytest.param(lambda lam, y: {"lambdas": np.append(lam[1:], np.nan)}, DataError, id="nan"),
         pytest.param(
             lambda lam, y: {"lambdas": lam.reshape(-1, 2), "y_rot": y.reshape(-1, 2)},
             ShapeMismatchError,
@@ -284,6 +309,80 @@ def test_build_report_accepts_numpy_integer_markers(small_instance):
     want = build_report(lam, y, n_markers=120, solver_result=result).to_dict()
     doc = build_report(lam, y, n_markers=np.int64(120), solver_result=result).to_dict()
     assert doc == want and type(doc["N"]) is int
+
+
+# (seed, n, N, eta*) -> the report fields shared by every (q, level), the
+# three sparse fields at q = 0.5, and (ci_lo, ci_hi) per (q, level); recorded
+# before to_dict was built from the dataclass fields.
+GOLDEN_REPORTS = [
+    pytest.param(
+        (1, 800, 1600, 0.5),
+        {"eta_hat": 0.47434550067655, "sigma2_hat": 1.0324859443863175,
+         "gamma_n2": 0.5555445644324328, "se_q1": 0.0670827029110982},
+        {"a": 0.5, "n": 800, "N": 1600,
+         "solver": {"eta_hat": 0.47434550067655, "sigma2_hat": 1.0324859443863175,
+                    "iterations_per_start": [5, 4, 7], "converged": [True, True, True],
+                    "chosen_start": 0, "clamped": False}},
+        {"q_assumed": 0.5, "tau_n2": 3.6466997412604636, "se_sparse": 0.06751573651065046},
+        {(None, 0.9): (0.36400427348752207, 0.584686727865578),
+         (None, 0.95): (0.3428658189851973, 0.6058251823679027),
+         (None, 0.99): (0.30155190875687815, 0.6471390925962219),
+         (0.5, 0.9): (0.3632919966007067, 0.5853990047523934),
+         (0.5, 0.95): (0.34201708872597913, 0.6066739126271209),
+         (0.5, 0.99): (0.3004364881217302, 0.6482545132313698)},
+        id="a-0.5",
+    ),
+    pytest.param(
+        (2, 600, 300, 0.4),
+        {"eta_hat": 0.42614537542776565, "sigma2_hat": 0.921504150264249,
+         "gamma_n2": 0.5306075397054457, "se_q1": 0.07925974380792587},
+        {"a": 2.0, "n": 600, "N": 300,
+         "solver": {"eta_hat": 0.42614537542776565, "sigma2_hat": 0.921504150264249,
+                    "iterations_per_start": [4, 4, 7], "converged": [True, True, True],
+                    "chosen_start": 0, "clamped": False}},
+        {"q_assumed": 0.5, "tau_n2": 4.486894179246842, "se_sparse": 0.08647633760406025},
+        {(None, 0.9): (0.29577469835405434, 0.556516052501477),
+         (None, 0.95): (0.27079913214035944, 0.5814916187151719),
+         (None, 0.99): (0.22198580473553173, 0.6303049461199995),
+         (0.5, 0.9): (0.28390445787424723, 0.5683862929812841),
+         (0.5, 0.95): (0.25665486820888084, 0.5956358826466505),
+         (0.5, 0.99): (0.2033970909636396, 0.6488936598918917)},
+        id="a-2",
+    ),
+    pytest.param(
+        (3, 100, 1000, 0.8),
+        {"eta_hat": 0.99, "sigma2_hat": 0.8466495211070313,
+         "gamma_n2": 3.210525133324188, "se_q1": 0.07892724809028384},
+        {"a": 0.1, "n": 100, "N": 1000,
+         "solver": {"eta_hat": 0.99, "sigma2_hat": 0.8466495211070313,
+                    "iterations_per_start": [20, 20, 20], "converged": [False, False, False],
+                    "chosen_start": -1, "clamped": True}},
+        {"q_assumed": 0.5, "tau_n2": 0.6229539894105215, "se_sparse": 0.07892743435653547},
+        {(None, 0.9): (0.860176229713398, 1.0),
+         (None, 0.95): (0.835305436344186, 1.0),
+         (None, 0.99): (0.7866968815205729, 1.0),
+         (0.5, 0.9): (0.8601759233326784, 1.0),
+         (0.5, 0.95): (0.8353050712690412, 1.0),
+         (0.5, 0.99): (0.7866964017305037, 1.0)},
+        id="clamped",
+    ),
+]
+
+
+@pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+@pytest.mark.parametrize("q", [None, 0.5])
+@pytest.mark.parametrize("case, fit, shape, sparse, intervals", GOLDEN_REPORTS)
+def test_build_report_golden_values(case, fit, shape, sparse, intervals, q, level):
+    seed, n, N, eta_star = case
+    lam, y = seeded_spectrum(seed, n, eta_star)
+    report = build_report(lam, y, n_markers=N, solver_result=newton_estimate(lam, y),
+                          q_assumed=q, ci_level=level)
+    lo, hi = intervals[(q, level)]
+    want = {**fit, "ci_level": level, "ci_lo": lo, "ci_hi": hi, **shape,
+            **(sparse if q is not None else {})}
+    doc = report.to_dict()
+    assert doc == want
+    assert list(doc) == list(want)  # key order is part of the report format
 
 
 def test_clt_pivot_gaussian_q1():

@@ -25,7 +25,7 @@ from specherit import (
 from specherit import likelihood
 from specherit.likelihood import loglik_grid
 
-from conftest import simulated_spectrum
+from conftest import seeded_spectrum, simulated_spectrum
 
 
 def finite_difference(fn, eta, h):
@@ -251,13 +251,6 @@ def test_grid_oracle_edge_behaviors():
 # ---------------------------------------------------------------------------
 # bit-identity guards: grid blocking and lockstep starts change no bit
 # ---------------------------------------------------------------------------
-
-
-def seeded_spectrum(seed, n, eta):
-    rng = replicate_rng(seed)
-    lam = rng.uniform(0.0, 3.0, n)
-    y = rng.standard_normal(n) * np.sqrt(eta * lam + 1.0 - eta)
-    return lam, y
 
 
 @pytest.mark.parametrize(
