@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 
 import numpy as np
@@ -73,12 +73,14 @@ def s_empirical(eta: float, lambdas) -> float:
 
     Squared difference between the eigenvalue average of
     lam (lam-1) / (eta (lam-1) + 1)^2 and the product of the averages of
-    lam / (eta (lam-1) + 1) and (lam-1) / (eta (lam-1) + 1).
+    lam / (eta (lam-1) + 1) and (lam-1) / (eta (lam-1) + 1). Like ``g``,
+    it requires eta in [0, 1) and positive denominators.
     """
     lam = _spectrum(lambdas)
+    kernel = g(eta, lam)
     d = eta * (lam - 1.0) + 1.0
     first = np.mean(lam * (lam - 1.0) / d**2)
-    second = np.mean(lam / d) * np.mean((lam - 1.0) / d)
+    second = np.mean(lam / d) * np.mean(kernel)
     return float((first - second) ** 2)
 
 
@@ -206,8 +208,13 @@ class EstimateReport:
     se_sparse: float | None = None
 
     def to_dict(self) -> dict:
-        """The fields in declaration order, less the sparse three when no q is assumed."""
-        doc = asdict(self)
+        """The fields in declaration order, less the sparse three when no q is assumed.
+
+        The ``solver`` dict and its lists are copied, so the document shares
+        no mutable value with the report.
+        """
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["solver"] = {k: list(v) if isinstance(v, list) else v for k, v in self.solver.items()}
         if self.q_assumed is None:
             del doc["q_assumed"], doc["tau_n2"], doc["se_sparse"]
         return doc

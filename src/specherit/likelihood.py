@@ -16,9 +16,10 @@ is L with w in place of y^2. ``_prepare`` validates and forms these once and
 eta; the public functions wrap the two. The solver runs plain Newton
 iterations from several starts, clamps iterates into the search interval,
 applies the boundary reporting rule, and verifies the selected maximizer
-against a coarse grid. The grid's log-determinant half, mean(log d), depends
-on the spectrum alone and is kept for the last spectrum seen, so many traits
-that share one decomposition pay for it once.
+against a grid. The grid scan is bounded: s0 = mean(w / d) is convex and
+mean(log d) concave in eta, so tangents of the one and the chord of the
+other bound L_w on each coarse interval, and only intervals whose bound
+reaches the best score are scored in full. The module keeps no state.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ _VERIFY_TOL = 1e-6
 # page-faulted allocation per grid pass.
 _BLOCK_ELEMENTS = 1 << 15
 
+# The bounded grid scan scores every _COARSE-th grid point (and the last)
+# first; the intervals between them are scored only where they can win.
+_COARSE = 16
+
 
 def _prepare(lambdas, y_rot) -> tuple[np.ndarray, np.ndarray, float]:
     """Validate the spectral data once and reduce y to scale-free weights.
@@ -81,17 +86,15 @@ def _prepare(lambdas, y_rot) -> tuple[np.ndarray, np.ndarray, float]:
     return lam, u2 / mean_u2, s * (s * mean_u2)
 
 
-def _moments(
-    etas, lam: np.ndarray, w: np.ndarray, order: int, logdet: np.ndarray | None = None
-) -> list[np.ndarray]:
+def _moments(etas, lam: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarray]:
     """Scale-free profile quantities at each eta, up to derivative ``order``.
 
-    Returns ``[mean(w / d), mean(log d), L_w, L_w', L_w'']`` cut after
-    entry ``order + 2``, each a vector over ``etas``, with
-    d = eta (lam - 1) + 1. A given ``logdet`` row is used as mean(log d),
-    which depends on lam and the etas only. Rows are evaluated in blocks of
+    Returns ``[mean(w / d), mean(log d), L_w]``, then for ``order >= 1``
+    ``t = mean(w (lam - 1) / d^2) / mean(w / d)`` and L_w', then for
+    ``order >= 2`` L_w'', each a vector over ``etas``, with
+    d = eta (lam - 1) + 1. Rows are evaluated in blocks of
     ``_BLOCK_ELEMENTS // n`` etas; every row is computed and reduced on its
-    own, so the blocking changes no bit.
+    own, so neither the blocking nor the choice of etas changes a row's bits.
     """
     etas = np.asarray(etas, dtype=np.float64)
     inside = (etas >= 0.0) & (etas < 1.0)
@@ -104,29 +107,23 @@ def _moments(
         raise NumericalFailureError(f"non-positive denominator: min eigenvalue {lam.min()}")
     rows = max(1, _BLOCK_ELEMENTS // lam.size)
     if etas.size <= rows:
-        return _moments_block(etas, c, w, order, logdet)
-    blocks = []
-    for i in range(0, etas.size, rows):
-        part = None if logdet is None else logdet[i : i + rows]
-        blocks.append(_moments_block(etas[i : i + rows], c, w, order, part))
+        return _moments_block(etas, c, w, order)
+    blocks = [_moments_block(etas[i : i + rows], c, w, order) for i in range(0, etas.size, rows)]
     return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
-def _moments_block(
-    etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int, logdet: np.ndarray | None
-) -> list[np.ndarray]:
+def _moments_block(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarray]:
     d = etas[:, None] * c + 1.0
     # No (etas x n) temporary outlives its reduction on the order-0 grid
     # pass: holding one more there makes the pass several times slower.
     s0 = (w / d).mean(axis=1)
-    if logdet is None:
-        logdet = np.log(d).mean(axis=1)
+    logdet = np.log(d).mean(axis=1)
     out = [s0, logdet, -np.log(s0) - logdet]
     if order >= 1:
         h = c / d
         r = w / d * h
         t = r.mean(axis=1) / s0
-        out.append(t - h.mean(axis=1))
+        out += [t, t - h.mean(axis=1)]
         if order >= 2:
             r *= h
             out.append(-2.0 * r.mean(axis=1) / s0 + t**2 + (h * h).mean(axis=1))
@@ -174,13 +171,13 @@ def loglik_grid(etas: np.ndarray, lambdas, y_rot) -> np.ndarray:
 def dloglik(eta: float, lambdas, y_rot) -> float:
     """Analytic first derivative of the profile log-likelihood."""
     lam, w, _ = _prepare(lambdas, y_rot)
-    return float(_moments([float(eta)], lam, w, 1)[3][0])
+    return float(_moments([float(eta)], lam, w, 1)[4][0])
 
 
 def d2loglik(eta: float, lambdas, y_rot) -> float:
     """Analytic second derivative of the profile log-likelihood."""
     lam, w, _ = _prepare(lambdas, y_rot)
-    return float(_moments([float(eta)], lam, w, 2)[4][0])
+    return float(_moments([float(eta)], lam, w, 2)[5][0])
 
 
 @dataclass(frozen=True)
@@ -235,27 +232,45 @@ class SolverResult:
         }
 
 
-# The last grid's log-determinant row, (upper, step, copy of lam,
-# mean(log d) per grid eta): it depends only on the spectrum, so solves that
-# share one skip the log. Read once and replaced whole, so concurrent
-# callers can at worst recompute it.
-_LAST_LOGDET = None
-
-
 def _grid_argmax(upper: float, step: float, lam, w) -> tuple[float, float]:
-    """Best point of a uniform grid on [0, upper] and its L_w; ties go to the lowest eta."""
-    global _LAST_LOGDET
+    """Best point of a uniform grid on [0, upper] and its L_w; ties go to the lowest eta.
+
+    Scores every _COARSE-th point and the last, and bounds L_w between each
+    neighbouring pair [a, b]: s0 lies above T, the larger of its tangents
+    at a and b, and mean(log d) above its chord C, so L_w <= -log T - C,
+    which is convex on each piece of T and peaks at a, b or where the
+    tangents cross. Intervals are scored in full in decreasing bound until
+    the next bound is below the best score less 1e-9, so every row that
+    could win or tie is scored and the result equals a full scan's bits.
+    """
     count = int(np.floor(upper / step + 1e-9))
     grid = np.linspace(0.0, count * step, count + 1)
     if upper - grid[-1] > 1e-12:
         grid = np.append(grid, upper)
-    memo = _LAST_LOGDET
-    hit = memo is not None and memo[:2] == (upper, step) and np.array_equal(memo[2], lam)
-    _, logdet, scores = _moments(grid, lam, w, 0, memo[3] if hit else None)
-    if not hit:
-        _LAST_LOGDET = (upper, step, lam.copy(), logdet)
-    best = int(np.argmax(scores))
-    return float(grid[best]), float(scores[best])
+    knots = np.append(np.arange(0, grid.size - 1, _COARSE), grid.size - 1)
+    x = grid[knots]
+    s0, ld, score, t = _moments(x, lam, w, 1)[:4]
+    slope = -t * s0
+    span = np.diff(x)
+    with np.errstate(all="ignore"):
+        # Where the tangents at a and b cross, as a fraction of [a, b].
+        u = (s0[1:] - s0[:-1] - slope[1:] * span) / ((slope[:-1] - slope[1:]) * span)
+        u = np.clip(np.nan_to_num(u), 0.0, 1.0)
+        low = s0[:-1] + slope[:-1] * span * u
+        cross = np.where(low > 0.0, -np.log(low) - (ld[:-1] + (ld[1:] - ld[:-1]) * u), np.inf)
+    bound = np.maximum(np.maximum(score[:-1], score[1:]), cross)
+    scores = np.full(grid.size, -np.inf)
+    scores[knots] = score
+    best = score.max()
+    for j in np.argsort(-bound, kind="stable"):
+        if bound[j] < best - 1e-9:
+            break
+        if knots[j] + 1 < knots[j + 1]:
+            inner = _moments(grid[knots[j] + 1 : knots[j + 1]], lam, w, 0)[2]
+            scores[knots[j] + 1 : knots[j + 1]] = inner
+            best = max(best, inner.max())
+    i = int(np.argmax(scores))
+    return float(grid[i]), float(scores[i])
 
 
 def _check_identifiable(lam: np.ndarray) -> None:
@@ -279,7 +294,7 @@ def _newton(starts, upper: float, lam, w) -> tuple[np.ndarray, np.ndarray, np.nd
     for _ in range(_MAX_ITER):
         if not active.size:
             break
-        d1, d2 = _moments(eta[active], lam, w, 2)[3:]
+        d1, d2 = _moments(eta[active], lam, w, 2)[4:]
         with np.errstate(all="ignore"):
             step = d1 / d2
         ok = np.isfinite(d2) & (d2 != 0.0) & np.isfinite(step)
@@ -354,11 +369,11 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
 
 
 def grid_oracle(lambdas, y_rot, grid_step: float, delta: float = 0.01) -> float:
-    """Brute-force argmax of the profile log-likelihood over a uniform grid.
+    """Argmax of the profile log-likelihood over a uniform grid.
 
-    Ties resolve to the lowest eta. Independent of the Newton iterations
-    only: the solver's verification step scans with the same
-    ``_grid_argmax`` and its log-determinant memo.
+    Ties resolve to the lowest eta; the bounded scan returns the same point
+    as scoring every grid row. Independent of the Newton iterations only:
+    the solver's verification step runs the same ``_grid_argmax`` scan.
     """
     if not 0.0 < grid_step <= 0.01:
         raise ConfigurationError(f"grid_step must be in (0, 0.01], got {grid_step}")

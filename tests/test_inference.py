@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.special
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from specherit import (
     ConfigurationError,
     DataError,
+    NumericalFailureError,
     ShapeMismatchError,
     SimulationConfig,
     UnidentifiableModelError,
@@ -115,6 +118,22 @@ def test_s_empirical_permutation_invariance():
 def test_spectral_statistics_reject_bad_spectra(statistic, lambdas, error):
     with pytest.raises(error):
         statistic(0.5, lambdas)
+
+
+@pytest.mark.parametrize(
+    "eta, lambdas, error",
+    [
+        pytest.param(1.5, [0.0, 1.0, 2.0], ConfigurationError, id="eta-above-1"),
+        pytest.param(-3.0, [0.0, 1.0, 2.0], ConfigurationError, id="eta-negative"),
+        pytest.param(1.0, [0.0, 1.0, 2.0], ConfigurationError, id="eta-1"),
+        pytest.param(0.5, [-2.0, 1.0, 2.0], NumericalFailureError, id="non-positive-d"),
+    ],
+)
+def test_s_empirical_checks_eta_like_g(eta, lambdas, error):
+    with pytest.raises(error):
+        g(eta, np.array(lambdas))
+    with pytest.raises(error):
+        s_empirical(eta, lambdas)
 
 
 def test_s_empirical_converges_to_limit(wide_gaussian_spectrum):
@@ -309,6 +328,17 @@ def test_build_report_accepts_numpy_integer_markers(small_instance):
     want = build_report(lam, y, n_markers=120, solver_result=result).to_dict()
     doc = build_report(lam, y, n_markers=np.int64(120), solver_result=result).to_dict()
     assert doc == want and type(doc["N"]) is int
+
+
+def test_report_document_shares_no_mutable_value(small_instance):
+    lam, y = small_instance
+    report = build_report(lam, y, n_markers=120, solver_result=newton_estimate(lam, y))
+    solver = copy.deepcopy(report.solver)
+    doc = report.to_dict()
+    doc["solver"]["converged"].append(False)
+    doc["solver"]["chosen_start"] = 99
+    assert report.solver == solver
+    assert report.to_dict()["solver"] == solver
 
 
 # (seed, n, N, eta*) -> the report fields shared by every (q, level), the

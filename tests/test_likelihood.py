@@ -268,6 +268,97 @@ def test_loglik_grid_equals_pointwise_loglik(n, sizes):
         assert np.array_equal(loglik_grid(etas, lam, y), [loglik(e, lam, y) for e in etas])
 
 
+# ---------------------------------------------------------------------------
+# the bounded grid scan returns the exhaustive scan's bits
+# ---------------------------------------------------------------------------
+
+
+def full_grid(upper, step):
+    count = int(np.floor(upper / step + 1e-9))
+    grid = np.linspace(0.0, count * step, count + 1)
+    return grid if upper - grid[-1] <= 1e-12 else np.append(grid, upper)
+
+
+def spectrum_of(kind, n, rng):
+    even = np.arange(n) % 2 == 0
+    if kind == "two-cluster":
+        return np.where(even, rng.normal(0.2, 0.01, n).clip(0.0), rng.normal(3.0, 0.1, n))
+    if kind == "half-zero":
+        return np.where(even, 0.0, rng.uniform(0.0, 4.0, n))
+    return np.ones(n)
+
+
+@pytest.mark.parametrize("kind", ["two-cluster", "half-zero", "flat"])
+@pytest.mark.parametrize("n", [2, 3, 40, 800])
+def test_bounded_scan_equals_exhaustive_argmax(n, kind):
+    rng = replicate_rng(n)
+    lam = spectrum_of(kind, n, rng)
+    for eta_star, scale in [(0.0, 1.0), (0.5, 1e-3), (0.8, 1e3), (0.95, 1.0)]:
+        y = scale * rng.standard_normal(n) * np.sqrt(eta_star * lam + 1.0 - eta_star)
+        lam_, w, _ = likelihood._prepare(lam, y)
+        for step in (1e-3, 5e-4, 1e-2):
+            for delta in (0.01, 0.05, 0.0105):
+                grid = full_grid(1.0 - delta, step)
+                scores = likelihood._moments(grid, lam_, w, 0)[2]
+                best = int(np.argmax(scores))
+                got = likelihood._grid_argmax(1.0 - delta, step, lam_, w)
+                assert got == (grid[best], scores[best])
+                if kind == "flat":
+                    assert got[0] == 0.0
+
+
+# Bimodal likelihoods whose grid argmax lies in a coarse interval away from
+# the best-scoring coarse point: only the tangent bound finds it there.
+BIMODAL = [
+    ([5.0, 0.0, 1.0, 100.0], [-0.13, 0.014, -2.27, 1.63]),
+    (
+        [100.0, 0.0, 100.0, 2.0, 0.0],
+        [0.07726449229157592, 0.7430538656200087, -5.7368336364196875,
+         -18.408427321074385, -1.0075767356246932],
+    ),
+]
+
+
+@pytest.mark.parametrize("lam, y", BIMODAL)
+def test_bounded_scan_finds_the_far_peak_of_a_bimodal_likelihood(lam, y):
+    lam_, w, _ = likelihood._prepare(lam, y)
+    for step in (1e-3, 5e-4, 1e-2):
+        for delta in (0.01, 0.05, 0.0105):
+            grid = full_grid(1.0 - delta, step)
+            scores = likelihood._moments(grid, lam_, w, 0)[2]
+            best = int(np.argmax(scores))
+            assert likelihood._grid_argmax(1.0 - delta, step, lam_, w) == (grid[best], scores[best])
+
+
+@pytest.mark.parametrize("n", [3, 800, 40000])
+def test_moments_rows_do_not_depend_on_the_other_etas(n):
+    rng = replicate_rng(n)
+    lam, y = seeded_spectrum(seed=n, n=n, eta=0.5)
+    lam_, w, _ = likelihood._prepare(lam, y)
+    grid = full_grid(0.99, 1e-3)
+    full = likelihood._moments(grid, lam_, w, 2)
+    subsets = [[0], [990], np.arange(17, 32), np.arange(0, 991, 16)]
+    subsets += [np.sort(rng.choice(991, size, replace=False)) for size in (2, 50, 400)]
+    for rows in subsets:
+        for got, want in zip(likelihood._moments(grid[rows], lam_, w, 2), full):
+            assert np.array_equal(got, want[rows])
+
+
+@pytest.mark.parametrize("eta_star", [0.0, 0.5, 0.8])
+def test_solve_scores_at_most_a_fifth_of_the_grid(monkeypatch, eta_star):
+    lam, y = seeded_spectrum(seed=4, n=1500, eta=eta_star)
+    rows = []
+    moments = likelihood._moments
+
+    def counting(etas, *args):
+        rows.append(np.size(etas))
+        return moments(etas, *args)
+
+    monkeypatch.setattr(likelihood, "_moments", counting)
+    newton_estimate(lam, y)
+    assert sum(rows) <= 0.2 * 991
+
+
 # (seed, n, eta*, delta, inits, oracle step) -> newton_estimate summary and
 # grid_oracle value, recorded before the grid was blocked and the starts
 # stepped in lockstep.
@@ -341,14 +432,8 @@ def test_solver_golden_values(case, summary, oracle):
 
 
 # ---------------------------------------------------------------------------
-# the grid's log-determinant memo changes no bit
+# the solver keeps no state between calls
 # ---------------------------------------------------------------------------
-
-
-def cold(fn, *args):
-    """``fn(*args)`` on an empty log-determinant memo."""
-    likelihood._LAST_LOGDET = None
-    return fn(*args)
 
 
 def fit(lam, y, delta=0.01, inits=(0.1, 0.5, 0.9)):
@@ -357,26 +442,25 @@ def fit(lam, y, delta=0.01, inits=(0.1, 0.5, 0.9)):
 
 @pytest.mark.parametrize("case, summary, oracle", GOLDEN_FITS)
 def test_warm_memo_fit_equals_cold_fit(case, summary, oracle):
+    """A fit after another trait on the same spectrum equals the first fit."""
     seed, n, eta_star, delta, inits, step = case
     lam, y = seeded_spectrum(seed, n, eta_star)
-    want = cold(fit, lam, y, delta, inits)
-    entry = likelihood._LAST_LOGDET
+    want = fit(lam, y, delta, inits)
     fit(lam, y[::-1].copy(), delta, inits)  # another trait on the same spectrum
-    assert likelihood._LAST_LOGDET is entry
     assert fit(lam, y, delta, inits) == want == summary
 
 
-def test_memo_keeps_a_copy_of_the_spectrum():
+def test_fit_keeps_no_state_when_the_spectrum_array_is_reused():
     lam, y = seeded_spectrum(seed=1, n=300, eta=0.5)
     before = fit(lam, y), grid_oracle(lam, y, 1e-3)
     lam *= 4.0  # the caller reuses its array for another spectrum
     after = fit(lam, y), grid_oracle(lam, y, 1e-3)
-    assert after == (cold(fit, lam, y), cold(grid_oracle, lam, y, 1e-3))
+    assert after == (fit(lam, y), grid_oracle(lam, y, 1e-3))
     assert after != before
 
 
 @pytest.mark.parametrize("seed, n, eta_star", [(23, 5, 0.0), (1, 1500, 0.5)])
-def test_memo_alternating_keys_match_cold_values(seed, n, eta_star):
+def test_alternating_grids_keep_no_state(seed, n, eta_star):
     lam, y = seeded_spectrum(seed, n, eta_star)
     calls = [
         (fit, (lam, y, 0.01)),
@@ -387,15 +471,15 @@ def test_memo_alternating_keys_match_cold_values(seed, n, eta_star):
         (fit, (lam, y, 0.01)),
         (grid_oracle, (lam, y, 5e-4, 0.05)),
     ]
-    want = [cold(fn, *args) for fn, args in calls]
+    want = [fn(*args) for fn, args in calls]
     for _ in range(2):
         assert [fn(*args) for fn, args in calls] == want
 
 
-def test_memo_not_shared_between_spectra_of_one_size():
+def test_spectra_of_one_size_share_no_state():
     y = seeded_spectrum(seed=0, n=40, eta=0.9)[1]
     spectra = [seeded_spectrum(seed, n=40, eta=0.9)[0] for seed in (0, 1)]
-    want = [(cold(fit, lam, y), cold(grid_oracle, lam, y, 1e-3)) for lam in spectra]
+    want = [(fit(lam, y), grid_oracle(lam, y, 1e-3)) for lam in spectra]
     assert want[0][1] != want[1][1]
     for _ in range(2):
         assert [(fit(lam, y), grid_oracle(lam, y, 1e-3)) for lam in spectra] == want
