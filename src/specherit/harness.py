@@ -43,7 +43,7 @@ from .errors import (
     SpecheritError,
     UnidentifiableModelError,
 )
-from .inference import EstimateReport, build_report
+from .inference import EstimateReport, _check_report_options, build_report
 from .likelihood import SolverConfig, newton_estimate
 from .spectral import MPLaw, decompose, esd, mp_cdf, residualize, standardize
 from .synthcohort import (
@@ -300,6 +300,7 @@ def estimate_from_design(
     solver: SolverConfig | None = None,
 ) -> EstimateReport:
     """Run the spectral pipeline and inference on an in-memory design."""
+    _check_report_options(q_assumed, ci_level)
     Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
     spec = decompose(Zm, np.asarray(Y, dtype=np.float64))
     result = newton_estimate(spec.lambdas, spec.y_rot, solver or SolverConfig())
@@ -324,6 +325,7 @@ def estimate_files(
     solver: SolverConfig | None = None,
 ) -> dict:
     """File-based estimation: returns the report document with fingerprints."""
+    _check_report_options(q_assumed, ci_level)
     W = read_genotypes(geno_path)
     Y = read_phenotype(pheno_path)
     if W.shape[0] != Y.size:
@@ -757,9 +759,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("HERIT_LOG", "").upper()
-    if level:
-        logging.basicConfig(level=getattr(logging, level, logging.INFO))
+    name = os.environ.get("HERIT_LOG", "").upper()
+    if name:
+        # getLevelName maps a level name to its number and anything else to
+        # a string, so BASIC_FORMAT and other logging attributes fall back.
+        level = logging.getLevelName(name)
+        logging.basicConfig(level=level if isinstance(level, int) else logging.INFO)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -47,8 +47,11 @@ def _spectrum(lambdas) -> np.ndarray:
 
 def gamma_n2(eta: float, lambdas) -> float:
     """Empirical variance of g(eta, lambda) over the spectrum."""
-    values = g(eta, _spectrum(lambdas))
-    return float(np.mean(values**2) - np.mean(values) ** 2)
+    return _kernel_variance(g(eta, _spectrum(lambdas)))
+
+
+def _kernel_variance(kernel: np.ndarray) -> float:
+    return float(np.mean(kernel**2) - np.mean(kernel) ** 2)
 
 
 def gamma2_limit(a: float, eta: float) -> float:
@@ -77,7 +80,11 @@ def s_empirical(eta: float, lambdas) -> float:
     it requires eta in [0, 1) and positive denominators.
     """
     lam = _spectrum(lambdas)
-    kernel = g(eta, lam)
+    return _s_factor(eta, lam, g(eta, lam))
+
+
+def _s_factor(eta: float, lam: np.ndarray, kernel: np.ndarray) -> float:
+    """``s_empirical`` for a checked spectrum and its kernel ``g(eta, lam)``."""
     d = eta * (lam - 1.0) + 1.0
     first = np.mean(lam * (lam - 1.0) / d**2)
     second = np.mean(lam / d) * np.mean(kernel)
@@ -99,13 +106,22 @@ def tau2(a: float, eta: float, q: float, gamma2: float, S: float) -> float:
     Equals 2/gamma2 plus 3 a^2 eta^2 / gamma2^2 * (1/q - 1) * S; the
     second term vanishes at q = 1, recovering the non-sparse variance.
     """
-    if not 0.0 < q <= 1.0:
-        raise ConfigurationError(f"q must be in (0, 1], got {q}")
+    _check_q(q)
     if not gamma2 > 0.0:
         raise UnidentifiableModelError(f"gamma2 must be positive, got {gamma2}")
     if S < 0.0:
         raise ConfigurationError(f"S must be >= 0, got {S}")
     return 2.0 / gamma2 + 3.0 * a**2 * eta**2 / gamma2**2 * (1.0 / q - 1.0) * S
+
+
+def _check_q(q: float) -> None:
+    if not 0.0 < q <= 1.0:
+        raise ConfigurationError(f"q must be in (0, 1], got {q}")
+
+
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ConfigurationError(f"level must be in (0, 1), got {level}")
 
 
 def normal_quantile(p: float) -> float:
@@ -121,8 +137,7 @@ def confidence_interval(eta_hat: float, se: float, level: float) -> tuple[float,
         raise ConfigurationError(f"eta_hat must be in [0, 1], got {eta_hat}")
     if not (math.isfinite(se) and se >= 0.0):
         raise ConfigurationError(f"standard error must be finite and >= 0, got {se}")
-    if not 0.0 < level < 1.0:
-        raise ConfigurationError(f"level must be in (0, 1), got {level}")
+    _check_level(level)
     z = normal_quantile(0.5 * (1.0 + level))
     lo = max(0.0, eta_hat - z * se)
     hi = min(1.0, eta_hat + z * se)
@@ -220,6 +235,13 @@ class EstimateReport:
         return doc
 
 
+def _check_report_options(q_assumed: float | None, ci_level: float) -> None:
+    """Reject the q and level that ``build_report`` would reject, before any work."""
+    if q_assumed is not None:
+        _check_q(q_assumed)
+    _check_level(ci_level)
+
+
 def build_report(
     lambdas,
     y_rot,
@@ -245,12 +267,13 @@ def build_report(
     n = lam.size
     a = n / n_markers
     eta_hat = solver_result.eta_hat
-    g2 = gamma_n2(eta_hat, lam)
+    kernel = g(eta_hat, lam)
+    g2 = _kernel_variance(kernel)
     se1 = se_q1(g2, n)
 
     tau_n2 = se_sp = None
     if q_assumed is not None:
-        tau_n2 = tau2(a, eta_hat, q_assumed, g2, s_empirical(eta_hat, lam))
+        tau_n2 = tau2(a, eta_hat, q_assumed, g2, _s_factor(eta_hat, lam, kernel))
         se_sp = float(np.sqrt(tau_n2 / n))
 
     ci_se = se_sp if se_sp is not None else se1

@@ -12,14 +12,21 @@ leaving the scalar objective
 to maximize over eta in [0, 1 - delta]. The data enter only through
 (lambda_i, w_i = y_i^2 / m) and m = mean(y^2): L = L_w - log m, where L_w
 is L with w in place of y^2. ``_prepare`` validates and forms these once and
-``_moments`` evaluates L_w and its analytic derivatives over a vector of
-eta; the public functions wrap the two. The solver runs plain Newton
-iterations from several starts, clamps iterates into the search interval,
-applies the boundary reporting rule, and verifies the selected maximizer
-against a grid. The grid scan is bounded: s0 = mean(w / d) is convex and
-mean(log d) concave in eta, so tangents of the one and the chord of the
-other bound L_w on each coarse interval, and only intervals whose bound
-reaches the best score are scored in full. The module keeps no state.
+``_moments`` checks a vector of eta and evaluates L_w and its analytic
+derivatives over it; the public functions wrap the two. The solver checks
+the search interval once and then calls the unchecked kernels: Newton
+steps evaluate only L_w' and L_w'' (``_newton_block``), everything else
+the full rows (``_rows``). It runs plain Newton iterations from several
+starts, clamps iterates into the search interval, applies the boundary
+reporting rule, and verifies the selected maximizer against a grid. The
+grid scan is bounded: s0 = mean(w / d) is convex and mean(log d) concave in
+eta, so tangents of the one and the chord of the other bound L_w on each
+interval between scored points. The scan scores a coarse level of points,
+then a finer level inside the intervals whose bound reaches the best score,
+then in full only the finer intervals that still reach it. The solver
+starts the best score at its own optimum plus the verification tolerance,
+so only grid points that could override Newton are looked for. The module
+keeps no state.
 """
 
 from __future__ import annotations
@@ -52,14 +59,16 @@ _TOL = 1e-8
 _VERIFY_GRID_STEP = 1e-3
 _VERIFY_TOL = 1e-6
 
-# ``_moments`` walks its etas in blocks of about this many (eta x n)
+# ``_rows`` walks its etas in blocks of about this many (eta x n)
 # elements, so each temporary stays in cache instead of costing a fresh
 # page-faulted allocation per grid pass.
 _BLOCK_ELEMENTS = 1 << 15
 
-# The bounded grid scan scores every _COARSE-th grid point (and the last)
-# first; the intervals between them are scored only where they can win.
-_COARSE = 16
+# The bounded grid scan scores every _TOP_STRIDE-th grid point (and the
+# last) first, then every _MID_STRIDE-th point inside the intervals that can
+# still win, then the points between those only where they can win.
+_TOP_STRIDE = 128
+_MID_STRIDE = 16
 
 
 def _prepare(lambdas, y_rot) -> tuple[np.ndarray, np.ndarray, float]:
@@ -92,46 +101,82 @@ def _moments(etas, lam: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarra
     Returns ``[mean(w / d), mean(log d), L_w]``, then for ``order >= 1``
     ``t = mean(w (lam - 1) / d^2) / mean(w / d)`` and L_w', then for
     ``order >= 2`` L_w'', each a vector over ``etas``, with
-    d = eta (lam - 1) + 1. Rows are evaluated in blocks of
-    ``_BLOCK_ELEMENTS // n`` etas; every row is computed and reduced on its
-    own, so neither the blocking nor the choice of etas changes a row's bits.
+    d = eta (lam - 1) + 1. Every row is computed and reduced on its own, so
+    neither the blocking nor the choice of etas changes a row's bits.
     """
     etas = np.asarray(etas, dtype=np.float64)
     inside = (etas >= 0.0) & (etas < 1.0)
     if not inside.all():
         raise ConfigurationError(f"eta must be in [0, 1), got {etas[~inside][0]}")
     c = lam - 1.0
-    # d >= min(1 - eta, 1) > 0 for lambda >= 0 and eta < 1. Each d_i is
-    # monotone in eta, so the extreme etas bound every row of every block.
-    if etas.size and (np.array([etas.min(), etas.max()])[:, None] * c + 1.0).min() <= 0.0:
+    if etas.size:
+        _check_denominators(etas.max(), c, lam)
+    return _rows(etas, c, w, order)
+
+
+def _check_denominators(eta_max: float, c: np.ndarray, lam: np.ndarray) -> None:
+    """Raise unless d = eta c + 1 is positive for every eta in [0, eta_max].
+
+    d >= min(1 - eta, 1) > 0 for lambda >= 0 and eta < 1. Each d_i is 1 at
+    eta = 0 and monotone in eta, so checking eta_max covers the interval.
+    """
+    if (eta_max * c + 1.0).min() <= 0.0:
         raise NumericalFailureError(f"non-positive denominator: min eigenvalue {lam.min()}")
-    rows = max(1, _BLOCK_ELEMENTS // lam.size)
+
+
+def _rows(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarray]:
+    """``_moments`` with ``c = lam - 1``, unchecked, in blocks of ``_BLOCK_ELEMENTS // n`` etas."""
+    rows = max(1, _BLOCK_ELEMENTS // c.size)
     if etas.size <= rows:
         return _moments_block(etas, c, w, order)
     blocks = [_moments_block(etas[i : i + rows], c, w, order) for i in range(0, etas.size, rows)]
     return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
+def _mean(x: np.ndarray) -> np.ndarray:
+    # The bits of x.mean(axis=1), without its dispatch overhead.
+    return np.add.reduce(x, axis=1) / x.shape[1]
+
+
 def _moments_block(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarray]:
-    d = etas[:, None] * c + 1.0
-    # No (etas x n) temporary outlives its reduction on the order-0 grid
-    # pass: holding one more there makes the pass several times slower.
-    s0 = (w / d).mean(axis=1)
-    logdet = np.log(d).mean(axis=1)
+    """``_moments`` on one block, unchecked: ``c = lam - 1``."""
+    d = np.multiply.outer(etas, c)
+    d += 1.0
+    # The order-0 grid pass holds at most two (etas x n) arrays at once:
+    # holding one more there makes the pass several times slower.
+    logdet = _mean(np.log(d))
+    r = w / d
+    s0 = _mean(r)
     out = [s0, logdet, -np.log(s0) - logdet]
     if order >= 1:
-        h = c / d
-        r = w / d * h
-        t = r.mean(axis=1) / s0
-        out += [t, t - h.mean(axis=1)]
-        if order >= 2:
-            r *= h
-            out.append(-2.0 * r.mean(axis=1) / s0 + t**2 + (h * h).mean(axis=1))
+        out += _derivatives(d, r, s0, c, order)
     return out
 
 
-def _sigma2(eta: float, lam: np.ndarray, w: np.ndarray, m: float) -> float:
-    return m * float(_moments([eta], lam, w, 0)[0][0])
+def _newton_block(etas: np.ndarray, c: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
+    """L_w' and L_w'' at each eta: the bits of ``_moments(etas, lam, w, 2)[4:]``.
+
+    The caller has checked eta and the denominators; the rows of log d and
+    L_w, which a Newton step never reads, are skipped.
+    """
+    d = np.multiply.outer(etas, c)
+    d += 1.0
+    r = w / d
+    return _derivatives(d, r, _mean(r), c, 2)[1:]
+
+
+def _derivatives(d, r, s0, c, order: int) -> list[np.ndarray]:
+    """``[t, L_w']`` and, for ``order >= 2``, L_w'', from d, r = w / d and
+    s0 = mean(r); r is overwritten."""
+    h = c / d
+    r *= h
+    t = _mean(r) / s0
+    out = [t, t - _mean(h)]
+    if order >= 2:
+        r *= h
+        h *= h
+        out.append(-2.0 * _mean(r) / s0 + t**2 + _mean(h))
+    return out
 
 
 def g(eta: float, lam):
@@ -153,7 +198,8 @@ def g(eta: float, lam):
 
 def profile_sigma2(eta: float, lambdas, y_rot) -> float:
     """Closed-form residual-variance profile at a given heritability."""
-    return _sigma2(float(eta), *_prepare(lambdas, y_rot))
+    lam, w, m = _prepare(lambdas, y_rot)
+    return m * float(_moments([float(eta)], lam, w, 0)[0][0])
 
 
 def loglik(eta: float, lambdas, y_rot) -> float:
@@ -232,60 +278,84 @@ class SolverResult:
         }
 
 
-def _grid_argmax(upper: float, step: float, lam, w) -> tuple[float, float]:
-    """Best point of a uniform grid on [0, upper] and its L_w; ties go to the lowest eta.
+def _interval_bounds(x, s0, ld, score, t) -> np.ndarray:
+    """Upper bound of L_w on each interval [a, b] between neighbouring knots ``x``.
 
-    Scores every _COARSE-th point and the last, and bounds L_w between each
-    neighbouring pair [a, b]: s0 lies above T, the larger of its tangents
-    at a and b, and mean(log d) above its chord C, so L_w <= -log T - C,
-    which is convex on each piece of T and peaks at a, b or where the
-    tangents cross. Intervals are scored in full in decreasing bound until
-    the next bound is below the best score less 1e-9, so every row that
-    could win or tie is scored and the result equals a full scan's bits.
+    s0 = mean(w / d) is convex in eta, so it lies above T, the larger of its
+    tangents at a and b, and mean(log d) is concave, so it lies above its
+    chord C. Hence L_w <= -log T - C, which is convex on each piece of T
+    and peaks at a, b or where the tangents cross.
     """
-    count = int(np.floor(upper / step + 1e-9))
-    grid = np.linspace(0.0, count * step, count + 1)
-    if upper - grid[-1] > 1e-12:
-        grid = np.append(grid, upper)
-    knots = np.append(np.arange(0, grid.size - 1, _COARSE), grid.size - 1)
-    x = grid[knots]
-    s0, ld, score, t = _moments(x, lam, w, 1)[:4]
     slope = -t * s0
     span = np.diff(x)
     with np.errstate(all="ignore"):
         # Where the tangents at a and b cross, as a fraction of [a, b].
         u = (s0[1:] - s0[:-1] - slope[1:] * span) / ((slope[:-1] - slope[1:]) * span)
-        u = np.clip(np.nan_to_num(u), 0.0, 1.0)
+        u = np.fmin(np.fmax(u, 0.0), 1.0)  # nan (0 / 0) -> 0
         low = s0[:-1] + slope[:-1] * span * u
         cross = np.where(low > 0.0, -np.log(low) - (ld[:-1] + (ld[1:] - ld[:-1]) * u), np.inf)
-    bound = np.maximum(np.maximum(score[:-1], score[1:]), cross)
+    return np.maximum(np.maximum(score[:-1], score[1:]), cross)
+
+
+def _grid_argmax(
+    upper: float, step: float, lam, w, floor: float = -math.inf
+) -> tuple[float, float]:
+    """Best point of a uniform grid on [0, upper] and its L_w; ties go to the lowest eta.
+
+    Only rows that can reach ``floor`` matter: when the best row scores at
+    least ``floor``, the result equals a full scan's bits; otherwise the
+    returned score is below ``floor`` and its eta is arbitrary. The scan
+    scores every _TOP_STRIDE-th point and the last at order 1, then every
+    _MID_STRIDE-th point inside the intervals whose ``_interval_bounds``
+    reach the best score (or ``floor``, if higher) less 1e-9, then the
+    remaining points of the finer intervals in decreasing bound until the
+    next bound falls below that mark. Every row that could win or tie is
+    scored, so ``floor=-inf`` gives the exhaustive argmax.
+    """
+    count = int(np.floor(upper / step + 1e-9))
+    grid = np.linspace(0.0, count * step, count + 1)
+    if upper - grid[-1] > 1e-12:
+        grid = np.append(grid, upper)
+    c = lam - 1.0
+    _check_denominators(upper, c, lam)
+    last = grid.size - 1
+    knots = np.append(np.arange(0, last, _TOP_STRIDE), last)
+    rows = _rows(grid[knots], c, w, 1)[:4]
+    best = max(floor, float(rows[2].max()))
+    bound = _interval_bounds(grid[knots], *rows)
+    mid = [np.arange(a + _MID_STRIDE, b, _MID_STRIDE)
+           for a, b, top in zip(knots[:-1], knots[1:], bound) if top >= best - 1e-9]
+    mid = np.concatenate([knots[:0], *mid])
+    if mid.size:
+        more = _rows(grid[mid], c, w, 1)[:4]
+        best = max(best, float(more[2].max()))
+        merged = np.concatenate([knots, mid])
+        order = np.argsort(merged)
+        knots = merged[order]
+        rows = [np.concatenate(pair)[order] for pair in zip(rows, more)]
+        bound = _interval_bounds(grid[knots], *rows)
     scores = np.full(grid.size, -np.inf)
-    scores[knots] = score
-    best = score.max()
+    scores[knots] = rows[2]
     for j in np.argsort(-bound, kind="stable"):
         if bound[j] < best - 1e-9:
             break
         if knots[j] + 1 < knots[j + 1]:
-            inner = _moments(grid[knots[j] + 1 : knots[j + 1]], lam, w, 0)[2]
+            inner = _rows(grid[knots[j] + 1 : knots[j + 1]], c, w, 0)[2]
             scores[knots[j] + 1 : knots[j + 1]] = inner
-            best = max(best, inner.max())
+            best = max(best, float(inner.max()))
     i = int(np.argmax(scores))
     return float(grid[i]), float(scores[i])
 
 
-def _check_identifiable(lam: np.ndarray) -> None:
-    if np.all(np.abs(lam - 1.0) < _FLAT_SPECTRUM_TOL):
-        raise UnidentifiableModelError(
-            "all kinship eigenvalues equal 1: the likelihood is constant in eta"
-        )
+def _newton(starts, upper: float, c, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton from every start in lockstep, one ``_newton_block`` pass per step.
 
-
-def _newton(starts, upper: float, lam, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Newton from every start in lockstep, one ``_moments`` call per step.
-
-    Returns each start's final eta, step count and convergence flag. A
-    start stops on a step below _TOL (converged), on a zero or non-finite
-    L'' or step (failed, eta kept), or after _MAX_ITER steps.
+    ``c = lam - 1`` must give positive denominators at ``upper``: iterates
+    are clipped into [0, upper] and each d_i is monotone in eta, so that
+    one check covers every step. Returns each start's final eta, step count
+    and convergence flag. A start stops on a step below _TOL (converged),
+    on a zero or non-finite L'' or step (failed, eta kept), or after
+    _MAX_ITER steps.
     """
     eta = np.array(starts, dtype=np.float64)
     steps = np.zeros(eta.size, dtype=np.int64)
@@ -294,7 +364,7 @@ def _newton(starts, upper: float, lam, w) -> tuple[np.ndarray, np.ndarray, np.nd
     for _ in range(_MAX_ITER):
         if not active.size:
             break
-        d1, d2 = _moments(eta[active], lam, w, 2)[4:]
+        d1, d2 = _newton_block(eta[active], c, w)
         with np.errstate(all="ignore"):
             step = d1 / d2
         ok = np.isfinite(d2) & (d2 != 0.0) & np.isfinite(step)
@@ -320,21 +390,30 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
     and the lowest start index among them is chosen. If the winner scores
     more than 1e-6 below the best point of a grid of step 1e-3, Newton
     restarts there and the better of the restart and the grid point is
-    returned with ``chosen_start=-1``.
+    returned with ``chosen_start=-1``. The grid scan is floored at the
+    winner's score plus 1e-6, so it scores only the rows that could
+    trigger that override.
     """
     cfg = cfg or SolverConfig()
     lam, w, m = _prepare(lambdas, y_rot)
-    _check_identifiable(lam)
+    c = lam - 1.0
+    if np.all(np.abs(c) < _FLAT_SPECTRUM_TOL):
+        raise UnidentifiableModelError(
+            "all kinship eigenvalues equal 1: the likelihood is constant in eta"
+        )
 
     upper = cfg.upper
     boundary_tol = 1e-12
+    # Every eta the solve evaluates lies in [0, upper].
+    _check_denominators(upper, c, lam)
 
-    candidates, iterations, converged = _newton(cfg.inits, upper, lam, w)
+    candidates, iterations, converged = _newton(cfg.inits, upper, c, w)
 
     # Boundary-pinned runs report the upper end of the search interval.
-    run_clamped = (candidates >= upper - boundary_tol).tolist()
-    reported = np.where(run_clamped, upper, candidates).tolist()
-    objective = _moments(reported, lam, w, 0)[2]
+    pinned = candidates >= upper - boundary_tol
+    reported = np.where(pinned, upper, candidates)
+    objective = _rows(reported, c, w, 0)[2]
+    run_clamped, reported = pinned.tolist(), reported.tolist()
     if not np.isfinite(objective).any():
         raise NumericalFailureError("no start produced a finite log-likelihood")
 
@@ -347,11 +426,15 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
 
     # Post-hoc verification: the return may not sit measurably below the
     # likelihood anywhere on a coarse grid. On failure, restart Newton from
-    # the grid argmax and keep whichever of the two scores higher.
-    grid_eta, grid_score = _grid_argmax(upper, _VERIFY_GRID_STEP, lam, w)
+    # the grid argmax and keep whichever of the two scores higher. Any grid
+    # score s with objective < s - _VERIFY_TOL is at least the floor, so
+    # the floored scan returns the exhaustive argmax whenever it matters.
+    grid_eta, grid_score = _grid_argmax(
+        upper, _VERIFY_GRID_STEP, lam, w, floor=objective[chosen] + _VERIFY_TOL
+    )
     if objective[chosen] < grid_score - _VERIFY_TOL:
-        polished = float(_newton([grid_eta], upper, lam, w)[0][0])
-        polished_score = _moments([polished], lam, w, 0)[2][0]
+        polished = float(_newton([grid_eta], upper, c, w)[0][0])
+        polished_score = _rows(np.array([polished]), c, w, 0)[2][0]
         eta_hat = polished if polished_score >= grid_score else grid_eta
         clamped = eta_hat >= upper - boundary_tol
         if clamped:
@@ -360,7 +443,7 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
 
     return SolverResult(
         eta_hat=eta_hat,
-        sigma2_hat=_sigma2(eta_hat, lam, w, m),
+        sigma2_hat=m * float(_rows(np.array([eta_hat]), c, w, 0)[0][0]),
         iterations_per_start=tuple(iterations.tolist()),
         converged=tuple(converged.tolist()),
         chosen_start=chosen,
@@ -371,9 +454,10 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
 def grid_oracle(lambdas, y_rot, grid_step: float, delta: float = 0.01) -> float:
     """Argmax of the profile log-likelihood over a uniform grid.
 
-    Ties resolve to the lowest eta; the bounded scan returns the same point
-    as scoring every grid row. Independent of the Newton iterations only:
-    the solver's verification step runs the same ``_grid_argmax`` scan.
+    Ties resolve to the lowest eta; the bounded scan, run with no floor,
+    returns the same point as scoring every grid row. Independent of the
+    Newton iterations only: the solver's verification step runs the same
+    ``_grid_argmax`` scan, floored at its own optimum.
     """
     if not 0.0 < grid_step <= 0.01:
         raise ConfigurationError(f"grid_step must be in (0, 0.01], got {grid_step}")

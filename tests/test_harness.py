@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,13 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specherit
 from specherit import (
     ConfigurationError,
     DataParseError,
     SimulationConfig,
     StudySpec,
+    build_report,
     estimate_from_design,
     mp_check,
+    newton_estimate,
     run_study,
     simulate_cohort,
     summarize_replicates,
@@ -626,6 +631,69 @@ def test_cli_solver_flags_change_search_interval(cohort_files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["solver"]["iterations_per_start"]) == 2
     assert doc["eta_hat"] <= 0.99
+
+
+BAD_REPORT_OPTIONS = [
+    pytest.param({"q_assumed": 0.0}, "q must be in (0, 1], got 0.0", id="q-0"),
+    pytest.param({"q_assumed": 1.5}, "q must be in (0, 1], got 1.5", id="q-1.5"),
+    pytest.param({"ci_level": 1.5}, "level must be in (0, 1), got 1.5", id="level-1.5"),
+    pytest.param({"ci_level": 0.0}, "level must be in (0, 1), got 0.0", id="level-0"),
+    # q is checked first, as build_report reaches it first
+    pytest.param({"q_assumed": -1.0, "ci_level": 1.5}, "q must be in (0, 1], got -1.0", id="both"),
+]
+
+
+def forbid_pipeline(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pipeline ran on rejected options")
+
+    monkeypatch.setattr(harness, "read_genotypes", forbidden)
+    monkeypatch.setattr(harness, "decompose", forbidden)
+
+
+@pytest.mark.parametrize("options, message", BAD_REPORT_OPTIONS)
+def test_bad_report_options_fail_before_the_pipeline(cohort_files, monkeypatch, options, message):
+    cohort, geno, pheno = cohort_files
+    lam, y = np.array([0.5, 1.5, 2.0]), np.array([1.0, -0.5, 0.3])
+    with pytest.raises(ConfigurationError, match=r"^" + re.escape(message) + r"$"):
+        build_report(lam, y, 3, newton_estimate(lam, y), **options)
+    forbid_pipeline(monkeypatch)
+    with pytest.raises(ConfigurationError, match=r"^" + re.escape(message) + r"$"):
+        estimate_files(geno, pheno, **options)
+    with pytest.raises(ConfigurationError, match=r"^" + re.escape(message) + r"$"):
+        estimate_from_design(cohort.Z, cohort.Y, **options)
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--q", "0"], "q must be in (0, 1], got 0.0", id="q-0"),
+    pytest.param(["--level", "1.5"], "level must be in (0, 1), got 1.5", id="level-1.5"),
+])
+def test_cli_bad_report_options_fail_before_the_pipeline(cohort_files, monkeypatch, capsys,
+                                                        flags, message):
+    _, geno, pheno = cohort_files
+    forbid_pipeline(monkeypatch)
+    assert main(["estimate", geno, pheno, *flags]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name, logged", [
+    ("basic_format", True),  # a logging attribute, not a level: INFO
+    ("bogus", True),
+    ("debug", True),
+    ("warning", False),
+])
+def test_cli_herit_log_accepts_only_level_names(tmp_path, name, logged):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 10, "N": 20, "eta_star": 0.5, "seed": 1}))
+    env = dict(os.environ, HERIT_LOG=name, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(specherit.__file__)), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "specherit", "simulate", str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == EXIT_OK
+    assert "Traceback" not in proc.stderr
+    assert ("INFO:specherit:wrote" in proc.stderr) == logged
 
 
 def test_study_records_per_replicate_failures(tmp_path, monkeypatch):

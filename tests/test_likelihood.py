@@ -269,7 +269,7 @@ def test_loglik_grid_equals_pointwise_loglik(n, sizes):
 
 
 # ---------------------------------------------------------------------------
-# the bounded grid scan returns the exhaustive scan's bits
+# the bounded grid scan returns the exhaustive scan's bits, floored or not
 # ---------------------------------------------------------------------------
 
 
@@ -277,6 +277,24 @@ def full_grid(upper, step):
     count = int(np.floor(upper / step + 1e-9))
     grid = np.linspace(0.0, count * step, count + 1)
     return grid if upper - grid[-1] <= 1e-12 else np.append(grid, upper)
+
+
+def check_scans(lam_, w, step, delta):
+    """The bounded scan returns the exhaustive argmax's (eta, score) bits with
+    no floor and with any floor the exhaustive max reaches; with a higher
+    floor (up to 1e-6 above the max) its score is below the floor."""
+    grid = full_grid(1.0 - delta, step)
+    scores = likelihood._moments(grid, lam_, w, 0)[2]
+    best = int(np.argmax(scores))
+    exhaustive = (grid[best], scores[best])
+    assert likelihood._grid_argmax(1.0 - delta, step, lam_, w) == exhaustive
+    for floor in [scores[best] + off for off in (-1e-6, -1e-9, 0.0, 1e-9, 1e-6)]:
+        got = likelihood._grid_argmax(1.0 - delta, step, lam_, w, floor=floor)
+        if scores[best] >= floor:
+            assert got == exhaustive
+        else:
+            assert got[1] < floor
+    return exhaustive
 
 
 def spectrum_of(kind, n, rng):
@@ -298,11 +316,7 @@ def test_bounded_scan_equals_exhaustive_argmax(n, kind):
         lam_, w, _ = likelihood._prepare(lam, y)
         for step in (1e-3, 5e-4, 1e-2):
             for delta in (0.01, 0.05, 0.0105):
-                grid = full_grid(1.0 - delta, step)
-                scores = likelihood._moments(grid, lam_, w, 0)[2]
-                best = int(np.argmax(scores))
-                got = likelihood._grid_argmax(1.0 - delta, step, lam_, w)
-                assert got == (grid[best], scores[best])
+                got = check_scans(lam_, w, step, delta)
                 if kind == "flat":
                     assert got[0] == 0.0
 
@@ -324,10 +338,88 @@ def test_bounded_scan_finds_the_far_peak_of_a_bimodal_likelihood(lam, y):
     lam_, w, _ = likelihood._prepare(lam, y)
     for step in (1e-3, 5e-4, 1e-2):
         for delta in (0.01, 0.05, 0.0105):
-            grid = full_grid(1.0 - delta, step)
-            scores = likelihood._moments(grid, lam_, w, 0)[2]
-            best = int(np.argmax(scores))
-            assert likelihood._grid_argmax(1.0 - delta, step, lam_, w) == (grid[best], scores[best])
+            check_scans(lam_, w, step, delta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([5, 30, 200]),
+    eta_star=st.sampled_from([0.0, 0.5, 0.9]),
+)
+def test_floored_scan_on_seeded_spectra(seed, n, eta_star):
+    lam_, w, _ = likelihood._prepare(*seeded_spectrum(seed, n, eta_star))
+    for step in (1e-3, 5e-4, 1e-2):
+        for delta in (0.01, 0.05):
+            check_scans(lam_, w, step, delta)
+
+
+# ---------------------------------------------------------------------------
+# the solver's floor: the scan is exact wherever an override can happen
+# ---------------------------------------------------------------------------
+
+
+def check_override_decision(monkeypatch, lam, y, cfg):
+    """The solve overrides Newton exactly when the full 1e-3 grid beats
+    Newton's winner by more than 1e-6, and its scan floor is no higher than
+    the lowest grid score that would trigger that override."""
+    lam_, w, _ = likelihood._prepare(lam, y)
+    scan, floors = likelihood._grid_argmax, []
+
+    def recording(*args, floor):
+        floors.append(floor)
+        return scan(*args, floor=floor)
+
+    with monkeypatch.context() as patch:
+        # With the scan switched off the solve returns Newton's own winner.
+        patch.setattr(likelihood, "_grid_argmax", lambda *args, floor: (0.0, -math.inf))
+        pick = newton_estimate(lam, y, cfg)
+        patch.setattr(likelihood, "_grid_argmax", recording)
+        overridden = newton_estimate(lam, y, cfg).chosen_start == -1
+    objective = likelihood._moments([pick.eta_hat], lam_, w, 0)[2][0]
+    exhaustive = likelihood._moments(full_grid(cfg.upper, 1e-3), lam_, w, 0)[2].max()
+    assert overridden == (objective < exhaustive - 1e-6)
+    assert not objective < np.nextafter(floors[0], -np.inf) - 1e-6
+    return overridden
+
+
+def test_override_happens_exactly_when_the_full_grid_beats_newton(monkeypatch):
+    decisions = [
+        check_override_decision(monkeypatch, *seeded_spectrum(seed, n, eta_star), SolverConfig())
+        for seed in range(100)
+        for n in (5, 30)
+        for eta_star in (0.0, 0.9)
+    ]
+    assert 0 < sum(decisions) < len(decisions)
+
+
+@pytest.mark.parametrize("n", [3, 800, 40000])
+def test_newton_block_matches_moments(n):
+    lam, y = seeded_spectrum(seed=n, n=n, eta=0.5)
+    lam_, w, _ = likelihood._prepare(lam, y)
+    etas = np.array([0.0, 0.1, 0.37, 0.5, 0.9, 0.99])
+    for rows in ([0], [2], [1, 3, 5], slice(None)):
+        got = likelihood._newton_block(etas[rows], lam_ - 1.0, w)
+        for a, b in zip(got, likelihood._moments(etas[rows], lam_, w, 2)[4:]):
+            assert np.array_equal(a, b)
+
+
+# (seed, n, eta*) -> (L', L'') at eta 0, 0.3 and 0.9, recorded before Newton
+# steps got their own kernel: the exact bits pin the derivative expressions.
+DERIVATIVE_GOLDEN = [
+    ((23, 5, 0.0), [(-0.24754805385057277, 0.5791474991786135),
+                    (-0.08617469144288335, 0.5424070414099116),
+                    (0.381330198812466, -3.2125874151875227)]),
+    ((1, 1500, 0.5), [(0.2724872370426272, -0.8469726213804467),
+                      (0.1009678646508893, -0.4312158430761218),
+                      (-0.7928584634865102, -10.491292383616042)]),
+]
+
+
+@pytest.mark.parametrize("case, want", DERIVATIVE_GOLDEN)
+def test_derivative_golden_values(case, want):
+    lam, y = seeded_spectrum(*case)
+    assert [(dloglik(e, lam, y), d2loglik(e, lam, y)) for e in (0.0, 0.3, 0.9)] == want
 
 
 @pytest.mark.parametrize("n", [3, 800, 40000])
@@ -345,18 +437,23 @@ def test_moments_rows_do_not_depend_on_the_other_etas(n):
 
 
 @pytest.mark.parametrize("eta_star", [0.0, 0.5, 0.8])
-def test_solve_scores_at_most_a_fifth_of_the_grid(monkeypatch, eta_star):
+def test_solve_scores_at_most_a_twelfth_of_the_grid(monkeypatch, eta_star):
+    """Every row a solve evaluates, Newton steps included, goes through one
+    of the two kernels; together they stay within 1/12 of the 991-point grid."""
     lam, y = seeded_spectrum(seed=4, n=1500, eta=eta_star)
     rows = []
-    moments = likelihood._moments
 
-    def counting(etas, *args):
-        rows.append(np.size(etas))
-        return moments(etas, *args)
+    def counting(kernel):
+        def count(etas, *args):
+            rows.append(np.size(etas))
+            return kernel(etas, *args)
 
-    monkeypatch.setattr(likelihood, "_moments", counting)
+        return count
+
+    for name in ("_moments_block", "_newton_block"):
+        monkeypatch.setattr(likelihood, name, counting(getattr(likelihood, name)))
     newton_estimate(lam, y)
-    assert sum(rows) <= 0.2 * 991
+    assert sum(rows) <= 991 / 12
 
 
 # (seed, n, eta*, delta, inits, oracle step) -> newton_estimate summary and
@@ -429,6 +526,14 @@ def test_solver_golden_values(case, summary, oracle):
     result = newton_estimate(lam, y, SolverConfig(delta=delta, inits=inits))
     assert result.summary() == summary
     assert grid_oracle(lam, y, step, delta) == oracle
+
+
+@pytest.mark.parametrize("case, summary, oracle", GOLDEN_FITS)
+def test_golden_override_decisions(monkeypatch, case, summary, oracle):
+    seed, n, eta_star, delta, inits, _ = case
+    cfg = SolverConfig(delta=delta, inits=inits)
+    overridden = check_override_decision(monkeypatch, *seeded_spectrum(seed, n, eta_star), cfg)
+    assert overridden == (summary["chosen_start"] == -1)
 
 
 # ---------------------------------------------------------------------------
