@@ -114,13 +114,17 @@ def tau2(a: float, eta: float, q: float, gamma2: float, S: float) -> float:
     return 2.0 / gamma2 + 3.0 * a**2 * eta**2 / gamma2**2 * (1.0 / q - 1.0) * S
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _check_q(q: float) -> None:
-    if not 0.0 < q <= 1.0:
+    if not (_is_real(q) and 0.0 < q <= 1.0):
         raise ConfigurationError(f"q must be in (0, 1], got {q}")
 
 
 def _check_level(level: float) -> None:
-    if not 0.0 < level < 1.0:
+    if not (_is_real(level) and 0.0 < level < 1.0):
         raise ConfigurationError(f"level must be in (0, 1), got {level}")
 
 

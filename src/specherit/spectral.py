@@ -43,6 +43,9 @@ QUADRATURE_ORDER = 512
 # Side of the square blocks in which ``eigendecompose`` compares R with R'.
 _SYMMETRY_BLOCK = 128
 
+# Entries per row block of ``standardize`` (at least one row).
+_STANDARDIZE_BLOCK = 1 << 16
+
 
 @dataclass
 class StandardizedDesign:
@@ -91,23 +94,39 @@ def standardize(W, policy: str = "error") -> StandardizedDesign:
 
     Returns:
         StandardizedDesign with column sums 0 and squared column sums n.
+
+    The result is the two-pass formula ``Z = W - mean``,
+    ``s = sqrt(mean(Z**2, axis=0))``, ``Z / s`` bit for bit, computed in
+    row blocks of about ``_STANDARDIZE_BLOCK`` values with no n x N
+    temporary. NumPy reduces a C-ordered array over axis 0 row by row, so
+    each block's squares are summed into a small buffer whose row 0 carries
+    the running column sum; that repeats the whole-array sum's additions in
+    the same order.
     """
     if policy not in ("error", "drop"):
         raise ConfigurationError(f"policy must be 'error' or 'drop', got {policy!r}")
     Wm = np.asarray(getattr(W, "entries", W))
     if Wm.ndim != 2:
         raise ShapeMismatchError("design matrix must be 2-D")
-    n = Wm.shape[0]
+    n, N = Wm.shape
     if n < 2:
         raise ConfigurationError(f"standardization needs n >= 2 rows, got {n}")
     # One n x N array is centered and scaled in place. A non-finite entry
     # makes its column's mean or scale non-finite, and so does an entry whose
     # square overflows; those O(N) vectors are checked instead of Z itself.
-    Z = Wm.astype(np.float64)
+    Z = np.empty((n, N))
+    rows = max(1, _STANDARDIZE_BLOCK // max(N, 1))
+    squares = np.empty((min(rows, n) + 1, N))
+    total = np.zeros(N)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = Z.mean(axis=0)
-        Z -= mean
-        s = np.sqrt(np.mean(Z**2, axis=0))
+        mean = np.add.reduce(Wm, axis=0, dtype=np.float64) / n
+        for start in range(0, n, rows):
+            block = Z[start : start + rows]
+            np.subtract(Wm[start : start + rows], mean, out=block)
+            squares[0] = total
+            np.square(block, out=squares[1 : len(block) + 1])
+            np.add.reduce(squares[: len(block) + 1], axis=0, out=total)
+        s = np.sqrt(total / n)
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(s)))
     if bad.size:
         raise DataError(

@@ -20,6 +20,9 @@ import numpy as np
 
 from .errors import ConfigurationError, ShapeMismatchError
 
+# Uniforms drawn per block by ``sample_genotypes`` (at least one row).
+_DRAW_BLOCK = 1 << 16
+
 
 def replicate_rng(seed: int, replicate: int = 0) -> np.random.Generator:
     """Derive the PCG64 stream for one replicate of a seeded study.
@@ -165,17 +168,32 @@ def sample_genotypes(n: int, freqs: np.ndarray, rng: np.random.Generator) -> Gen
     """Sample allele counts: entry (i, j) ~ Binomial(2, p_j).
 
     The two binomial trials are realized as two explicit Bernoulli draws
-    per entry; rows are i.i.d. and columns independent.
+    per entry, ``u < p_j`` with ``u = rng.random()``; rows are i.i.d. and
+    columns independent. Draw order is part of the stream contract: every
+    first-trial uniform in C order, then every second-trial one, exactly as
+    ``rng.random((n, N))`` twice. The uniforms are drawn into one reused
+    block of about ``_DRAW_BLOCK`` values, so no n x N float array exists.
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     if freqs.ndim != 1:
         raise ConfigurationError("freqs must be a 1-D vector")
     if freqs.size and not ((freqs > 0.0) & (freqs < 1.0)).all():
         raise ConfigurationError("allele frequencies must lie strictly inside (0, 1)")
-    n = int(n)
-    first = rng.random((n, freqs.size)) < freqs
-    second = rng.random((n, freqs.size)) < freqs
-    entries = first.astype(np.int8) + second.astype(np.int8)
+    n, N = int(n), freqs.size
+    entries = np.empty((n, N), dtype=np.int8)
+    rows = max(1, _DRAW_BLOCK // max(N, 1))
+    uniform = np.empty((min(rows, n), N))
+    hit = np.empty(uniform.shape, dtype=bool)
+    for trial in (0, 1):
+        for start in range(0, n, rows):
+            block = entries[start : start + rows]
+            u, h = uniform[: len(block)], hit[: len(block)]
+            rng.random(out=u)
+            np.less(u, freqs, out=h)
+            if trial:
+                block += h
+            else:
+                block[...] = h
     return GenotypeMatrix(entries=entries, freqs=freqs)
 
 

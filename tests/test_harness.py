@@ -638,6 +638,11 @@ BAD_REPORT_OPTIONS = [
     pytest.param({"q_assumed": 1.5}, "q must be in (0, 1], got 1.5", id="q-1.5"),
     pytest.param({"ci_level": 1.5}, "level must be in (0, 1), got 1.5", id="level-1.5"),
     pytest.param({"ci_level": 0.0}, "level must be in (0, 1), got 0.0", id="level-0"),
+    # a bool is not a proportion, and a string is not compared with numbers
+    pytest.param({"q_assumed": True}, "q must be in (0, 1], got True", id="q-bool"),
+    pytest.param({"q_assumed": "0.5"}, "q must be in (0, 1], got 0.5", id="q-str"),
+    pytest.param({"ci_level": True}, "level must be in (0, 1), got True", id="level-bool"),
+    pytest.param({"ci_level": "0.9"}, "level must be in (0, 1), got 0.9", id="level-str"),
     # q is checked first, as build_report reaches it first
     pytest.param({"q_assumed": -1.0, "ci_level": 1.5}, "q must be in (0, 1], got -1.0", id="both"),
 ]

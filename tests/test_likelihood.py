@@ -546,7 +546,7 @@ def fit(lam, y, delta=0.01, inits=(0.1, 0.5, 0.9)):
 
 
 @pytest.mark.parametrize("case, summary, oracle", GOLDEN_FITS)
-def test_warm_memo_fit_equals_cold_fit(case, summary, oracle):
+def test_fit_after_another_trait_equals_first_fit(case, summary, oracle):
     """A fit after another trait on the same spectrum equals the first fit."""
     seed, n, eta_star, delta, inits, step = case
     lam, y = seeded_spectrum(seed, n, eta_star)

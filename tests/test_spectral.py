@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -72,18 +74,55 @@ def test_standardize_needs_two_rows():
         standardize(np.array([[0, 1, 2]]))
 
 
-@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
-def test_standardize_matches_two_pass_formula(dtype):
-    # Z is centered and scaled in place in one array; the result must equal
-    # the formula with a separate centered array, bit for bit.
-    rng = replicate_rng(22)
-    W = sample_genotypes(40, sample_allele_frequencies(90, 0.1, 0.5, rng), rng).entries.astype(dtype)
-    before = W.copy()
+def two_pass(W):
+    """Standardization with whole-array temporaries, the reference for ``standardize``."""
     Wm = np.asarray(W, dtype=np.float64)
     centered = Wm - Wm.mean(axis=0)
-    expected = centered / np.sqrt(np.mean(centered**2, axis=0))
+    return centered / np.sqrt(np.mean(centered**2, axis=0))
+
+
+def polymorphic_genotypes(seed, n, N):
+    """Sampled allele counts; a column that came out monomorphic gets one entry changed."""
+    rng = replicate_rng(seed)
+    W = sample_genotypes(n, sample_allele_frequencies(N, 0.1, 0.5, rng), rng).entries
+    monomorphic = (W == W[0]).all(axis=0)
+    W[0, monomorphic] = (W[0, monomorphic] + 1) % 3
+    return W
+
+
+# (40, 90) fits one row block; (300, 5000) spans 23 blocks of 13 rows and a
+# last block of one row; (3, 70000) takes three blocks of one row.
+TWO_PASS_CASES = [
+    pytest.param(dtype, n, N, id=dtype.__name__ + ("" if n == 40 else f"-{n}x{N}"))
+    for n, N in [(40, 90), (300, 5000), (3, 70000)]
+    for dtype in (np.int8, np.int64, np.float64)
+]
+
+
+@pytest.mark.parametrize("dtype, n, N", TWO_PASS_CASES)
+def test_standardize_matches_two_pass_formula(dtype, n, N):
+    # Z is centered and scaled in place in row blocks; the result must equal
+    # the formula with whole-array temporaries, bit for bit.
+    W = polymorphic_genotypes(22, n, N).astype(dtype)
+    before = W.copy()
+    expected = two_pass(W)
     assert np.array_equal(standardize(W).Z, expected)
     assert np.array_equal(W, before)
+
+
+def test_standardize_drop_policy_across_row_blocks():
+    # Column 7 is monomorphic; column 11 is constant over the first 23 row
+    # blocks and varies only in the last (row 299), so it is kept.
+    W = polymorphic_genotypes(26, 300, 5000)
+    W[:, 7] = 1
+    W[:, 11] = 0
+    W[-1, 11] = 2
+    design = standardize(W, policy="drop")
+    assert design.dropped == (7,)
+    assert np.array_equal(design.Z, two_pass(np.delete(W, 7, axis=1)))
+    with pytest.raises(MonomorphicColumnError) as excinfo:
+        standardize(W)
+    assert excinfo.value.columns == (7,)
 
 
 @pytest.mark.parametrize(
@@ -99,6 +138,29 @@ def test_standardize_rejects_non_finite_columns(bad):
         standardize(W)
     with pytest.raises(DataError, match="column 5 "):
         standardize(W, policy="drop")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+def test_standardize_rejects_non_finite_column_in_the_last_row_block(value):
+    W = replicate_rng(27).standard_normal((300, 5000))
+    W[-1, 5] = value
+    with pytest.raises(DataError, match="column 5 has a non-finite mean or scale"):
+        standardize(W)
+    with pytest.raises(DataError, match="column 5 "):
+        standardize(W, policy="drop")
+
+
+def test_standardize_peak_memory_is_about_one_design():
+    # No n x N temporary beyond Z itself: the row-block buffers are small.
+    W = polymorphic_genotypes(28, 300, 5000)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        Z = standardize(W).Z
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 1.25 * Z.nbytes
 
 
 def test_estimate_from_design_names_non_finite_design():

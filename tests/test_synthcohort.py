@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,33 @@ def test_genotypes_deterministic():
     a = sample_genotypes(50, freqs, replicate_rng(33, 4))
     b = sample_genotypes(50, freqs, replicate_rng(33, 4))
     assert np.array_equal(a.entries, b.entries)
+
+
+@pytest.mark.parametrize("N", [1, 7, 5000, 70000])
+def test_genotypes_follow_the_whole_array_draw_order(N):
+    # Uniforms are drawn in row blocks (one row per block at N = 70000); the
+    # entries and the generator's next draw must match two whole-array draws.
+    n = 300
+    freqs = sample_allele_frequencies(N, 0.1, 0.5, replicate_rng(34))
+    rng, reference = replicate_rng(35, N), replicate_rng(35, N)
+    W = sample_genotypes(n, freqs, rng)
+    expected = (reference.random((n, N)) < freqs).astype(np.int8)
+    expected += reference.random((n, N)) < freqs
+    assert W.entries.dtype == np.int8
+    assert np.array_equal(W.entries, expected)
+    assert rng.random() == reference.random()
+
+
+def test_genotype_sampler_peak_memory():
+    # The uniforms live in one reused block, never in an n x N float array.
+    freqs = sample_allele_frequencies(5000, 0.1, 0.5, replicate_rng(36))
+    tracemalloc.start()
+    try:
+        W = sample_genotypes(300, freqs, replicate_rng(37))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * W.entries.nbytes
 
 
 def test_effect_scale_examples():
