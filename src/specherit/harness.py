@@ -506,7 +506,7 @@ def run_replicate(
     record.ci_lo = report.ci_lo
     record.ci_hi = report.ci_hi
     record.covered = report.ci_lo <= eta_star <= report.ci_hi
-    record.iterations = int(sum(report.solver["iterations_per_start"]))
+    record.iterations = report.solver["newton_steps"]
     record.clamped = bool(report.solver["clamped"])
     return record
 
@@ -642,18 +642,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _solver_from_args(args) -> SolverConfig:
-    kwargs = {}
-    if args.delta is not None:
-        kwargs["delta"] = args.delta
-    if args.inits is not None:
-        try:
-            kwargs["inits"] = tuple(float(tok) for tok in args.inits.split(","))
-        except ValueError as exc:
-            raise ConfigurationError(f"--inits must be comma-separated floats: {exc}") from exc
-    return SolverConfig(**kwargs)
-
-
 def _emit(doc: dict, out: str | None) -> None:
     text = _json_text(doc)
     if out:
@@ -674,7 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="assumed proportion of non-null effects (enables sparse SE)")
     p_est.add_argument("--level", type=float, default=0.95, help="confidence level")
     p_est.add_argument("--delta", type=float, default=None, help="boundary margin")
-    p_est.add_argument("--inits", default=None, help="comma-separated Newton starts")
     p_est.add_argument("--drop-monomorphic", action="store_true",
                        help="drop zero-variance genotype columns instead of failing")
     p_est.add_argument("--out", default=None, help="also write the report JSON here")
@@ -709,7 +696,7 @@ def _cmd_estimate(args) -> int:
         q_assumed=args.q,
         ci_level=args.level,
         drop_monomorphic=args.drop_monomorphic,
-        solver=_solver_from_args(args),
+        solver=None if args.delta is None else SolverConfig(delta=args.delta),
     )
     _emit(doc, args.out)
     return EXIT_OK

@@ -229,11 +229,11 @@ class EstimateReport:
     def to_dict(self) -> dict:
         """The fields in declaration order, less the sparse three when no q is assumed.
 
-        The ``solver`` dict and its lists are copied, so the document shares
-        no mutable value with the report.
+        The ``solver`` dict is copied, so the document shares no mutable
+        value with the report.
         """
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["solver"] = {k: list(v) if isinstance(v, list) else v for k, v in self.solver.items()}
+        doc["solver"] = dict(self.solver)
         if self.q_assumed is None:
             del doc["q_assumed"], doc["tau_n2"], doc["se_sparse"]
         return doc

@@ -1,4 +1,4 @@
-"""Profile log-likelihood in the heritability and its Newton-Raphson maximizer.
+"""Profile log-likelihood in the heritability and its certified maximizer.
 
 With kinship eigenvalues lambda_i and rotated observations y_i, the
 residual variance profiles out in closed form,
@@ -16,23 +16,20 @@ is L with w in place of y^2. ``_prepare`` validates and forms these once and
 derivatives over it; the public functions wrap the two. The solver checks
 the search interval once and then calls the unchecked kernels: Newton
 steps evaluate only L_w' and L_w'' (``_newton_block``), everything else
-the full rows (``_rows``). It runs plain Newton iterations from several
-starts, clamps iterates into the search interval, applies the boundary
-reporting rule, and verifies the selected maximizer against a grid. The
-grid scan is bounded: s0 = mean(w / d) is convex and mean(log d) concave in
-eta, so tangents of the one and the chord of the other bound L_w on each
-interval between scored points. The scan scores a coarse level of points,
-then a finer level inside the intervals whose bound reaches the best score,
-then in full only the finer intervals that still reach it. The solver
-starts the best score at its own optimum plus the verification tolerance,
-so only grid points that could override Newton are looked for. The module
-keeps no state.
+the full rows (``_rows``). The solver is branch and bound on the whole
+interval (Shubert's method with a sharper bound): s0 = mean(w / d) is
+convex and mean(log d) concave in eta, so tangents of the one and the
+chord of the other bound L_w on each interval between scored knots
+(``_interval_bounds``). Intervals whose bound lies more than _GAP_TOL
+above the best knot are bisected until none is left, and one Newton run
+from the best knot polishes it. The largest remaining bound certifies how
+far any eta can beat the answer. The module keeps no state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,21 +51,18 @@ _FLAT_SPECTRUM_TOL = 1e-12
 _MAX_ITER = 20
 _TOL = 1e-8
 
-# The returned eta may score at most _VERIFY_TOL below the best point of a
-# grid with spacing _VERIFY_GRID_STEP.
-_VERIFY_GRID_STEP = 1e-3
-_VERIFY_TOL = 1e-6
+# The solver scores _KNOTS equally spaced points of the search interval,
+# then bisects until no interval's bound exceeds the best score by more
+# than _GAP_TOL, for at most _MAX_ROUNDS rounds: by then the intervals next
+# to the best points are at float spacing.
+_KNOTS = 9
+_GAP_TOL = 1e-6
+_MAX_ROUNDS = 50
 
 # ``_rows`` walks its etas in blocks of about this many (eta x n)
 # elements, so each temporary stays in cache instead of costing a fresh
 # page-faulted allocation per grid pass.
 _BLOCK_ELEMENTS = 1 << 15
-
-# The bounded grid scan scores every _TOP_STRIDE-th grid point (and the
-# last) first, then every _MID_STRIDE-th point inside the intervals that can
-# still win, then the points between those only where they can win.
-_TOP_STRIDE = 128
-_MID_STRIDE = 16
 
 
 def _prepare(lambdas, y_rot) -> tuple[np.ndarray, np.ndarray, float]:
@@ -228,28 +222,19 @@ def d2loglik(eta: float, lambdas, y_rot) -> float:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton solver settings.
+    """Solver settings.
 
-    ``delta`` bounds the search interval [0, 1 - delta]; ``inits`` are the
-    multi-start initializations; fits pinned at the upper boundary report
-    ``upper = 1 - delta``. The iteration budget (20 steps), step tolerance
-    (1e-8) and verification grid (step 1e-3, tolerance 1e-6) are fixed.
+    ``delta`` bounds the search interval [0, 1 - delta]; fits at the upper
+    boundary report ``upper = 1 - delta``. The certificate tolerance (1e-6)
+    and the Newton polish's budget (20 steps) and step tolerance (1e-8) are
+    fixed.
     """
 
     delta: float = 0.01
-    inits: tuple[float, ...] = (0.1, 0.5, 0.9)
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
             raise ConfigurationError(f"delta must be in (0, 0.5), got {self.delta}")
-        upper = 1.0 - self.delta
-        if not self.inits:
-            raise ConfigurationError("at least one initialization is required")
-        for e0 in self.inits:
-            if not 0.0 < e0 < upper:
-                raise ConfigurationError(
-                    f"initialization {e0} outside the open interval (0, {upper})"
-                )
 
     @property
     def upper(self) -> float:
@@ -258,24 +243,35 @@ class SolverConfig:
 
 @dataclass
 class SolverResult:
-    """Outcome of a multi-start Newton maximization."""
+    """Outcome of a certified maximization.
+
+    No eta in [0, 1 - delta] scores more than ``gap`` above ``eta_hat``.
+    ``newton_steps`` and ``converged`` describe the Newton polish, and
+    ``rows`` counts the likelihood rows the solve evaluated.
+    """
 
     eta_hat: float
     sigma2_hat: float
-    iterations_per_start: tuple[int, ...]
-    converged: tuple[bool, ...]
-    chosen_start: int
+    newton_steps: int
+    converged: bool
     clamped: bool
+    gap: float
+    rows: int
 
     def summary(self) -> dict:
-        return {
-            "eta_hat": self.eta_hat,
-            "sigma2_hat": self.sigma2_hat,
-            "iterations_per_start": list(self.iterations_per_start),
-            "converged": list(self.converged),
-            "chosen_start": self.chosen_start,
-            "clamped": self.clamped,
-        }
+        return asdict(self)
+
+    @property
+    def iterations_per_start(self) -> tuple[int]:
+        """``(newton_steps,)``, read-only; ``bench/tracer.py`` reads it until
+        it moves to ``newton_steps`` (ROADMAP item 5)."""
+        return (self.newton_steps,)
+
+    @property
+    def chosen_start(self) -> int:
+        """Always 0, read-only; ``bench/tracer.py`` reads it until it moves
+        to ``newton_steps`` (ROADMAP item 5)."""
+        return 0
 
 
 def _interval_bounds(x, s0, ld, score, t) -> np.ndarray:
@@ -297,102 +293,40 @@ def _interval_bounds(x, s0, ld, score, t) -> np.ndarray:
     return np.maximum(np.maximum(score[:-1], score[1:]), cross)
 
 
-def _grid_argmax(
-    upper: float, step: float, lam, w, floor: float = -math.inf
-) -> tuple[float, float]:
-    """Best point of a uniform grid on [0, upper] and its L_w; ties go to the lowest eta.
+def _newton(eta: float, upper: float, c, w) -> tuple[float, int, bool]:
+    """Newton from ``eta`` with iterates clipped into [0, upper].
 
-    Only rows that can reach ``floor`` matter: when the best row scores at
-    least ``floor``, the result equals a full scan's bits; otherwise the
-    returned score is below ``floor`` and its eta is arbitrary. The scan
-    scores every _TOP_STRIDE-th point and the last at order 1, then every
-    _MID_STRIDE-th point inside the intervals whose ``_interval_bounds``
-    reach the best score (or ``floor``, if higher) less 1e-9, then the
-    remaining points of the finer intervals in decreasing bound until the
-    next bound falls below that mark. Every row that could win or tie is
-    scored, so ``floor=-inf`` gives the exhaustive argmax.
+    ``c = lam - 1`` must give positive denominators at ``upper``: each d_i
+    is monotone in eta, so that one check covers every step. Returns the
+    final eta, the number of L'/L'' evaluations and whether the run
+    converged: it stops on a step below _TOL (converged), on a zero or
+    non-finite L'' or step (failed, eta kept), or after _MAX_ITER steps.
     """
-    count = int(np.floor(upper / step + 1e-9))
-    grid = np.linspace(0.0, count * step, count + 1)
-    if upper - grid[-1] > 1e-12:
-        grid = np.append(grid, upper)
-    c = lam - 1.0
-    _check_denominators(upper, c, lam)
-    last = grid.size - 1
-    knots = np.append(np.arange(0, last, _TOP_STRIDE), last)
-    rows = _rows(grid[knots], c, w, 1)[:4]
-    best = max(floor, float(rows[2].max()))
-    bound = _interval_bounds(grid[knots], *rows)
-    mid = [np.arange(a + _MID_STRIDE, b, _MID_STRIDE)
-           for a, b, top in zip(knots[:-1], knots[1:], bound) if top >= best - 1e-9]
-    mid = np.concatenate([knots[:0], *mid])
-    if mid.size:
-        more = _rows(grid[mid], c, w, 1)[:4]
-        best = max(best, float(more[2].max()))
-        merged = np.concatenate([knots, mid])
-        order = np.argsort(merged)
-        knots = merged[order]
-        rows = [np.concatenate(pair)[order] for pair in zip(rows, more)]
-        bound = _interval_bounds(grid[knots], *rows)
-    scores = np.full(grid.size, -np.inf)
-    scores[knots] = rows[2]
-    for j in np.argsort(-bound, kind="stable"):
-        if bound[j] < best - 1e-9:
-            break
-        if knots[j] + 1 < knots[j + 1]:
-            inner = _rows(grid[knots[j] + 1 : knots[j + 1]], c, w, 0)[2]
-            scores[knots[j] + 1 : knots[j + 1]] = inner
-            best = max(best, float(inner.max()))
-    i = int(np.argmax(scores))
-    return float(grid[i]), float(scores[i])
-
-
-def _newton(starts, upper: float, c, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Newton from every start in lockstep, one ``_newton_block`` pass per step.
-
-    ``c = lam - 1`` must give positive denominators at ``upper``: iterates
-    are clipped into [0, upper] and each d_i is monotone in eta, so that
-    one check covers every step. Returns each start's final eta, step count
-    and convergence flag. A start stops on a step below _TOL (converged),
-    on a zero or non-finite L'' or step (failed, eta kept), or after
-    _MAX_ITER steps.
-    """
-    eta = np.array(starts, dtype=np.float64)
-    steps = np.zeros(eta.size, dtype=np.int64)
-    converged = np.zeros(eta.size, dtype=bool)
-    active = np.arange(eta.size)
-    for _ in range(_MAX_ITER):
-        if not active.size:
-            break
-        d1, d2 = _newton_block(eta[active], c, w)
+    for steps in range(1, _MAX_ITER + 1):
+        d1, d2 = _newton_block(np.array([eta]), c, w)
         with np.errstate(all="ignore"):
-            step = d1 / d2
-        ok = np.isfinite(d2) & (d2 != 0.0) & np.isfinite(step)
-        active, step = active[ok], step[ok]
-        new = np.clip(eta[active] - step, 0.0, upper)
-        steps[active] += 1
-        done = np.abs(new - eta[active]) < _TOL
-        eta[active] = new
-        converged[active[done]] = True
-        active = active[~done]
-    return eta, steps, converged
+            step = float(d1[0] / d2[0])
+        if not (math.isfinite(d2[0]) and d2[0] != 0.0 and math.isfinite(step)):
+            return eta, steps, False
+        new = min(max(eta - step, 0.0), upper)
+        if abs(new - eta) < _TOL:
+            return new, steps, True
+        eta = new
+    return eta, _MAX_ITER, False
 
 
 def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverResult:
-    """Maximize the profile log-likelihood by multi-start Newton-Raphson.
+    """Maximize the profile log-likelihood on [0, 1 - delta], with a certificate.
 
-    Each start iterates eta <- eta - L'(eta)/L''(eta) with iterates clamped
-    into [0, 1 - delta], stopping on a step below 1e-8 or after 20 steps;
-    all starts step in lockstep. A run pinned at the upper boundary reports
-    1 - delta with ``clamped=True``. The candidate farthest from the
-    boundaries (largest min(eta, 1 - delta - eta)), then with the higher
-    log-likelihood, wins; starts whose eta agree with it within 1e-8 tie,
-    and the lowest start index among them is chosen. If the winner scores
-    more than 1e-6 below the best point of a grid of step 1e-3, Newton
-    restarts there and the better of the restart and the grid point is
-    returned with ``chosen_start=-1``. The grid scan is floored at the
-    winner's score plus 1e-6, so it scores only the rows that could
-    trigger that override.
+    Branch and bound scores 9 equally spaced knots, then bisects every
+    interval whose ``_interval_bounds`` bound exceeds the best knot score by
+    more than 1e-6, scoring all new midpoints at once, until no such
+    interval is left. Newton (at most 20 steps, step tolerance 1e-8)
+    polishes the best knot, and the polished point is kept if it scores at
+    least as high. An estimate at or above 1 - delta - 1e-12 reports
+    1 - delta with ``clamped=True``. ``gap`` is the largest bound less the
+    returned score, clipped at 0: no eta in the interval beats the answer
+    by more.
     """
     cfg = cfg or SolverConfig()
     lam, w, m = _prepare(lambdas, y_rot)
@@ -403,65 +337,54 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
         )
 
     upper = cfg.upper
-    boundary_tol = 1e-12
     # Every eta the solve evaluates lies in [0, upper].
     _check_denominators(upper, c, lam)
 
-    candidates, iterations, converged = _newton(cfg.inits, upper, c, w)
+    knots = np.linspace(0.0, upper, _KNOTS)
+    rows = _rows(knots, c, w, 1)[:4]
+    # Next to a denominator near 0 at ``upper`` the bound stays open even at
+    # float spacing; _MAX_ROUNDS ends the search there, and ``gap`` says so.
+    for _ in range(_MAX_ROUNDS):
+        bound = _interval_bounds(knots, *rows)
+        split = np.flatnonzero(bound > rows[2].max() + _GAP_TOL)
+        if not split.size:
+            break
+        mid = 0.5 * (knots[split] + knots[split + 1])
+        knots = np.insert(knots, split + 1, mid)
+        rows = [np.insert(r, split + 1, new) for r, new in zip(rows, _rows(mid, c, w, 1))]
 
-    # Boundary-pinned runs report the upper end of the search interval.
-    pinned = candidates >= upper - boundary_tol
-    reported = np.where(pinned, upper, candidates)
-    objective = _rows(reported, c, w, 0)[2]
-    run_clamped, reported = pinned.tolist(), reported.tolist()
-    if not np.isfinite(objective).any():
-        raise NumericalFailureError("no start produced a finite log-likelihood")
-
-    # Converged starts differ only in round-off, hence the tie within _TOL.
-    starts = range(len(reported))
-    best = max(starts, key=lambda s: (min(reported[s], upper - reported[s]), objective[s]))
-    chosen = min(s for s in starts if abs(reported[s] - reported[best]) <= _TOL)
-    eta_hat = reported[chosen]
-    clamped = run_clamped[chosen]
-
-    # Post-hoc verification: the return may not sit measurably below the
-    # likelihood anywhere on a coarse grid. On failure, restart Newton from
-    # the grid argmax and keep whichever of the two scores higher. Any grid
-    # score s with objective < s - _VERIFY_TOL is at least the floor, so
-    # the floored scan returns the exhaustive argmax whenever it matters.
-    grid_eta, grid_score = _grid_argmax(
-        upper, _VERIFY_GRID_STEP, lam, w, floor=objective[chosen] + _VERIFY_TOL
-    )
-    if objective[chosen] < grid_score - _VERIFY_TOL:
-        polished = float(_newton([grid_eta], upper, c, w)[0][0])
-        polished_score = _rows(np.array([polished]), c, w, 0)[2][0]
-        eta_hat = polished if polished_score >= grid_score else grid_eta
-        clamped = eta_hat >= upper - boundary_tol
-        if clamped:
-            eta_hat = upper
-        chosen = -1
-
+    best = int(np.argmax(rows[2]))
+    polished, steps, converged = _newton(float(knots[best]), upper, c, w)
+    better = _rows(np.array([polished]), c, w, 0)[2][0] >= rows[2][best]
+    eta_hat = polished if better else float(knots[best])
+    clamped = eta_hat >= upper - 1e-12
+    if clamped:
+        eta_hat = upper
+    s0, _, score = _rows(np.array([eta_hat]), c, w, 0)
     return SolverResult(
         eta_hat=eta_hat,
-        sigma2_hat=m * float(_rows(np.array([eta_hat]), c, w, 0)[0][0]),
-        iterations_per_start=tuple(iterations.tolist()),
-        converged=tuple(converged.tolist()),
-        chosen_start=chosen,
-        clamped=bool(clamped),
+        sigma2_hat=m * float(s0[0]),
+        newton_steps=steps,
+        converged=converged,
+        clamped=clamped,
+        gap=max(0.0, float(bound.max() - score[0])),
+        rows=knots.size + steps + 2,
     )
 
 
 def grid_oracle(lambdas, y_rot, grid_step: float, delta: float = 0.01) -> float:
-    """Argmax of the profile log-likelihood over a uniform grid.
+    """Argmax of the profile log-likelihood over a uniform grid on [0, 1 - delta].
 
-    Ties resolve to the lowest eta; the bounded scan, run with no floor,
-    returns the same point as scoring every grid row. Independent of the
-    Newton iterations only: the solver's verification step runs the same
-    ``_grid_argmax`` scan, floored at its own optimum.
+    The grid steps by ``grid_step`` from 0 and ends at 1 - delta. Every
+    point is scored with ``loglik_grid`` and ties resolve to the lowest eta,
+    so the oracle shares no search code with ``newton_estimate``.
     """
     if not 0.0 < grid_step <= 0.01:
         raise ConfigurationError(f"grid_step must be in (0, 0.01], got {grid_step}")
-    if not 0.0 < delta < 0.5:
-        raise ConfigurationError(f"delta must be in (0, 0.5), got {delta}")
-    lam, w, _ = _prepare(lambdas, y_rot)
-    return _grid_argmax(1.0 - delta, grid_step, lam, w)[0]
+    upper = SolverConfig(delta=delta).upper
+    count = int(np.floor(upper / grid_step + 1e-9))
+    grid = np.linspace(0.0, count * grid_step, count + 1)
+    if upper - grid[-1] > 1e-12:
+        grid = np.append(grid, upper)
+    grid[-1] = upper  # not count * grid_step, which may round past it
+    return float(grid[np.argmax(loglik_grid(grid, lambdas, y_rot))])

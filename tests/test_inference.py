@@ -335,15 +335,16 @@ def test_report_document_shares_no_mutable_value(small_instance):
     report = build_report(lam, y, n_markers=120, solver_result=newton_estimate(lam, y))
     solver = copy.deepcopy(report.solver)
     doc = report.to_dict()
-    doc["solver"]["converged"].append(False)
-    doc["solver"]["chosen_start"] = 99
+    doc["solver"]["converged"] = not doc["solver"]["converged"]
+    doc["solver"]["rows"] = 99
     assert report.solver == solver
     assert report.to_dict()["solver"] == solver
 
 
 # (seed, n, N, eta*) -> the report fields shared by every (q, level), the
 # three sparse fields at q = 0.5, and (ci_lo, ci_hi) per (q, level); recorded
-# before to_dict was built from the dataclass fields.
+# before to_dict was built from the dataclass fields, and again when the
+# certified solver moved the last bits of case "a-2".
 GOLDEN_REPORTS = [
     pytest.param(
         (1, 800, 1600, 0.5),
@@ -351,8 +352,8 @@ GOLDEN_REPORTS = [
          "gamma_n2": 0.5555445644324328, "se_q1": 0.0670827029110982},
         {"a": 0.5, "n": 800, "N": 1600,
          "solver": {"eta_hat": 0.47434550067655, "sigma2_hat": 1.0324859443863175,
-                    "iterations_per_start": [5, 4, 7], "converged": [True, True, True],
-                    "chosen_start": 0, "clamped": False}},
+                    "newton_steps": 3, "converged": True, "clamped": False,
+                    "gap": 7.544592842412268e-07, "rows": 25}},
         {"q_assumed": 0.5, "tau_n2": 3.6466997412604636, "se_sparse": 0.06751573651065046},
         {(None, 0.9): (0.36400427348752207, 0.584686727865578),
          (None, 0.95): (0.3428658189851973, 0.6058251823679027),
@@ -364,19 +365,19 @@ GOLDEN_REPORTS = [
     ),
     pytest.param(
         (2, 600, 300, 0.4),
-        {"eta_hat": 0.42614537542776565, "sigma2_hat": 0.921504150264249,
+        {"eta_hat": 0.4261453754277656, "sigma2_hat": 0.9215041502642491,
          "gamma_n2": 0.5306075397054457, "se_q1": 0.07925974380792587},
         {"a": 2.0, "n": 600, "N": 300,
-         "solver": {"eta_hat": 0.42614537542776565, "sigma2_hat": 0.921504150264249,
-                    "iterations_per_start": [4, 4, 7], "converged": [True, True, True],
-                    "chosen_start": 0, "clamped": False}},
+         "solver": {"eta_hat": 0.4261453754277656, "sigma2_hat": 0.9215041502642491,
+                    "newton_steps": 3, "converged": True, "clamped": False,
+                    "gap": 7.448099278162257e-07, "rows": 26}},
         {"q_assumed": 0.5, "tau_n2": 4.486894179246842, "se_sparse": 0.08647633760406025},
-        {(None, 0.9): (0.29577469835405434, 0.556516052501477),
-         (None, 0.95): (0.27079913214035944, 0.5814916187151719),
-         (None, 0.99): (0.22198580473553173, 0.6303049461199995),
-         (0.5, 0.9): (0.28390445787424723, 0.5683862929812841),
-         (0.5, 0.95): (0.25665486820888084, 0.5956358826466505),
-         (0.5, 0.99): (0.2033970909636396, 0.6488936598918917)},
+        {(None, 0.9): (0.2957746983540543, 0.556516052501477),
+         (None, 0.95): (0.27079913214035933, 0.5814916187151719),
+         (None, 0.99): (0.22198580473553167, 0.6303049461199995),
+         (0.5, 0.9): (0.2839044578742472, 0.568386292981284),
+         (0.5, 0.95): (0.25665486820888084, 0.5956358826466503),
+         (0.5, 0.99): (0.20339709096363953, 0.6488936598918916)},
         id="a-2",
     ),
     pytest.param(
@@ -385,8 +386,8 @@ GOLDEN_REPORTS = [
          "gamma_n2": 3.210525133324188, "se_q1": 0.07892724809028384},
         {"a": 0.1, "n": 100, "N": 1000,
          "solver": {"eta_hat": 0.99, "sigma2_hat": 0.8466495211070313,
-                    "iterations_per_start": [20, 20, 20], "converged": [False, False, False],
-                    "chosen_start": -1, "clamped": True}},
+                    "newton_steps": 20, "converged": False, "clamped": True,
+                    "gap": 0.0, "rows": 31}},
         {"q_assumed": 0.5, "tau_n2": 0.6229539894105215, "se_sparse": 0.07892743435653547},
         {(None, 0.9): (0.860176229713398, 1.0),
          (None, 0.95): (0.835305436344186, 1.0),

@@ -121,7 +121,7 @@ def test_genotype_sampler_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * W.entries.nbytes
+    assert peak <= 1.5 * W.entries.nbytes
 
 
 def test_effect_scale_examples():
