@@ -16,20 +16,20 @@ is L with w in place of y^2. ``_prepare`` validates and forms these once and
 derivatives over it; the public functions wrap the two. The solver checks
 the search interval once and then calls the unchecked kernels: Newton
 steps evaluate only L_w' and L_w'' (``_newton_block``), everything else
-the full rows (``_rows``). The solver is branch and bound on the whole
-interval (Shubert's method with a sharper bound): s0 = mean(w / d) is
-convex and mean(log d) concave in eta, so tangents of the one and the
-chord of the other bound L_w on each interval between scored knots
-(``_interval_bounds``). Intervals whose bound lies more than _GAP_TOL
-above the best knot are bisected until none is left, and one Newton run
-from the best knot polishes it. The largest remaining bound certifies how
-far any eta can beat the answer. The module keeps no state.
+the full rows (``_rows``). The solver polishes first and certifies once:
+Newton runs from the best of 9 knots to p, one pass scores p and a ladder
+around it, and branch and bound (Shubert's method with a sharper bound)
+covers the rest: s0 = mean(w / d) is convex and mean(log d) concave in
+eta, so tangents of the one and the chord of the other bound L_w on each
+interval between scored points (``_interval_bounds``). Intervals whose
+bound exceeds the best score by more than _GAP_TOL are bisected, and the
+largest bound certifies the answer. The module keeps no state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,11 +51,12 @@ _FLAT_SPECTRUM_TOL = 1e-12
 _MAX_ITER = 20
 _TOL = 1e-8
 
-# The solver scores _KNOTS equally spaced points of the search interval,
-# then bisects until no interval's bound exceeds the best score by more
-# than _GAP_TOL, for at most _MAX_ROUNDS rounds: by then the intervals next
-# to the best points are at float spacing.
+# The solver scores _KNOTS equally spaced points, then Newton's optimum p
+# and p + h _LADDER (h the knot spacing), and bisects until no interval's
+# bound exceeds the best score by more than _GAP_TOL, for at most
+# _MAX_ROUNDS rounds: by then intervals next to the best are at float spacing.
 _KNOTS = 9
+_LADDER = np.array([0.0, *(s * 2.5**-k for k in range(1, 7) for s in (1.0, -1.0))])
 _GAP_TOL = 1e-6
 _MAX_ROUNDS = 50
 
@@ -246,8 +247,8 @@ class SolverResult:
     """Outcome of a certified maximization.
 
     No eta in [0, 1 - delta] scores more than ``gap`` above ``eta_hat``.
-    ``newton_steps`` and ``converged`` describe the Newton polish, and
-    ``rows`` counts the likelihood rows the solve evaluated.
+    ``newton_steps`` sums every Newton run's steps, ``converged`` is the
+    last run's, and ``rows`` counts the likelihood rows the solve evaluated.
     """
 
     eta_hat: float
@@ -259,7 +260,7 @@ class SolverResult:
     rows: int
 
     def summary(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # every field is a flat scalar
 
     @property
     def iterations_per_start(self) -> tuple[int]:
@@ -274,34 +275,38 @@ class SolverResult:
         return 0
 
 
-def _interval_bounds(x, s0, ld, score, t) -> np.ndarray:
-    """Upper bound of L_w on each interval [a, b] between neighbouring knots ``x``.
+def _interval_bounds(a, b) -> np.ndarray:
+    """Upper bound of L_w on each interval [a, b], from the table columns of its ends.
 
     s0 = mean(w / d) is convex in eta, so it lies above T, the larger of its
     tangents at a and b, and mean(log d) is concave, so it lies above its
     chord C. Hence L_w <= -log T - C, which is convex on each piece of T
     and peaks at a, b or where the tangents cross.
     """
-    slope = -t * s0
-    span = np.diff(x)
+    slope_a, slope_b = -a[4] * a[1], -b[4] * b[1]
+    span = b[0] - a[0]
     with np.errstate(all="ignore"):
         # Where the tangents at a and b cross, as a fraction of [a, b].
-        u = (s0[1:] - s0[:-1] - slope[1:] * span) / ((slope[:-1] - slope[1:]) * span)
+        u = (b[1] - a[1] - slope_b * span) / ((slope_a - slope_b) * span)
         u = np.fmin(np.fmax(u, 0.0), 1.0)  # nan (0 / 0) -> 0
-        low = s0[:-1] + slope[:-1] * span * u
-        cross = np.where(low > 0.0, -np.log(low) - (ld[:-1] + (ld[1:] - ld[:-1]) * u), np.inf)
-    return np.maximum(np.maximum(score[:-1], score[1:]), cross)
+        low = a[1] + slope_a * span * u
+        cross = np.where(low > 0.0, -np.log(low) - (a[2] + (b[2] - a[2]) * u), np.inf)
+    return np.maximum(np.maximum(a[3], b[3]), cross)
 
 
-def _newton(eta: float, upper: float, c, w) -> tuple[float, int, bool]:
-    """Newton from ``eta`` with iterates clipped into [0, upper].
+def _newton(start: np.ndarray, upper: float, c, w) -> tuple[float, int, bool]:
+    """Newton from the solver table column ``start``, clipped into [0, upper].
 
     ``c = lam - 1`` must give positive denominators at ``upper``: each d_i
-    is monotone in eta, so that one check covers every step. Returns the
-    final eta, the number of L'/L'' evaluations and whether the run
-    converged: it stops on a step below _TOL (converged), on a zero or
-    non-finite L'' or step (failed, eta kept), or after _MAX_ITER steps.
+    is monotone in eta, so that one check covers every step. A start at 0
+    with L' <= 0 or at ``upper`` with L' >= 0 is optimal there: no step,
+    converged. Otherwise the run stops on a step below _TOL (converged), on
+    a zero or non-finite L'' or step (failed, eta kept), or after _MAX_ITER
+    steps. Returns the final eta, the step count and the converged flag.
     """
+    eta = float(start[0])
+    if (eta == 0.0 and start[5] <= 0.0) or (eta == upper and start[5] >= 0.0):
+        return eta, 0, True
     for steps in range(1, _MAX_ITER + 1):
         d1, d2 = _newton_block(np.array([eta]), c, w)
         with np.errstate(all="ignore"):
@@ -318,15 +323,15 @@ def _newton(eta: float, upper: float, c, w) -> tuple[float, int, bool]:
 def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverResult:
     """Maximize the profile log-likelihood on [0, 1 - delta], with a certificate.
 
-    Branch and bound scores 9 equally spaced knots, then bisects every
-    interval whose ``_interval_bounds`` bound exceeds the best knot score by
-    more than 1e-6, scoring all new midpoints at once, until no such
-    interval is left. Newton (at most 20 steps, step tolerance 1e-8)
-    polishes the best knot, and the polished point is kept if it scores at
-    least as high. An estimate at or above 1 - delta - 1e-12 reports
-    1 - delta with ``clamped=True``. ``gap`` is the largest bound less the
-    returned score, clipped at 0: no eta in the interval beats the answer
-    by more.
+    Scores 9 equally spaced knots, runs Newton (at most 20 steps, step
+    tolerance 1e-8) from the best one to p, and scores p and the ladder
+    p +- h / 2.5^k, k = 1..6 (h the knot spacing) in one pass. Branch and
+    bound then bisects, a vectorized pass per round, every interval whose
+    ``_interval_bounds`` bound exceeds the best score by more than 1e-6.
+    Should a point other than p score best, Newton polishes it too, kept if
+    it scores at least as high. An estimate at or above 1 - delta - 1e-12
+    reports 1 - delta, ``clamped=True``. ``gap`` is the largest bound less
+    the returned score, clipped at 0.
     """
     cfg = cfg or SolverConfig()
     lam, w, m = _prepare(lambdas, y_rot)
@@ -340,35 +345,45 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
     # Every eta the solve evaluates lies in [0, upper].
     _check_denominators(upper, c, lam)
 
-    knots = np.linspace(0.0, upper, _KNOTS)
-    rows = _rows(knots, c, w, 1)[:4]
-    # Next to a denominator near 0 at ``upper`` the bound stays open even at
-    # float spacing; _MAX_ROUNDS ends the search there, and ``gap`` says so.
-    for _ in range(_MAX_ROUNDS):
-        bound = _interval_bounds(knots, *rows)
-        split = np.flatnonzero(bound > rows[2].max() + _GAP_TOL)
-        if not split.size:
-            break
-        mid = 0.5 * (knots[split] + knots[split + 1])
-        knots = np.insert(knots, split + 1, mid)
-        rows = [np.insert(r, split + 1, new) for r, new in zip(rows, _rows(mid, c, w, 1))]
+    def table(etas):  # rows eta, s0, mean(log d), L_w, t, L_w'; a column per eta
+        return np.array([etas, *_rows(etas, c, w, 1)])
 
-    best = int(np.argmax(rows[2]))
-    polished, steps, converged = _newton(float(knots[best]), upper, c, w)
-    better = _rows(np.array([polished]), c, w, 0)[2][0] >= rows[2][best]
-    eta_hat = polished if better else float(knots[best])
+    knots = table(np.linspace(0.0, upper, _KNOTS))
+    p, steps, converged = _newton(knots[:, np.argmax(knots[3])], upper, c, w)
+    ladder = p + knots[0, 1] * _LADDER  # kept inside (0, upper): both ends are knots
+    scored = np.hstack([knots, table(ladder[(ladder > 0.0) & (ladder < upper)])])
+    scored = scored[:, np.argsort(scored[0])]
+
+    # The best score only rises, so an interval within _GAP_TOL of it stays
+    # closed and only live ones are carried. _MAX_ROUNDS ends the search next
+    # to a denominator near 0 at ``upper``, where the bound cannot close.
+    lo, hi = scored[:, :-1], scored[:, 1:]
+    for _ in range(_MAX_ROUNDS):
+        live = _interval_bounds(lo, hi) > scored[3].max() + _GAP_TOL
+        if not live.any():
+            break
+        mid = table(0.5 * (lo[0, live] + hi[0, live]))
+        scored = np.hstack([scored, mid])
+        lo, hi = np.hstack([lo[:, live], mid]), np.hstack([mid, hi[:, live]])
+    scored = scored[:, np.argsort(scored[0])]
+    top = _interval_bounds(scored[:, :-1], scored[:, 1:]).max()
+
+    eta_hat, best = p, scored[:, np.argmax(scored[3])]
+    if best[0] != p:  # a multimodal likelihood, or a failed first run
+        polished, more, converged = _newton(best, upper, c, w)
+        scored, steps = np.hstack([scored, table(np.array([polished]))]), steps + more
+        eta_hat = polished if scored[3, -1] >= best[3] else float(best[0])
     clamped = eta_hat >= upper - 1e-12
-    if clamped:
-        eta_hat = upper
-    s0, _, score = _rows(np.array([eta_hat]), c, w, 0)
+    eta_hat = upper if clamped else eta_hat
+    s0, score = scored[[1, 3], np.flatnonzero(scored[0] == eta_hat)[0]]
     return SolverResult(
         eta_hat=eta_hat,
-        sigma2_hat=m * float(s0[0]),
+        sigma2_hat=m * float(s0),
         newton_steps=steps,
         converged=converged,
         clamped=clamped,
-        gap=max(0.0, float(bound.max() - score[0])),
-        rows=knots.size + steps + 2,
+        gap=max(0.0, float(top - score)),
+        rows=scored.shape[1] + steps,
     )
 
 

@@ -1,7 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from specherit import SimulationConfig, decompose, replicate_rng, simulate_cohort
+from specherit import SimulationConfig, decompose, replicate_rng, run_replicate, simulate_cohort
+
+MASTER_SEED = 12345
 
 
 def riemann_mp(a, f, points=10**7):
@@ -38,6 +42,21 @@ def simulated_spectrum(seed, n, N, eta_star, q=1.0, design="genotype"):
     cohort = simulate_cohort(config, replicate=0, design=design)
     spec = decompose(cohort.Z, cohort.Y)
     return spec.lambdas, spec.y_rot
+
+
+@lru_cache(maxsize=None)
+def cell(eta_star, a, q, n, reps, design):
+    """The replicate records of one Monte-Carlo cell, drawn once per session
+    from MASTER_SEED and shared by every test that reads the cell."""
+    records = []
+    for rep in range(reps):
+        record = run_replicate(
+            SimulationConfig(n=n, N=round(n / a), eta_star=eta_star, q=q, seed=MASTER_SEED),
+            rep, design=design,
+        )
+        assert record.error == "", record.error
+        records.append(record)
+    return tuple(records)
 
 
 @pytest.fixture(scope="session")

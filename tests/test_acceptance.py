@@ -11,14 +11,12 @@ Run with `pytest -s tests/test_acceptance.py -v` to see the criterion lines.
 """
 
 import time
-from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from specherit import (
-    SimulationConfig,
     d2loglik,
     dloglik,
     grid_oracle,
@@ -26,13 +24,10 @@ from specherit import (
     mp_check,
     newton_estimate,
     replicate_rng,
-    run_replicate,
 )
 from specherit.spectral import MPLaw, mp_integrate
 
-from conftest import riemann_mp, simulated_spectrum
-
-MASTER_SEED = 12345
+from conftest import MASTER_SEED, cell, riemann_mp, simulated_spectrum
 
 
 def _report(num, ok, detail):
@@ -42,19 +37,6 @@ def _report(num, ok, detail):
 
 def _info(text):
     print(f"[acceptance] INFO (not asserted): {text}")
-
-
-@lru_cache(maxsize=None)
-def cell(eta_star, a, q, n, reps, design):
-    records = []
-    for rep in range(reps):
-        record = run_replicate(
-            SimulationConfig(n=n, N=round(n / a), eta_star=eta_star, q=q, seed=MASTER_SEED),
-            rep, design=design,
-        )
-        assert record.error == "", record.error
-        records.append(record)
-    return tuple(records)
 
 
 def _eta_hats(records):

@@ -30,7 +30,7 @@ from specherit import (
     var_quadform_oracle,
 )
 
-from conftest import riemann_mp, seeded_spectrum
+from conftest import cell, riemann_mp, seeded_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -344,7 +344,8 @@ def test_report_document_shares_no_mutable_value(small_instance):
 # (seed, n, N, eta*) -> the report fields shared by every (q, level), the
 # three sparse fields at q = 0.5, and (ci_lo, ci_hi) per (q, level); recorded
 # before to_dict was built from the dataclass fields, and again when the
-# certified solver moved the last bits of case "a-2".
+# certified solver, and later its polish-first order, moved the last bits
+# of case "a-2".
 GOLDEN_REPORTS = [
     pytest.param(
         (1, 800, 1600, 0.5),
@@ -352,8 +353,8 @@ GOLDEN_REPORTS = [
          "gamma_n2": 0.5555445644324328, "se_q1": 0.0670827029110982},
         {"a": 0.5, "n": 800, "N": 1600,
          "solver": {"eta_hat": 0.47434550067655, "sigma2_hat": 1.0324859443863175,
-                    "newton_steps": 3, "converged": True, "clamped": False,
-                    "gap": 7.544592842412268e-07, "rows": 25}},
+                    "newton_steps": 4, "converged": True, "clamped": False,
+                    "gap": 3.752363797460134e-08, "rows": 26}},
         {"q_assumed": 0.5, "tau_n2": 3.6466997412604636, "se_sparse": 0.06751573651065046},
         {(None, 0.9): (0.36400427348752207, 0.584686727865578),
          (None, 0.95): (0.3428658189851973, 0.6058251823679027),
@@ -365,19 +366,19 @@ GOLDEN_REPORTS = [
     ),
     pytest.param(
         (2, 600, 300, 0.4),
-        {"eta_hat": 0.4261453754277656, "sigma2_hat": 0.9215041502642491,
+        {"eta_hat": 0.42614537542776576, "sigma2_hat": 0.921504150264249,
          "gamma_n2": 0.5306075397054457, "se_q1": 0.07925974380792587},
         {"a": 2.0, "n": 600, "N": 300,
-         "solver": {"eta_hat": 0.4261453754277656, "sigma2_hat": 0.9215041502642491,
-                    "newton_steps": 3, "converged": True, "clamped": False,
-                    "gap": 7.448099278162257e-07, "rows": 26}},
-        {"q_assumed": 0.5, "tau_n2": 4.486894179246842, "se_sparse": 0.08647633760406025},
-        {(None, 0.9): (0.2957746983540543, 0.556516052501477),
-         (None, 0.95): (0.27079913214035933, 0.5814916187151719),
-         (None, 0.99): (0.22198580473553167, 0.6303049461199995),
-         (0.5, 0.9): (0.2839044578742472, 0.568386292981284),
-         (0.5, 0.95): (0.25665486820888084, 0.5956358826466503),
-         (0.5, 0.99): (0.20339709096363953, 0.6488936598918916)},
+         "solver": {"eta_hat": 0.42614537542776576, "sigma2_hat": 0.921504150264249,
+                    "newton_steps": 4, "converged": True, "clamped": False,
+                    "gap": 3.6950563025994754e-08, "rows": 27}},
+        {"q_assumed": 0.5, "tau_n2": 4.486894179246841, "se_sparse": 0.08647633760406023},
+        {(None, 0.9): (0.29577469835405445, 0.5565160525014771),
+         (None, 0.95): (0.27079913214035956, 0.581491618715172),
+         (None, 0.99): (0.22198580473553184, 0.6303049461199997),
+         (0.5, 0.9): (0.28390445787424734, 0.5683862929812842),
+         (0.5, 0.95): (0.256654868208881, 0.5956358826466506),
+         (0.5, 0.99): (0.20339709096363975, 0.6488936598918917)},
         id="a-2",
     ),
     pytest.param(
@@ -386,8 +387,8 @@ GOLDEN_REPORTS = [
          "gamma_n2": 3.210525133324188, "se_q1": 0.07892724809028384},
         {"a": 0.1, "n": 100, "N": 1000,
          "solver": {"eta_hat": 0.99, "sigma2_hat": 0.8466495211070313,
-                    "newton_steps": 20, "converged": False, "clamped": True,
-                    "gap": 0.0, "rows": 31}},
+                    "newton_steps": 0, "converged": True, "clamped": True,
+                    "gap": 0.0, "rows": 15}},
         {"q_assumed": 0.5, "tau_n2": 0.6229539894105215, "se_sparse": 0.07892743435653547},
         {(None, 0.9): (0.860176229713398, 1.0),
          (None, 0.95): (0.835305436344186, 1.0),
@@ -434,12 +435,9 @@ def test_clt_pivot_gaussian_q1():
 
 def test_sparse_pivot_gaussian():
     # sparse pivot sqrt(n) (eta_hat - eta*) / tau_n at q = 0.5, a = 0.5,
-    # gaussian design; the mis-specified q=1 SE sits below the MC spread
-    records = [
-        run_replicate(SimulationConfig(n=400, N=800, eta_star=0.7, q=0.5, seed=12345),
-                      rep, design="gaussian")
-        for rep in range(300)
-    ]
+    # gaussian design; the mis-specified q=1 SE sits below the MC spread.
+    # The cell (n=400, N=800, seed 12345, 300 replicates) is criterion 04's.
+    records = cell(0.7, 0.5, 0.5, 400, 300, "gaussian")
     pivots = np.array([r.pivot_sparse for r in records])
     assert abs(pivots.mean()) < 0.25
     assert 0.7 < pivots.var() < 1.3

@@ -451,25 +451,51 @@ def test_moments_rows_do_not_depend_on_the_other_etas(n):
             assert np.array_equal(got, want[rows])
 
 
-@pytest.mark.parametrize("eta_star", [0.0, 0.5, 0.8])
-def test_solve_scores_at_most_a_twelfth_of_the_grid(monkeypatch, eta_star):
-    """Every row a solve evaluates, Newton steps included, goes through one
-    of the two kernels, and ``rows`` counts them: at most 40, well within
-    1/12 of the 991-point grid."""
-    lam, y = seeded_spectrum(seed=4, n=1500, eta=eta_star)
-    rows = []
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The eta count of each call to either kernel, per kernel name."""
+    calls = {"_moments_block": [], "_newton_block": []}
 
-    def counting(kernel):
+    def counting(name, kernel):
         def count(etas, *args):
-            rows.append(np.size(etas))
+            calls[name].append(np.size(etas))
             return kernel(etas, *args)
 
         return count
 
-    for name in ("_moments_block", "_newton_block"):
-        monkeypatch.setattr(likelihood, name, counting(getattr(likelihood, name)))
+    for name in calls:
+        monkeypatch.setattr(likelihood, name, counting(name, getattr(likelihood, name)))
+    return calls
+
+
+@pytest.mark.parametrize("eta_star", [0.0, 0.5, 0.8])
+def test_solve_scores_at_most_a_twelfth_of_the_grid(kernel_calls, eta_star):
+    """Every row a solve evaluates, Newton steps included, goes through one
+    of the two kernels, and ``rows`` counts them: at most 40, well within
+    1/12 of the 991-point grid."""
+    lam, y = seeded_spectrum(seed=4, n=1500, eta=eta_star)
     result = newton_estimate(lam, y)
-    assert result.rows == sum(rows) <= 40
+    assert result.rows == sum(map(sum, kernel_calls.values())) <= 40
+
+
+@pytest.mark.parametrize("eta_star", [0.0, 0.5, 0.8])
+def test_solve_makes_at_most_four_row_passes(kernel_calls, eta_star):
+    """The knots, Newton's optimum with its ladder and the bisection rounds
+    together take at most four ``_moments_block`` calls."""
+    lam, y = seeded_spectrum(seed=4, n=1500, eta=eta_star)
+    newton_estimate(lam, y)
+    assert len(kernel_calls["_moments_block"]) <= 4
+
+
+def test_boundary_knot_that_meets_the_optimality_condition_takes_no_newton_step(kernel_calls):
+    """Golden "zero-unconverged": the best knot is 0 with L'(0) < 0 and
+    L''(0) > 0, where Newton would walk inward for its whole budget."""
+    lam, y = seeded_spectrum(seed=3, n=5, eta=0.0)
+    assert dloglik(0.0, lam, y) < 0.0 < d2loglik(0.0, lam, y)
+    result = newton_estimate(lam, y)
+    assert result.eta_hat == 0.0
+    assert (result.newton_steps, result.converged) == (0, True)
+    assert kernel_calls["_newton_block"] == []
 
 
 # (seed, n, eta*, delta, oracle step) -> newton_estimate summary and
@@ -479,15 +505,15 @@ GOLDEN_FITS = [
     pytest.param(
         (23, 5, 0.0, 0.01, 5e-4),
         {"eta_hat": 0.9375553031837494, "sigma2_hat": 1.7678124792904737,
-         "newton_steps": 2, "converged": True, "clamped": False,
-         "gap": 5.662879979939639e-07, "rows": 31},
+         "newton_steps": 8, "converged": True, "clamped": False,
+         "gap": 5.662879979939639e-07, "rows": 49},
         0.9375,
         id="grid-override",
     ),
     pytest.param(
         (0, 5, 0.0, 0.01, 5e-4),
         {"eta_hat": 0.99, "sigma2_hat": 0.37681856059481983,
-         "newton_steps": 4, "converged": True, "clamped": True,
+         "newton_steps": 0, "converged": True, "clamped": True,
          "gap": 0.0, "rows": 15},
         0.99,
         id="grid-override-clamped",
@@ -495,40 +521,40 @@ GOLDEN_FITS = [
     pytest.param(
         (3, 5, 0.0, 0.01, 5e-4),
         {"eta_hat": 0.0, "sigma2_hat": 0.30359403135856716,
-         "newton_steps": 20, "converged": False, "clamped": False,
-         "gap": 0.0, "rows": 31},
+         "newton_steps": 0, "converged": True, "clamped": False,
+         "gap": 0.0, "rows": 15},
         0.0,
         id="zero-unconverged",
     ),
     pytest.param(
         (0, 40, 0.9, 0.01, 5e-4),
         {"eta_hat": 0.99, "sigma2_hat": 1.0758505048179363,
-         "newton_steps": 1, "converged": True, "clamped": True,
-         "gap": 0.0, "rows": 12},
+         "newton_steps": 0, "converged": True, "clamped": True,
+         "gap": 0.0, "rows": 15},
         0.99,
         id="clamped",
     ),
     pytest.param(
         (1, 1500, 0.5, 0.01, 5e-4),
         {"eta_hat": 0.5263005977927662, "sigma2_hat": 0.9751319062858537,
-         "newton_steps": 3, "converged": True, "clamped": False,
-         "gap": 7.223705523473622e-07, "rows": 27},
+         "newton_steps": 4, "converged": True, "clamped": False,
+         "gap": 3.945889287537696e-08, "rows": 26},
         0.5265,
         id="interior-n1500",
     ),
     pytest.param(
         (2, 33000, 0.5, 0.01, 1e-3),
         {"eta_hat": 0.5057315024074435, "sigma2_hat": 1.0089734382585644,
-         "newton_steps": 3, "converged": True, "clamped": False,
-         "gap": 1.6973118616148142e-07, "rows": 27},
+         "newton_steps": 4, "converged": True, "clamped": False,
+         "gap": 3.9849772925926175e-08, "rows": 26},
         0.506,
         id="interior-n-above-block",
     ),
     pytest.param(
         (1, 30, 0.5, 0.05, 5e-4),
         {"eta_hat": 0.375782397005482, "sigma2_hat": 0.8785408022117482,
-         "newton_steps": 2, "converged": True, "clamped": False,
-         "gap": 4.156241350389278e-07, "rows": 24},
+         "newton_steps": 4, "converged": True, "clamped": False,
+         "gap": 3.332749340390073e-08, "rows": 26},
         0.376,
         id="two-starts-delta-0.05",
     ),
