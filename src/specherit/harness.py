@@ -28,6 +28,7 @@ import json
 import logging
 import math
 import mmap
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -43,12 +44,14 @@ from .errors import (
     SpecheritError,
     UnidentifiableModelError,
 )
-from .inference import EstimateReport, _check_report_options, build_report
+from .inference import EstimateReport, _check_level, _check_report_options, build_report
 from .likelihood import SolverConfig, newton_estimate
 from .spectral import MPLaw, decompose, esd, mp_cdf, residualize, standardize
 from .synthcohort import (
     GenotypeMatrix,
     SimulationConfig,
+    _check_type,
+    _from_json,
     replicate_rng,
     sample_allele_frequencies,
     sample_genotypes,
@@ -430,40 +433,22 @@ class StudySpec:
     def __post_init__(self):
         if self.design not in ("genotype", "gaussian"):
             raise ConfigurationError(f"design must be genotype|gaussian, got {self.design!r}")
+        _check_type("workers", self.workers, numbers.Integral)
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         for a in self.a_grid:
+            _check_type("a grid value", a, numbers.Real)
             if not a > 0.0:
                 raise ConfigurationError(f"a grid value {a} must be positive")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ConfigurationError(f"ci_level must be in (0, 1), got {self.ci_level}")
+        _check_level(self.ci_level)
         self.cells()  # each cell's SimulationConfig checks eta_star, q and N >= 1
 
     @classmethod
     def from_json(cls, text: str) -> "StudySpec":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid study JSON: {exc}") from exc
-        if not isinstance(doc, dict) or "base" not in doc:
-            raise ConfigurationError("study spec must be a JSON object with a 'base' config")
-        extra = set(doc) - {f.name for f in fields(cls)}
-        if extra:
-            raise ConfigurationError(f"unknown study spec fields: {sorted(extra)}")
-        try:
-            return cls(
-                base=SimulationConfig(**doc["base"]),
-                eta_grid=tuple(doc.get("eta_grid", ())),
-                a_grid=tuple(doc.get("a_grid", ())),
-                q_grid=tuple(doc.get("q_grid", ())),
-                design=doc.get("design", "genotype"),
-                workers=int(doc.get("workers", 1)),
-                ci_level=float(doc.get("ci_level", 0.95)),
-            )
-        except ConfigurationError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"invalid study spec: {exc}") from exc
+        return _from_json(
+            cls, text, "study spec", ("base",), base=lambda doc: SimulationConfig(**doc),
+            eta_grid=tuple, a_grid=tuple, q_grid=tuple,
+        )
 
     def cells(self) -> list[SimulationConfig]:
         base = self.base

@@ -60,14 +60,6 @@ class StandardizedDesign:
     Z: np.ndarray
     dropped: tuple[int, ...] = ()
 
-    @property
-    def n(self) -> int:
-        return self.Z.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.Z.shape[1]
-
 
 @dataclass
 class SpectralDecomposition:
@@ -77,10 +69,6 @@ class SpectralDecomposition:
     y_rot: np.ndarray
     a: float
     eigvecs: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.lambdas.size
 
 
 def standardize(W, policy: str = "error") -> StandardizedDesign:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,6 +33,37 @@ def replicate_rng(seed: int, replicate: int = 0) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(replicate),))
     return np.random.default_rng(ss)
+
+
+def _check_type(name: str, value, kind: type) -> None:
+    """Reject a bool, or a value that is not a ``kind`` (``numbers.Integral`` or ``Real``)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
+
+
+def _from_json(cls, text: str, what: str, required: tuple[str, ...], **convert):
+    """Build the dataclass ``cls`` from a JSON object that holds ``required``.
+
+    Each keyword names a field and a function applied to its JSON value
+    first. Bad JSON, unknown fields and values that ``cls`` rejects all
+    raise :class:`ConfigurationError` naming ``what``.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"invalid {what} JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not doc.keys() >= set(required):
+        raise ConfigurationError(f"{what} must be a JSON object with {', '.join(required)}")
+    extra = doc.keys() - {f.name for f in fields(cls)}
+    if extra:
+        raise ConfigurationError(f"unknown {what} fields: {sorted(extra)}")
+    try:
+        return cls(**{k: convert[k](v) if k in convert else v for k, v in doc.items()})
+    except ConfigurationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid {what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -56,9 +87,9 @@ class SimulationConfig:
 
     def __post_init__(self):
         for name in ("n", "N", "seed", "replicates"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            _check_type(name, getattr(self, name), numbers.Integral)
+        for name in ("eta_star", "q", "sigma_star2", "freq_lo", "freq_hi"):
+            _check_type(name, getattr(self, name), numbers.Real)
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.n < 2 or self.N < 1:
@@ -81,36 +112,14 @@ class SimulationConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SimulationConfig":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid simulation config JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigurationError("simulation config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
-        if extra:
-            raise ConfigurationError(f"unknown simulation config fields: {sorted(extra)}")
-        if "n" not in doc or "N" not in doc or "eta_star" not in doc:
-            raise ConfigurationError("simulation config requires at least n, N, eta_star")
-        try:
-            return cls(**doc)
-        except ConfigurationError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"invalid simulation config: {exc}") from exc
+        return _from_json(cls, text, "simulation config", ("n", "N", "eta_star"))
 
 
 @dataclass
 class GenotypeMatrix:
-    """Raw n x N allele-count matrix with entries in {0, 1, 2}.
-
-    Allele frequencies used to generate the matrix are kept alongside as
-    metadata when available.
-    """
+    """Raw n x N allele-count matrix with entries in {0, 1, 2}."""
 
     entries: np.ndarray
-    freqs: np.ndarray | None = None
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries)
@@ -128,14 +137,6 @@ class GenotypeMatrix:
             valid = np.isin(E, (0, 1, 2)).all()
         if not valid:
             raise ConfigurationError("genotype entries must all be in {0, 1, 2}")
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass
@@ -194,7 +195,7 @@ def sample_genotypes(n: int, freqs: np.ndarray, rng: np.random.Generator) -> Gen
                 block += h
             else:
                 block[...] = h
-    return GenotypeMatrix(entries=entries, freqs=freqs)
+    return GenotypeMatrix(entries=entries)
 
 
 def effect_scale(eta_star: float, sigma_star2: float, q: float, N: int) -> tuple[float, float]:

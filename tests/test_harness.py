@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -541,6 +542,14 @@ def test_study_cells_are_simulation_configs():
     assert StudySpec(base=base).cells() == [base]
 
 
+def test_study_spec_json_round_trip():
+    # the document form of a study, as a cold `mc-study` run loads it
+    base = SimulationConfig(n=40, N=80, eta_star=0.5, q=0.5, seed=5, replicates=2)
+    spec = StudySpec(base=base, eta_grid=(0.2, 0.4), a_grid=(0.5, 2), q_grid=(1.0,),
+                     design="gaussian", workers=2, ci_level=0.9)
+    assert StudySpec.from_json(json.dumps(dataclasses.asdict(spec))) == spec
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -551,9 +560,17 @@ def test_study_cells_are_simulation_configs():
         {"worker": 2},
         {"outputs": {"replicates": "r.csv"}},
         {"eta_grid": [0.5, 1.5]},
+        {"workers": 2.7},
+        {"workers": "3"},
+        {"workers": True},
+        {"ci_level": "0.9"},
+        {"a_grid": [True]},
+        {"eta_grid": [False]},
+        {"base": {"n": 40, "N": 80, "eta_star": 0.5, "replicates": 1, "q": True}},
     ],
     ids=["workers-str", "grid-scalar", "base-n-str", "base-unknown", "unknown-key",
-         "outputs", "eta-out-of-range"],
+         "outputs", "eta-out-of-range", "workers-float", "workers-digit-str", "workers-bool",
+         "level-str", "a-bool", "eta-bool", "base-q-bool"],
 )
 def test_malformed_study_json_is_usage_error(tmp_path, capsys, overrides):
     doc = {"base": {"n": 40, "N": 80, "eta_star": 0.5, "replicates": 1}, **overrides}
@@ -569,7 +586,7 @@ def test_malformed_study_json_is_usage_error(tmp_path, capsys, overrides):
 @pytest.mark.parametrize(
     "overrides",
     [{"n": "40"}, {"replicates": [2]}, {"N": None}, {"seed": -1}, {"seed": "x"}, {"n": 30.5},
-     {"replicates": True}],
+     {"replicates": True}, {"q": True}, {"eta_star": False}, {"q": "0.5"}],
 )
 def test_malformed_config_json_is_usage_error(tmp_path, capsys, overrides):
     config = _write_config(tmp_path, **overrides)

@@ -417,6 +417,7 @@ def test_build_report_golden_values(case, fit, shape, sparse, intervals, q, leve
     assert list(doc) == list(want)  # key order is part of the report format
 
 
+@pytest.mark.slow
 def test_clt_pivot_gaussian_q1():
     # pivot gamma_n sqrt(n/2) (eta_hat - eta*) over 300 replicates at
     # eta* = 0.5, n = 500, N = 1000, gaussian design
@@ -433,6 +434,7 @@ def test_clt_pivot_gaussian_q1():
     assert 0.7 < pivots.var() < 1.3
 
 
+@pytest.mark.slow
 def test_sparse_pivot_gaussian():
     # sparse pivot sqrt(n) (eta_hat - eta*) / tau_n at q = 0.5, a = 0.5,
     # gaussian design; the mis-specified q=1 SE sits below the MC spread.

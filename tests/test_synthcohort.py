@@ -237,6 +237,8 @@ def test_config_json_round_trip_and_validation():
         SimulationConfig(n=10, N=20, eta_star=0.5, q=0.0)
     with pytest.raises(ConfigurationError):
         SimulationConfig(n=10, N=20, eta_star=0.5, sigma_star2=0.0)
+    with pytest.raises(ConfigurationError, match="q must be a number"):
+        SimulationConfig(n=40, N=80, eta_star=0.5, q="0.5")
     with pytest.raises(ConfigurationError):
         SimulationConfig.from_json('{"n": 5, "N": 10, "eta_star": 0.1, "bogus": 1}')
 
