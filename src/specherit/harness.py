@@ -31,7 +31,6 @@ import mmap
 import numbers
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -51,7 +50,8 @@ from .synthcohort import (
     GenotypeMatrix,
     SimulationConfig,
     _check_type,
-    _from_json,
+    _from_doc,
+    _parse_json,
     replicate_rng,
     sample_allele_frequencies,
     sample_genotypes,
@@ -445,9 +445,9 @@ class StudySpec:
 
     @classmethod
     def from_json(cls, text: str) -> "StudySpec":
-        return _from_json(
-            cls, text, "study spec", ("base",), base=lambda doc: SimulationConfig(**doc),
-            eta_grid=tuple, a_grid=tuple, q_grid=tuple,
+        return _from_doc(
+            cls, _parse_json(text, "study spec"), "study spec", ("base",),
+            base=SimulationConfig._from_doc, eta_grid=tuple, a_grid=tuple, q_grid=tuple,
         )
 
     def cells(self) -> list[SimulationConfig]:
@@ -522,6 +522,8 @@ def run_study(spec: StudySpec, out_dir: str, *, allow_large: bool = False) -> tu
 
     log.info("running %d replicates across %d cells", len(tasks), len(cells))
     if spec.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
+
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             rows = list(pool.map(_study_task, tasks, chunksize=4))
     else:

@@ -42,17 +42,20 @@ def _check_type(name: str, value, kind: type) -> None:
         raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
 
 
-def _from_json(cls, text: str, what: str, required: tuple[str, ...], **convert):
-    """Build the dataclass ``cls`` from a JSON object that holds ``required``.
-
-    Each keyword names a field and a function applied to its JSON value
-    first. Bad JSON, unknown fields and values that ``cls`` rejects all
-    raise :class:`ConfigurationError` naming ``what``.
-    """
+def _parse_json(text: str, what: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"invalid {what} JSON: {exc}") from exc
+
+
+def _from_doc(cls, doc, what: str, required: tuple[str, ...], **convert):
+    """Build the dataclass ``cls`` from a parsed JSON object that holds ``required``.
+
+    Each keyword names a field and a function applied to its JSON value
+    first. A non-object, unknown fields and values that ``cls`` rejects all
+    raise :class:`ConfigurationError` naming ``what``.
+    """
     if not isinstance(doc, dict) or not doc.keys() >= set(required):
         raise ConfigurationError(f"{what} must be a JSON object with {', '.join(required)}")
     extra = doc.keys() - {f.name for f in fields(cls)}
@@ -112,7 +115,11 @@ class SimulationConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SimulationConfig":
-        return _from_json(cls, text, "simulation config", ("n", "N", "eta_star"))
+        return cls._from_doc(_parse_json(text, "simulation config"))
+
+    @classmethod
+    def _from_doc(cls, doc) -> "SimulationConfig":
+        return _from_doc(cls, doc, "simulation config", ("n", "N", "eta_star"))
 
 
 @dataclass

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import specherit
 from specherit import SimulationConfig, decompose, replicate_rng, run_replicate, simulate_cohort
 
 MASTER_SEED = 12345
@@ -25,6 +29,15 @@ def riemann_mp(a, f, points=10**7):
     weights = density * 2.0 * s * (s_hi - s_lo) / points
     atom = max(0.0, 1.0 - 1.0 / a)
     return float(np.dot(f(lam), weights) + atom * f(np.float64(0.0)))
+
+
+def run_child(*args, **env):
+    """Run a fresh interpreter on ``args`` with this checkout's package first
+    on ``PYTHONPATH`` and ``env`` added to the environment."""
+    src = os.path.dirname(os.path.dirname(specherit.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, **env, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def seeded_spectrum(seed, n, eta):

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import specherit
 from specherit import (
     ConfigurationError,
     DataParseError,
@@ -39,6 +38,8 @@ from specherit.harness import (
     write_genotypes,
     write_phenotype,
 )
+
+from conftest import run_child
 
 
 @pytest.fixture()
@@ -407,6 +408,13 @@ def test_estimate_cli_writes_strict_json(cohort_files, tmp_path, capsys):
     assert 0.0 <= doc["eta_hat"] <= 0.99
 
 
+def test_harness_module_runs_without_runpy_warning():
+    # the package no longer imports harness, so runpy finds it unloaded
+    proc = run_child("-m", "specherit.harness", "mp-check", "--n", "40", "--N", "80", "--seed", "1")
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "specherit", "mp-check", "--n", "80",
@@ -463,6 +471,18 @@ def test_mc_study_determinism_across_workers(tmp_path):
     rep1, _ = run_study(replace(spec, workers=1), str(tmp_path / "serial"))
     rep2, _ = run_study(replace(spec, workers=2), str(tmp_path / "parallel"))
     assert open(rep1).read() == open(rep2).read()
+
+
+def test_mc_study_cli_pool_matches_serial_in_fresh_processes(tmp_path):
+    # the pool is imported only when a run needs one, so start from a cold interpreter
+    study = _study_doc(tmp_path, replicates=2)
+    tables = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers-{workers}"
+        proc = run_child("-m", "specherit", "mc-study", str(study), str(out), "--workers", workers)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        tables.append((out / "replicates.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -550,36 +570,44 @@ def test_study_spec_json_round_trip():
     assert StudySpec.from_json(json.dumps(dataclasses.asdict(spec))) == spec
 
 
+_BASE_SHAPE = "simulation config must be a JSON object with n, N, eta_star"
+
+
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, message",
     [
-        {"workers": "two"},
-        {"eta_grid": 0.5},
-        {"base": {"n": "40", "N": 80, "eta_star": 0.5}},
-        {"base": {"n": 40, "N": 80, "eta_star": 0.5, "seeds": 3}},
-        {"worker": 2},
-        {"outputs": {"replicates": "r.csv"}},
-        {"eta_grid": [0.5, 1.5]},
-        {"workers": 2.7},
-        {"workers": "3"},
-        {"workers": True},
-        {"ci_level": "0.9"},
-        {"a_grid": [True]},
-        {"eta_grid": [False]},
-        {"base": {"n": 40, "N": 80, "eta_star": 0.5, "replicates": 1, "q": True}},
+        ({"workers": "two"}, "workers must be an integer, got 'two'"),
+        ({"eta_grid": 0.5}, "invalid study spec: 'float' object is not iterable"),
+        ({"base": {"n": "40", "N": 80, "eta_star": 0.5}}, "n must be an integer, got '40'"),
+        # a bad base reads as the same document would under `simulate`
+        ({"base": {"n": 40, "N": 80, "eta_star": 0.5, "seeds": 3}},
+         "unknown simulation config fields: ['seeds']"),
+        ({"worker": 2}, "unknown study spec fields: ['worker']"),
+        ({"outputs": {"replicates": "r.csv"}}, "unknown study spec fields: ['outputs']"),
+        ({"eta_grid": [0.5, 1.5]}, "eta_star must be in [0, 1), got 1.5"),
+        ({"workers": 2.7}, "workers must be an integer, got 2.7"),
+        ({"workers": "3"}, "workers must be an integer, got '3'"),
+        ({"workers": True}, "workers must be an integer, got True"),
+        ({"ci_level": "0.9"}, "level must be in (0, 1), got 0.9"),
+        ({"a_grid": [True]}, "a grid value must be a number, got True"),
+        ({"eta_grid": [False]}, "eta_star must be a number, got False"),
+        ({"base": {"n": 40, "N": 80, "eta_star": 0.5, "replicates": 1, "q": True}},
+         "q must be a number, got True"),
+        ({"base": {"n": 40}}, _BASE_SHAPE),
+        ({"base": 5}, _BASE_SHAPE),
     ],
     ids=["workers-str", "grid-scalar", "base-n-str", "base-unknown", "unknown-key",
          "outputs", "eta-out-of-range", "workers-float", "workers-digit-str", "workers-bool",
-         "level-str", "a-bool", "eta-bool", "base-q-bool"],
+         "level-str", "a-bool", "eta-bool", "base-q-bool", "base-missing-keys", "base-scalar"],
 )
-def test_malformed_study_json_is_usage_error(tmp_path, capsys, overrides):
+def test_malformed_study_json_is_usage_error(tmp_path, capsys, overrides, message):
     doc = {"base": {"n": 40, "N": 80, "eta_star": 0.5, "replicates": 1}, **overrides}
     path = tmp_path / "study.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigurationError):
         StudySpec.from_json(path.read_text())
     assert main(["mc-study", str(path), str(tmp_path / "out")]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -727,12 +755,8 @@ def test_cli_bad_report_options_fail_before_the_pipeline(cohort_files, monkeypat
 def test_cli_herit_log_accepts_only_level_names(tmp_path, name, logged):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n": 10, "N": 20, "eta_star": 0.5, "seed": 1}))
-    env = dict(os.environ, HERIT_LOG=name, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(specherit.__file__)), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "specherit", "simulate", str(config), str(tmp_path / "out")],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_child("-m", "specherit", "simulate", str(config), str(tmp_path / "out"),
+                     HERIT_LOG=name)
     assert proc.returncode == EXIT_OK
     assert "Traceback" not in proc.stderr
     assert ("INFO:specherit:wrote" in proc.stderr) == logged
