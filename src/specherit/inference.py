@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatchError,
     UnidentifiableModelError,
 )
-from .likelihood import SolverResult, g
+from .likelihood import SolverResult, _denominators, g
 from .spectral import MPLaw, mp_integrate
 
 
@@ -47,11 +47,27 @@ def _spectrum(lambdas) -> np.ndarray:
 
 def gamma_n2(eta: float, lambdas) -> float:
     """Empirical variance of g(eta, lambda) over the spectrum."""
-    return _kernel_variance(g(eta, _spectrum(lambdas)))
+    return _spectral_factors(eta, _spectrum(lambdas), sparse=False)[0]
 
 
-def _kernel_variance(kernel: np.ndarray) -> float:
-    return float(np.mean(kernel**2) - np.mean(kernel) ** 2)
+def _spectral_factors(eta: float, lam: np.ndarray, sparse: bool) -> tuple[float, float | None]:
+    """``gamma_n2`` and, when ``sparse``, ``s_empirical`` at eta, for a checked spectrum.
+
+    Both come from one d = eta (lam - 1) + 1 and one reduction over the
+    spectrum, with ``g``'s checks: the kernel g = (lam - 1) / d, its two
+    moments, and the means of lam / d and lam (lam - 1) / d^2 for S.
+    """
+    c, d = _denominators(eta, lam)
+    terms = np.empty((4 if sparse else 2, lam.size))
+    kernel = np.divide(c, d, out=terms[0])
+    np.multiply(kernel, kernel, out=terms[1])
+    if sparse:
+        np.divide(lam, d, out=terms[2])
+        np.multiply(lam, c, out=terms[3])
+        terms[3] /= np.multiply(d, d, out=d)
+    means = np.add.reduce(terms, axis=1) / lam.size
+    gamma2 = float(means[1] - means[0] ** 2)
+    return gamma2, float((means[3] - means[2] * means[0]) ** 2) if sparse else None
 
 
 def gamma2_limit(a: float, eta: float) -> float:
@@ -68,7 +84,7 @@ def se_q1(gamma_n2: float, n: int) -> float:
         raise UnidentifiableModelError(
             f"zero spectral variance (gamma_n2={gamma_n2}): eta is unidentifiable"
         )
-    return float(np.sqrt(2.0 / (n * gamma_n2)))
+    return math.sqrt(2.0 / (n * gamma_n2))
 
 
 def s_empirical(eta: float, lambdas) -> float:
@@ -79,16 +95,7 @@ def s_empirical(eta: float, lambdas) -> float:
     lam / (eta (lam-1) + 1) and (lam-1) / (eta (lam-1) + 1). Like ``g``,
     it requires eta in [0, 1) and positive denominators.
     """
-    lam = _spectrum(lambdas)
-    return _s_factor(eta, lam, g(eta, lam))
-
-
-def _s_factor(eta: float, lam: np.ndarray, kernel: np.ndarray) -> float:
-    """``s_empirical`` for a checked spectrum and its kernel ``g(eta, lam)``."""
-    d = eta * (lam - 1.0) + 1.0
-    first = np.mean(lam * (lam - 1.0) / d**2)
-    second = np.mean(lam / d) * np.mean(kernel)
-    return float((first - second) ** 2)
+    return _spectral_factors(eta, _spectrum(lambdas), sparse=True)[1]
 
 
 def s_limit(a: float, eta: float) -> float:
@@ -120,12 +127,12 @@ def _is_real(x) -> bool:
 
 def _check_q(q: float) -> None:
     if not (_is_real(q) and 0.0 < q <= 1.0):
-        raise ConfigurationError(f"q must be in (0, 1], got {q}")
+        raise ConfigurationError(f"q must be in (0, 1], got {q!r}")
 
 
 def _check_level(level: float) -> None:
     if not (_is_real(level) and 0.0 < level < 1.0):
-        raise ConfigurationError(f"level must be in (0, 1), got {level}")
+        raise ConfigurationError(f"level must be in (0, 1), got {level!r}")
 
 
 def normal_quantile(p: float) -> float:
@@ -271,14 +278,13 @@ def build_report(
     n = lam.size
     a = n / n_markers
     eta_hat = solver_result.eta_hat
-    kernel = g(eta_hat, lam)
-    g2 = _kernel_variance(kernel)
+    g2, S = _spectral_factors(eta_hat, lam, sparse=q_assumed is not None)
     se1 = se_q1(g2, n)
 
     tau_n2 = se_sp = None
     if q_assumed is not None:
-        tau_n2 = tau2(a, eta_hat, q_assumed, g2, _s_factor(eta_hat, lam, kernel))
-        se_sp = float(np.sqrt(tau_n2 / n))
+        tau_n2 = tau2(a, eta_hat, q_assumed, g2, S)
+        se_sp = math.sqrt(tau_n2 / n)
 
     ci_se = se_sp if se_sp is not None else se1
     lo, hi = confidence_interval(eta_hat, ci_se, ci_level)

@@ -16,14 +16,20 @@ is L with w in place of y^2. ``_prepare`` validates and forms these once and
 derivatives over it; the public functions wrap the two. The solver checks
 the search interval once and then calls the unchecked kernels: Newton
 steps evaluate only L_w' and L_w'' (``_newton_block``), everything else
-the full rows (``_rows``). The solver polishes first and certifies once:
-Newton runs from the best of 9 knots to p, one pass scores p and a ladder
-around it, and branch and bound (Shubert's method with a sharper bound)
-covers the rest: s0 = mean(w / d) is convex and mean(log d) concave in
-eta, so tangents of the one and the chord of the other bound L_w on each
-interval between scored points (``_interval_bounds``). Intervals whose
-bound exceeds the best score by more than _GAP_TOL are bisected, and the
-largest bound certifies the answer. The module keeps no state.
+the table rows (``_rows``). Both kernels put every spectral term of a
+pass in one buffer and reduce it in one call (``_means``), so a pass
+makes the same few numpy calls for one eta as for twenty. The solver polishes
+first and certifies once: it scores 9 knots with L_w'', Newton runs from
+the best one to p, its first step read from the knot's row, one pass
+scores p and a ladder around it, and branch and bound (Shubert's method
+with a sharper bound) covers the rest: s0 = mean(w / d) is convex and
+mean(log d) concave in eta, so tangents of the one and the chord of the
+other bound L_w on each interval between scored points
+(``_interval_bounds``). Intervals whose bound exceeds the best score by
+more than _GAP_TOL are bisected, and the largest bound certifies the
+answer. A best knot where L_w'' >= 0 starts no Newton run, since Newton
+would head for a minimum there; branch and bound finds the peak and a
+second run polishes it. The module keeps no state.
 """
 
 from __future__ import annotations
@@ -61,8 +67,8 @@ _GAP_TOL = 1e-6
 _MAX_ROUNDS = 50
 
 # ``_rows`` walks its etas in blocks of about this many (eta x n)
-# elements, so each temporary stays in cache instead of costing a fresh
-# page-faulted allocation per grid pass.
+# elements, so each block's buffer (two to six terms of this size) stays in
+# cache instead of costing a fresh page-faulted allocation per grid pass.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -80,22 +86,23 @@ def _prepare(lambdas, y_rot) -> tuple[np.ndarray, np.ndarray, float]:
         raise ShapeMismatchError(
             f"eigenvalues ({lam.shape}) and rotated observations ({y.shape}) disagree"
         )
-    if not (np.isfinite(lam).all() and np.isfinite(y).all()):
+    s = float(np.maximum.reduce(np.abs(y), initial=0.0))  # inf or nan unless y is finite
+    if not (np.isfinite(lam).all() and math.isfinite(s)):
         raise DataError("eigenvalues and rotated observations must be finite")
-    s = float(np.max(np.abs(y), initial=0.0))
     if s == 0.0:
         raise DegenerateDataError("rotated observations are identically zero")
     u2 = (y / s) ** 2
-    mean_u2 = float(np.mean(u2))
-    return lam, u2 / mean_u2, s * (s * mean_u2)
+    mean_u2 = float(np.add.reduce(u2)) / u2.size  # the bits of np.mean
+    u2 /= mean_u2
+    return lam, u2, s * (s * mean_u2)
 
 
-def _moments(etas, lam: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarray]:
+def _moments(etas, lam: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
     """Scale-free profile quantities at each eta, up to derivative ``order``.
 
-    Returns ``[mean(w / d), mean(log d), L_w]``, then for ``order >= 1``
-    ``t = mean(w (lam - 1) / d^2) / mean(w / d)`` and L_w', then for
-    ``order >= 2`` L_w'', each a vector over ``etas``, with
+    Returns the rows ``[mean(w / d), mean(log d), L_w]``, then for
+    ``order >= 1`` ``t = mean(w (lam - 1) / d^2) / mean(w / d)`` and L_w',
+    then for ``order >= 2`` L_w'', each a vector over ``etas``, with
     d = eta (lam - 1) + 1. Every row is computed and reduced on its own, so
     neither the blocking nor the choice of etas changes a row's bits.
     """
@@ -105,73 +112,93 @@ def _moments(etas, lam: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarra
         raise ConfigurationError(f"eta must be in [0, 1), got {etas[~inside][0]}")
     c = lam - 1.0
     if etas.size:
-        _check_denominators(etas.max(), c, lam)
-    return _rows(etas, c, w, order)
+        _check_denominators(etas.max(), c.min(), lam)
+    return _rows(etas, c, w, order)[1:]
 
 
-def _check_denominators(eta_max: float, c: np.ndarray, lam: np.ndarray) -> None:
-    """Raise unless d = eta c + 1 is positive for every eta in [0, eta_max].
+def _check_denominators(eta_max: float, c_min: float, lam: np.ndarray) -> None:
+    """Raise unless d = eta c + 1 is positive for every eta in [0, eta_max],
+    where ``c_min`` is the least c = lam - 1.
 
     d >= min(1 - eta, 1) > 0 for lambda >= 0 and eta < 1. Each d_i is 1 at
-    eta = 0 and monotone in eta, so checking eta_max covers the interval.
+    eta = 0 and monotone in eta, and its rounded value is monotone in c_i,
+    so the least c at eta_max decides for every eta and every c.
     """
-    if (eta_max * c + 1.0).min() <= 0.0:
+    if eta_max * c_min + 1.0 <= 0.0:
         raise NumericalFailureError(f"non-positive denominator: min eigenvalue {lam.min()}")
 
 
-def _rows(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarray]:
-    """``_moments`` with ``c = lam - 1``, unchecked, in blocks of ``_BLOCK_ELEMENTS // n`` etas."""
+def _rows(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
+    """The solver table of ``etas``: a row of the etas over ``_moments``' rows,
+    a column per eta; unchecked, ``c = lam - 1``, in blocks of
+    ``_BLOCK_ELEMENTS // n`` etas."""
     rows = max(1, _BLOCK_ELEMENTS // c.size)
     if etas.size <= rows:
         return _moments_block(etas, c, w, order)
     blocks = [_moments_block(etas[i : i + rows], c, w, order) for i in range(0, etas.size, rows)]
-    return [np.concatenate(parts) for parts in zip(*blocks)]
+    return np.concatenate(blocks, axis=1)
 
 
-def _mean(x: np.ndarray) -> np.ndarray:
-    # The bits of x.mean(axis=1), without its dispatch overhead.
-    return np.add.reduce(x, axis=1) / x.shape[1]
+# Terms ``_means`` averages at each derivative order, before log d.
+_TERMS = (1, 3, 5)
 
 
-def _moments_block(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarray]:
-    """``_moments`` on one block, unchecked: ``c = lam - 1``."""
-    d = np.multiply.outer(etas, c)
+def _means(etas, c: np.ndarray, w: np.ndarray, order: int, log: bool) -> np.ndarray:
+    """Spectral means at each eta, a row per term: w / d, then c / d and
+    w c / d^2 (``order >= 1``), then w c^2 / d^3 and c^2 / d^2 (``order``
+    2), then log d when ``log``; d = eta c + 1. A float eta gives a vector.
+
+    The terms fill one buffer and reduce in one call. Each is the same
+    elementwise product, and its row the same pairwise sum, as on its own.
+    At order 0 the buffer holds two (etas x n) arrays, w / d overwriting d:
+    one more makes the grid pass several times slower.
+    """
+    etas = np.asarray(etas)
+    buf = np.empty((_TERMS[order] + log, *etas.shape, c.size))
+    d = buf[min(order, 1)]  # the row of the term that overwrites d
+    np.multiply(etas[..., None], c, out=d)
     d += 1.0
-    # The order-0 grid pass holds at most two (etas x n) arrays at once:
-    # holding one more there makes the pass several times slower.
-    logdet = _mean(np.log(d))
-    r = w / d
-    s0 = _mean(r)
-    out = [s0, logdet, -np.log(s0) - logdet]
-    if order >= 1:
-        out += _derivatives(d, r, s0, c, order)
+    if log:
+        np.log(d, out=buf[-1])
+    np.divide(w, d, out=buf[0])
+    if order:
+        h = np.divide(c, d, out=d)
+        np.multiply(buf[0], h, out=buf[2])
+        if order == 2:
+            np.multiply(buf[2], h, out=buf[3])
+            np.multiply(h, h, out=buf[4])
+    means = np.add.reduce(buf, axis=-1)
+    means /= c.size
+    return means
+
+
+def _slopes(means: np.ndarray, order: int) -> list:
+    """``[t, L_w']`` and, for ``order`` 2, L_w'', from ``_means``' rows."""
+    s0 = means[0]
+    t = means[2] / s0
+    out = [t, t - means[1]]
+    if order == 2:
+        out.append(-2.0 * means[3] / s0 + t * t + means[4])
     return out
 
 
-def _newton_block(etas: np.ndarray, c: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
+def _moments_block(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
+    """``_rows`` on one block."""
+    means = _means(etas, c, w, order, log=True)
+    s0, logdet = means[0], means[-1]
+    table = [etas, s0, logdet, -np.log(s0) - logdet]
+    if order:
+        table += _slopes(means, order)
+    return np.array(table)
+
+
+def _newton_block(etas, c: np.ndarray, w: np.ndarray) -> list:
     """L_w' and L_w'' at each eta: the bits of ``_moments(etas, lam, w, 2)[4:]``.
 
-    The caller has checked eta and the denominators; the rows of log d and
-    L_w, which a Newton step never reads, are skipped.
+    The caller has checked eta and the denominators; log d, which a Newton
+    step never reads, is skipped. A float eta gives two scalars.
     """
-    d = np.multiply.outer(etas, c)
-    d += 1.0
-    r = w / d
-    return _derivatives(d, r, _mean(r), c, 2)[1:]
-
-
-def _derivatives(d, r, s0, c, order: int) -> list[np.ndarray]:
-    """``[t, L_w']`` and, for ``order >= 2``, L_w'', from d, r = w / d and
-    s0 = mean(r); r is overwritten."""
-    h = c / d
-    r *= h
-    t = _mean(r) / s0
-    out = [t, t - _mean(h)]
-    if order >= 2:
-        r *= h
-        h *= h
-        out.append(-2.0 * _mean(r) / s0 + t**2 + _mean(h))
-    return out
+    return _slopes(_means(etas, c, w, 2, log=False), 2)[1:]
 
 
 def g(eta: float, lam):
@@ -180,15 +207,21 @@ def g(eta: float, lam):
     This is d/d_eta log(eta (lam - 1) + 1); its empirical variance over the
     spectrum drives every standard-error formula in the package.
     """
+    c, d = _denominators(eta, lam)
+    result = c / d
+    return float(result) if result.ndim == 0 else result
+
+
+def _denominators(eta: float, lam) -> tuple[np.ndarray, np.ndarray]:
+    """``c = lam - 1`` and ``d = eta c + 1`` for ``g``, with eta in [0, 1) and d > 0 checked."""
     eta = float(eta)
     if not 0.0 <= eta < 1.0:
         raise ConfigurationError(f"eta must be in [0, 1), got {eta}")
     c = np.asarray(lam, dtype=np.float64) - 1.0
     d = eta * c + 1.0
-    if np.any(d <= 0.0):
+    if (d <= 0.0).any():
         raise NumericalFailureError(f"non-positive denominator at eta={eta}")
-    result = c / d
-    return float(result) if result.ndim == 0 else result
+    return c, d
 
 
 def profile_sigma2(eta: float, lambdas, y_rot) -> float:
@@ -265,13 +298,13 @@ class SolverResult:
     @property
     def iterations_per_start(self) -> tuple[int]:
         """``(newton_steps,)``, read-only; ``bench/tracer.py`` reads it until
-        it moves to ``newton_steps`` (ROADMAP item 5)."""
+        it moves to ``newton_steps`` (ROADMAP item 2)."""
         return (self.newton_steps,)
 
     @property
     def chosen_start(self) -> int:
         """Always 0, read-only; ``bench/tracer.py`` reads it until it moves
-        to ``newton_steps`` (ROADMAP item 5)."""
+        to ``newton_steps`` (ROADMAP item 2)."""
         return 0
 
 
@@ -281,101 +314,135 @@ def _interval_bounds(a, b) -> np.ndarray:
     s0 = mean(w / d) is convex in eta, so it lies above T, the larger of its
     tangents at a and b, and mean(log d) is concave, so it lies above its
     chord C. Hence L_w <= -log T - C, which is convex on each piece of T
-    and peaks at a, b or where the tangents cross.
+    and peaks at a, b or where the tangents cross. The caller ignores
+    floating-point errors.
     """
     slope_a, slope_b = -a[4] * a[1], -b[4] * b[1]
     span = b[0] - a[0]
-    with np.errstate(all="ignore"):
-        # Where the tangents at a and b cross, as a fraction of [a, b].
-        u = (b[1] - a[1] - slope_b * span) / ((slope_a - slope_b) * span)
-        u = np.fmin(np.fmax(u, 0.0), 1.0)  # nan (0 / 0) -> 0
-        low = a[1] + slope_a * span * u
-        cross = np.where(low > 0.0, -np.log(low) - (a[2] + (b[2] - a[2]) * u), np.inf)
+    # Where the tangents at a and b cross, as a fraction of [a, b].
+    u = (b[1] - a[1] - slope_b * span) / ((slope_a - slope_b) * span)
+    u = np.fmin(np.fmax(u, 0.0), 1.0)  # nan (0 / 0) -> 0
+    low = np.fmax(a[1] + slope_a * span * u, 0.0)  # -log 0 = inf: no bound from T
+    cross = -np.log(low) - (a[2] + (b[2] - a[2]) * u)
     return np.maximum(np.maximum(a[3], b[3]), cross)
 
 
-def _newton(start: np.ndarray, upper: float, c, w) -> tuple[float, int, bool]:
-    """Newton from the solver table column ``start``, clipped into [0, upper].
+def _newton(eta, d1, d2, upper: float, c, w) -> tuple[float, int, bool, int]:
+    """Newton from ``eta``, where L_w' is ``d1`` and L_w'' is ``d2`` (None:
+    not yet evaluated), iterates clipped into [0, upper].
 
     ``c = lam - 1`` must give positive denominators at ``upper``: each d_i
     is monotone in eta, so that one check covers every step. A start at 0
     with L' <= 0 or at ``upper`` with L' >= 0 is optimal there: no step,
-    converged. Otherwise the run stops on a step below _TOL (converged), on
-    a zero or non-finite L'' or step (failed, eta kept), or after _MAX_ITER
-    steps. Returns the final eta, the step count and the converged flag.
+    converged. A start where L'' is not negative is not run, as Newton
+    would head for a minimum: no step, not converged. Otherwise the run stops on a step
+    below _TOL (converged), on a zero or non-finite L'' or step (failed,
+    eta kept), or after _MAX_ITER steps. The caller ignores floating-point
+    errors. Returns the final eta, the step count, the converged flag and
+    the rows evaluated, one per step after the first and one for a ``d2``
+    of None.
     """
-    eta = float(start[0])
-    if (eta == 0.0 and start[5] <= 0.0) or (eta == upper and start[5] >= 0.0):
-        return eta, 0, True
+    eta = float(eta)
+    if (eta == 0.0 and d1 <= 0.0) or (eta == upper and d1 >= 0.0):
+        return eta, 0, True, 0
+    rows = 0
+    if d2 is None:
+        d1, d2 = _newton_block(eta, c, w)
+        rows = 1
+    if not d2 < 0.0:
+        return eta, 0, False, rows
     for steps in range(1, _MAX_ITER + 1):
-        d1, d2 = _newton_block(np.array([eta]), c, w)
-        with np.errstate(all="ignore"):
-            step = float(d1[0] / d2[0])
-        if not (math.isfinite(d2[0]) and d2[0] != 0.0 and math.isfinite(step)):
-            return eta, steps, False
+        if steps > 1:
+            d1, d2 = _newton_block(eta, c, w)
+            rows += 1
+        step = float(d1 / d2)
+        if not (math.isfinite(d2) and d2 != 0.0 and math.isfinite(step)):
+            return eta, steps, False, rows
         new = min(max(eta - step, 0.0), upper)
         if abs(new - eta) < _TOL:
-            return new, steps, True
+            return new, steps, True, rows
         eta = new
-    return eta, _MAX_ITER, False
+    return eta, _MAX_ITER, False, rows
 
 
 def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverResult:
     """Maximize the profile log-likelihood on [0, 1 - delta], with a certificate.
 
-    Scores 9 equally spaced knots, runs Newton (at most 20 steps, step
-    tolerance 1e-8) from the best one to p, and scores p and the ladder
-    p +- h / 2.5^k, k = 1..6 (h the knot spacing) in one pass. Branch and
-    bound then bisects, a vectorized pass per round, every interval whose
-    ``_interval_bounds`` bound exceeds the best score by more than 1e-6.
-    Should a point other than p score best, Newton polishes it too, kept if
-    it scores at least as high. An estimate at or above 1 - delta - 1e-12
-    reports 1 - delta, ``clamped=True``. ``gap`` is the largest bound less
-    the returned score, clipped at 0.
+    Scores 9 equally spaced knots with L_w'', runs Newton (at most 20
+    steps, step tolerance 1e-8) from the best one to p, its first step from
+    the knot's row, and scores p and the ladder p +- h / 2.5^k, k = 1..6
+    (h the knot spacing) in one pass. A best knot where L'' >= 0 starts no
+    run: p is that knot. Branch and bound then bisects, a vectorized pass
+    per round, every interval whose ``_interval_bounds`` bound exceeds the
+    best score by more than 1e-6. Should a point other than p score best,
+    Newton polishes it too, kept if it scores at least as high. An estimate
+    at or above 1 - delta - 1e-12 reports 1 - delta, ``clamped=True``.
+    ``gap`` is the largest bound less the returned score, clipped at 0.
     """
     cfg = cfg or SolverConfig()
     lam, w, m = _prepare(lambdas, y_rot)
     c = lam - 1.0
-    if np.all(np.abs(c) < _FLAT_SPECTRUM_TOL):
+    c_min, c_max = c.min(), c.max()
+    if -_FLAT_SPECTRUM_TOL < c_min and c_max < _FLAT_SPECTRUM_TOL:
         raise UnidentifiableModelError(
             "all kinship eigenvalues equal 1: the likelihood is constant in eta"
         )
 
     upper = cfg.upper
     # Every eta the solve evaluates lies in [0, upper].
-    _check_denominators(upper, c, lam)
+    _check_denominators(upper, c_min, lam)
 
-    def table(etas):  # rows eta, s0, mean(log d), L_w, t, L_w'; a column per eta
-        return np.array([etas, *_rows(etas, c, w, 1)])
+    # Table rows: eta, s0, mean(log d), L_w, t, L_w' (and L_w'' for the
+    # knots); a column per eta.
+    with np.errstate(all="ignore"):
+        h = upper / (_KNOTS - 1)
+        knots = np.arange(_KNOTS, dtype=np.float64) * h  # np.linspace(0, upper, _KNOTS)'s bits
+        knots[-1] = upper
+        knots = _rows(knots, c, w, 2)
+        start = knots[:, knots[3].argmax()]
+        p, steps, converged, newton_rows = _newton(start[0], start[5], start[6], upper, c, w)
+        scored = knots[:-1]
+        if steps or converged:  # else p is a knot where no run started
+            ladder = p + h * _LADDER  # kept inside (0, upper): both ends are knots
+            ladder = _rows(ladder[(ladder > 0.0) & (ladder < upper)], c, w, 1)
+            scored = np.concatenate((scored, ladder), axis=1)
+            scored = scored[:, scored[0].argsort()]
 
-    knots = table(np.linspace(0.0, upper, _KNOTS))
-    p, steps, converged = _newton(knots[:, np.argmax(knots[3])], upper, c, w)
-    ladder = p + knots[0, 1] * _LADDER  # kept inside (0, upper): both ends are knots
-    scored = np.hstack([knots, table(ladder[(ladder > 0.0) & (ladder < upper)])])
-    scored = scored[:, np.argsort(scored[0])]
+        # The best score only rises, so an interval within _GAP_TOL of it
+        # stays closed and only live ones are carried; ``top`` is the largest
+        # bound of a closed interval. _MAX_ROUNDS ends the search next to a
+        # denominator near 0 at ``upper``, where the bound cannot close.
+        lo, hi = scored[:, :-1], scored[:, 1:]
+        high, top = scored[3].max(), -np.inf
+        for _ in range(_MAX_ROUNDS):
+            bound = _interval_bounds(lo, hi)
+            live = bound > high + _GAP_TOL
+            if not np.count_nonzero(live):
+                top = max(top, bound.max())
+                break
+            top = max(top, bound[~live].max(initial=-np.inf))
+            lo, hi = lo[:, live], hi[:, live]
+            mid = _rows(0.5 * (lo[0] + hi[0]), c, w, 1)
+            high = max(high, mid[3].max())
+            scored = np.concatenate((scored, mid), axis=1)
+            lo, hi = np.concatenate((lo, mid), axis=1), np.concatenate((mid, hi), axis=1)
+        else:
+            top = max(top, _interval_bounds(lo, hi).max())
 
-    # The best score only rises, so an interval within _GAP_TOL of it stays
-    # closed and only live ones are carried. _MAX_ROUNDS ends the search next
-    # to a denominator near 0 at ``upper``, where the bound cannot close.
-    lo, hi = scored[:, :-1], scored[:, 1:]
-    for _ in range(_MAX_ROUNDS):
-        live = _interval_bounds(lo, hi) > scored[3].max() + _GAP_TOL
-        if not live.any():
-            break
-        mid = table(0.5 * (lo[0, live] + hi[0, live]))
-        scored = np.hstack([scored, mid])
-        lo, hi = np.hstack([lo[:, live], mid]), np.hstack([mid, hi[:, live]])
-    scored = scored[:, np.argsort(scored[0])]
-    top = _interval_bounds(scored[:, :-1], scored[:, 1:]).max()
-
-    eta_hat, best = p, scored[:, np.argmax(scored[3])]
-    if best[0] != p:  # a multimodal likelihood, or a failed first run
-        polished, more, converged = _newton(best, upper, c, w)
-        scored, steps = np.hstack([scored, table(np.array([polished]))]), steps + more
-        eta_hat = polished if scored[3, -1] >= best[3] else float(best[0])
+        eta_hat = p
+        scored = scored[:, scored[0].argsort()]  # ties go to the lowest eta
+        best = scored[:, scored[3].argmax()]
+        if best[0] != p:  # a multimodal likelihood, a failed or a skipped first run
+            polished, more, converged, extra = _newton(best[0], best[5], None, upper, c, w)
+            steps, newton_rows = steps + more, newton_rows + extra
+            eta_hat = float(best[0])
+            if polished != eta_hat:
+                scored = np.concatenate((scored, _rows(np.array([polished]), c, w, 1)), axis=1)
+                if scored[3, -1] >= best[3]:
+                    eta_hat = polished
     clamped = eta_hat >= upper - 1e-12
     eta_hat = upper if clamped else eta_hat
-    s0, score = scored[[1, 3], np.flatnonzero(scored[0] == eta_hat)[0]]
+    s0, score = scored[[1, 3], (scored[0] == eta_hat).argmax()]
     return SolverResult(
         eta_hat=eta_hat,
         sigma2_hat=m * float(s0),
@@ -383,7 +450,7 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
         converged=converged,
         clamped=clamped,
         gap=max(0.0, float(top - score)),
-        rows=scored.shape[1] + steps,
+        rows=scored.shape[1] + newton_rows,
     )
 
 

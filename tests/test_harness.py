@@ -588,7 +588,7 @@ _BASE_SHAPE = "simulation config must be a JSON object with n, N, eta_star"
         ({"workers": 2.7}, "workers must be an integer, got 2.7"),
         ({"workers": "3"}, "workers must be an integer, got '3'"),
         ({"workers": True}, "workers must be an integer, got True"),
-        ({"ci_level": "0.9"}, "level must be in (0, 1), got 0.9"),
+        ({"ci_level": "0.9"}, "level must be in (0, 1), got '0.9'"),
         ({"a_grid": [True]}, "a grid value must be a number, got True"),
         ({"eta_grid": [False]}, "eta_star must be a number, got False"),
         ({"base": {"n": 40, "N": 80, "eta_star": 0.5, "replicates": 1, "q": True}},
@@ -705,9 +705,9 @@ BAD_REPORT_OPTIONS = [
     pytest.param({"ci_level": 0.0}, "level must be in (0, 1), got 0.0", id="level-0"),
     # a bool is not a proportion, and a string is not compared with numbers
     pytest.param({"q_assumed": True}, "q must be in (0, 1], got True", id="q-bool"),
-    pytest.param({"q_assumed": "0.5"}, "q must be in (0, 1], got 0.5", id="q-str"),
+    pytest.param({"q_assumed": "0.5"}, "q must be in (0, 1], got '0.5'", id="q-str"),
     pytest.param({"ci_level": True}, "level must be in (0, 1), got True", id="level-bool"),
-    pytest.param({"ci_level": "0.9"}, "level must be in (0, 1), got 0.9", id="level-str"),
+    pytest.param({"ci_level": "0.9"}, "level must be in (0, 1), got '0.9'", id="level-str"),
     # q is checked first, as build_report reaches it first
     pytest.param({"q_assumed": -1.0, "ci_level": 1.5}, "q must be in (0, 1], got -1.0", id="both"),
 ]

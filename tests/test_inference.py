@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from specherit import (
     NumericalFailureError,
     ShapeMismatchError,
     SimulationConfig,
+    SolverConfig,
     UnidentifiableModelError,
     build_report,
     confidence_interval,
@@ -31,6 +33,7 @@ from specherit import (
 )
 
 from conftest import cell, riemann_mp, seeded_spectrum
+from test_likelihood import GOLDEN_FITS
 
 
 @pytest.fixture(scope="module")
@@ -354,7 +357,7 @@ GOLDEN_REPORTS = [
         {"a": 0.5, "n": 800, "N": 1600,
          "solver": {"eta_hat": 0.47434550067655, "sigma2_hat": 1.0324859443863175,
                     "newton_steps": 4, "converged": True, "clamped": False,
-                    "gap": 3.752363797460134e-08, "rows": 26}},
+                    "gap": 3.752363797460134e-08, "rows": 25}},
         {"q_assumed": 0.5, "tau_n2": 3.6466997412604636, "se_sparse": 0.06751573651065046},
         {(None, 0.9): (0.36400427348752207, 0.584686727865578),
          (None, 0.95): (0.3428658189851973, 0.6058251823679027),
@@ -371,7 +374,7 @@ GOLDEN_REPORTS = [
         {"a": 2.0, "n": 600, "N": 300,
          "solver": {"eta_hat": 0.42614537542776576, "sigma2_hat": 0.921504150264249,
                     "newton_steps": 4, "converged": True, "clamped": False,
-                    "gap": 3.6950563025994754e-08, "rows": 27}},
+                    "gap": 3.6950563025994754e-08, "rows": 26}},
         {"q_assumed": 0.5, "tau_n2": 4.486894179246841, "se_sparse": 0.08647633760406023},
         {(None, 0.9): (0.29577469835405445, 0.5565160525014771),
          (None, 0.95): (0.27079913214035956, 0.581491618715172),
@@ -415,6 +418,31 @@ def test_build_report_golden_values(case, fit, shape, sparse, intervals, q, leve
     doc = report.to_dict()
     assert doc == want
     assert list(doc) == list(want)  # key order is part of the report format
+
+
+def fused_report_cases():
+    """(seed, n, eta*, delta, N) of every ``GOLDEN_FITS`` spectrum, with
+    N = 2n, and of every ``GOLDEN_REPORTS`` case."""
+    for fit in GOLDEN_FITS:
+        seed, n, eta_star, delta, _ = fit.values[0]
+        yield pytest.param(seed, n, eta_star, delta, 2 * n, id=f"fit-{fit.id}")
+    for report in GOLDEN_REPORTS:
+        seed, n, N, eta_star = report.values[0]
+        yield pytest.param(seed, n, eta_star, 0.01, N, id=f"report-{report.id}")
+
+
+@pytest.mark.parametrize("seed, n, eta_star, delta, N", fused_report_cases())
+def test_build_report_equals_the_standalone_formulas(seed, n, eta_star, delta, N):
+    """``build_report`` takes g, its moments and S from one pass over the
+    spectrum; each figure is the bits the standalone function returns."""
+    lam, y = seeded_spectrum(seed, n, eta_star)
+    result = newton_estimate(lam, y, SolverConfig(delta=delta))
+    report = build_report(lam, y, n_markers=N, solver_result=result, q_assumed=0.5)
+    eta, g2 = result.eta_hat, gamma_n2(result.eta_hat, lam)
+    assert report.gamma_n2 == g2
+    assert report.se_q1 == se_q1(g2, n)
+    assert report.tau_n2 == tau2(n / N, eta, 0.5, g2, s_empirical(eta, lam))
+    assert report.se_sparse == math.sqrt(report.tau_n2 / n)
 
 
 @pytest.mark.slow

@@ -487,6 +487,29 @@ def test_solve_makes_at_most_four_row_passes(kernel_calls, eta_star):
     assert len(kernel_calls["_moments_block"]) <= 4
 
 
+@pytest.mark.parametrize("eta_star, calls", [(0.0, 5), (0.5, 4), (0.8, 6)])
+def test_solve_kernel_calls_are_pinned(kernel_calls, eta_star, calls):
+    """Kernel calls per solve, both kernels together: the knots with L_w'',
+    Newton's steps after the first, which reads the best knot's row, and
+    the ladder. A change that adds a pass fails here."""
+    lam, y = seeded_spectrum(seed=4, n=1500, eta=eta_star)
+    newton_estimate(lam, y)
+    assert sum(map(len, kernel_calls.values())) == calls
+
+
+def test_no_newton_run_starts_where_the_likelihood_is_convex(kernel_calls):
+    """Golden "grid-override": the best knot has L'' > 0, where Newton
+    would head for a minimum. No run starts there and no ladder is scored
+    around it: branch and bound finds the peak and one run polishes it."""
+    lam, y = seeded_spectrum(seed=23, n=5, eta=0.0)
+    knots = np.linspace(0.0, 0.99, 9)
+    assert d2loglik(knots[np.argmax(loglik_grid(knots, lam, y))], lam, y) > 0.0
+    result = newton_estimate(lam, y)
+    assert result.converged and result.rows <= 31
+    assert kernel_calls["_moments_block"][:2] == [9, 1]  # knots, then one midpoint
+    assert abs(result.eta_hat - grid_oracle(lam, y, 5e-4)) <= 5e-4
+
+
 def test_boundary_knot_that_meets_the_optimality_condition_takes_no_newton_step(kernel_calls):
     """Golden "zero-unconverged": the best knot is 0 with L'(0) < 0 and
     L''(0) > 0, where Newton would walk inward for its whole budget."""
@@ -505,8 +528,8 @@ GOLDEN_FITS = [
     pytest.param(
         (23, 5, 0.0, 0.01, 5e-4),
         {"eta_hat": 0.9375553031837494, "sigma2_hat": 1.7678124792904737,
-         "newton_steps": 8, "converged": True, "clamped": False,
-         "gap": 5.662879979939639e-07, "rows": 49},
+         "newton_steps": 2, "converged": True, "clamped": False,
+         "gap": 5.662879979939639e-07, "rows": 30},
         0.9375,
         id="grid-override",
     ),
@@ -538,7 +561,7 @@ GOLDEN_FITS = [
         (1, 1500, 0.5, 0.01, 5e-4),
         {"eta_hat": 0.5263005977927662, "sigma2_hat": 0.9751319062858537,
          "newton_steps": 4, "converged": True, "clamped": False,
-         "gap": 3.945889287537696e-08, "rows": 26},
+         "gap": 3.945889287537696e-08, "rows": 25},
         0.5265,
         id="interior-n1500",
     ),
@@ -546,7 +569,7 @@ GOLDEN_FITS = [
         (2, 33000, 0.5, 0.01, 1e-3),
         {"eta_hat": 0.5057315024074435, "sigma2_hat": 1.0089734382585644,
          "newton_steps": 4, "converged": True, "clamped": False,
-         "gap": 3.9849772925926175e-08, "rows": 26},
+         "gap": 3.9849772925926175e-08, "rows": 25},
         0.506,
         id="interior-n-above-block",
     ),
@@ -554,7 +577,7 @@ GOLDEN_FITS = [
         (1, 30, 0.5, 0.05, 5e-4),
         {"eta_hat": 0.375782397005482, "sigma2_hat": 0.8785408022117482,
          "newton_steps": 4, "converged": True, "clamped": False,
-         "gap": 3.332749340390073e-08, "rows": 26},
+         "gap": 3.332749340390073e-08, "rows": 25},
         0.376,
         id="two-starts-delta-0.05",
     ),
