@@ -13,11 +13,12 @@ from specherit import (
     build_report,
     decompose,
     newton_estimate,
-    run_replicate,
     s_empirical,
     se_q1,
     simulate_cohort,
+    study_records,
     SimulationConfig,
+    StudySpec,
     gamma_n2,
     tau2,
 )
@@ -29,8 +30,8 @@ print(f"cell: eta*={eta_star}, a={a}, q={q}, n={n}, N={N}, gaussian design")
 # --- Monte-Carlo spread vs the two SEs --------------------------------------
 
 reps = 150
-cell = SimulationConfig(n=n, N=N, eta_star=eta_star, q=q, seed=555)
-records = [run_replicate(cell, r, design="gaussian") for r in range(reps)]
+cell = SimulationConfig(n=n, N=N, eta_star=eta_star, q=q, seed=555, replicates=reps)
+records = study_records(StudySpec(base=cell, design="gaussian"))
 eta_hats = np.array([r.eta_hat for r in records])
 print(f"\nover {reps} replicates:")
 print(f"  SD(eta_hat)        = {eta_hats.std(ddof=1):.4f}")

@@ -16,9 +16,9 @@ _EXPORTS = {
             MonomorphicColumnError NumericalFailureError RankDeficientCovariatesError
             ShapeMismatchError SpecheritError UnidentifiableModelError""",
         "harness": """ReplicateRecord StudySpec estimate_files estimate_from_design mp_check
-            run_replicate run_study summarize_replicates""",
+            run_replicate run_study study_records summarize_replicates""",
         "inference": """EstimateReport build_report confidence_interval gamma2_limit gamma_n2
-            normal_quantile s_empirical s_limit se_q1 tau2 var_quadform_oracle""",
+            normal_quantile s_empirical s_limit se_q1 tau2""",
         "likelihood": """SolverConfig SolverResult d2loglik dloglik g grid_oracle loglik
             newton_estimate profile_sigma2""",
         "spectral": """MPLaw SpectralDecomposition StandardizedDesign decompose eigendecompose

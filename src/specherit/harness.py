@@ -496,44 +496,52 @@ def run_replicate(
     return record
 
 
-def _study_task(payload: tuple) -> dict:
+def _study_task(payload: tuple) -> ReplicateRecord:
     cell, rep, design, ci_level = payload
-    return run_replicate(cell, rep, design=design, ci_level=ci_level).to_row()
+    return run_replicate(cell, rep, design=design, ci_level=ci_level)
 
 
-def run_study(spec: StudySpec, out_dir: str, *, allow_large: bool = False) -> tuple[str, str]:
-    """Run every cell of a study and write replicate and summary CSVs.
+def study_records(spec: StudySpec) -> list[ReplicateRecord]:
+    """Run every replicate of every cell of a study and return the records.
 
-    Replicate streams depend only on (master seed, replicate index), and
-    rows are written in task order, so the output is identical for any
-    ``spec.workers`` at a fixed BLAS thread count.
+    Records come in task order (cell by cell, replicate by replicate).
+    Replicate streams depend only on (master seed, replicate index), so the
+    records are the same for any ``spec.workers`` at a fixed BLAS thread
+    count. This is ``run_study`` without the files.
     """
-    os.makedirs(out_dir, exist_ok=True)
     cells = spec.cells()
-    for cell in cells:
-        if cell.N > MAX_MARKERS_DEFAULT and not allow_large:
-            raise ConfigurationError(
-                f"cell (eta={cell.eta_star}, n={cell.n}, q={cell.q}) needs N={cell.N} > "
-                f"{MAX_MARKERS_DEFAULT} markers; pass --allow-large to run it anyway"
-            )
     tasks = [
         (cell, rep, spec.design, spec.ci_level) for cell in cells for rep in range(cell.replicates)
     ]
-
     log.info("running %d replicates across %d cells", len(tasks), len(cells))
     if spec.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            rows = list(pool.map(_study_task, tasks, chunksize=4))
-    else:
-        rows = [_study_task(payload) for payload in tasks]
+            return list(pool.map(_study_task, tasks, chunksize=4))
+    return [_study_task(payload) for payload in tasks]
+
+
+def run_study(spec: StudySpec, out_dir: str, *, allow_large: bool = False) -> tuple[str, str]:
+    """Run every cell of a study and write replicate and summary CSVs.
+
+    The rows are ``study_records(spec)`` in its order, so the output is
+    identical for any ``spec.workers`` at a fixed BLAS thread count.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    for cell in spec.cells():
+        if cell.N > MAX_MARKERS_DEFAULT and not allow_large:
+            raise ConfigurationError(
+                f"cell (eta={cell.eta_star}, n={cell.n}, q={cell.q}) needs N={cell.N} > "
+                f"{MAX_MARKERS_DEFAULT} markers; pass --allow-large to run it anyway"
+            )
+    records = study_records(spec)
 
     replicates_path = os.path.join(out_dir, "replicates.csv")
     with open(replicates_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=REPLICATE_COLUMNS)
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(record.to_row() for record in records)
 
     summary_path = os.path.join(out_dir, "summary.csv")
     summary_rows = summarize_replicates(replicates_path)

@@ -12,8 +12,7 @@ Two regimes:
 
 Empirical plug-ins replace the limiting spectral integrals by eigenvalue
 averages; the limiting versions are available through the Marchenko-Pastur
-quadrature for convergence checks. The exact conditional variance of
-quadratic forms y' H y is also exposed as an oracle for tests.
+quadrature for convergence checks.
 """
 
 from __future__ import annotations
@@ -153,65 +152,6 @@ def confidence_interval(eta_hat: float, se: float, level: float) -> tuple[float,
     lo = max(0.0, eta_hat - z * se)
     hi = min(1.0, eta_hat + z * se)
     return lo, hi
-
-
-def var_quadform_oracle(
-    H,
-    lambdas,
-    V,
-    eta: float,
-    sigma2: float,
-    q: float,
-    use_trace_bound: bool = False,
-) -> float:
-    """Exact conditional variance of the rotated quadratic form y' H y.
-
-    Args:
-        H: diagonal entries of the n x n diagonal weight matrix (1-D), or
-            the full diagonal matrix itself.
-        lambdas: kinship eigenvalues (length n).
-        V: right singular vectors of the design: either the full N x N
-            orthonormal matrix or its first n columns (N x n).
-        eta, sigma2, q: model parameters (heritability, total variance,
-            non-null proportion).
-        use_trace_bound: replace the exact sum of squared diagonal entries
-            of the mixing matrix by its trace upper bound.
-
-    Returns:
-        2 sigma2^2 Tr[H^2 ((1-eta) I + eta D)^2] plus the sparsity term
-        3 sigma2^2 eta^2 (1/q - 1) sum_i M_ii^2 with
-        M = V diag(D H, 0) V'.
-    """
-    if not 0.0 <= eta < 1.0:
-        raise ConfigurationError(f"eta must be in [0, 1), got {eta}")
-    if not 0.0 < q <= 1.0:
-        raise ConfigurationError(f"q must be in (0, 1], got {q}")
-    lam = np.asarray(lambdas, dtype=np.float64)
-    h = np.asarray(H, dtype=np.float64)
-    if h.ndim == 2:
-        if not np.allclose(h, np.diag(np.diag(h))):
-            raise ShapeMismatchError("H must be diagonal")
-        h = np.diag(h)
-    if h.shape != lam.shape:
-        raise ShapeMismatchError(f"H has shape {h.shape}, eigenvalues {lam.shape}")
-    n = lam.size
-
-    base = 2.0 * sigma2**2 * float(np.sum(h**2 * ((1.0 - eta) + eta * lam) ** 2))
-    if q == 1.0:
-        return base
-
-    if use_trace_bound:
-        diag_sq = float(np.sum((lam * h) ** 2))
-    else:
-        Vm = np.asarray(V, dtype=np.float64)
-        if Vm.ndim != 2 or Vm.shape[1] < n:
-            raise ShapeMismatchError(
-                f"V must be N x N or N x n with n={n}, got {None if V is None else Vm.shape}"
-            )
-        V1 = Vm[:, :n]
-        m_diag = (V1**2) @ (lam * h)
-        diag_sq = float(np.sum(m_diag**2))
-    return base + 3.0 * sigma2**2 * eta**2 * (1.0 / q - 1.0) * diag_sq
 
 
 @dataclass

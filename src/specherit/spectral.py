@@ -63,11 +63,11 @@ class StandardizedDesign:
 
 @dataclass
 class SpectralDecomposition:
-    """Kinship eigenvalues (descending), rotated observations, and a = n/N."""
+    """Kinship eigenvalues (descending), rotated observations, and the
+    eigenvectors when they are kept."""
 
     lambdas: np.ndarray
     y_rot: np.ndarray
-    a: float
     eigvecs: np.ndarray | None = None
 
 
@@ -231,15 +231,9 @@ def decompose(Z, Y: np.ndarray, keep_eigvecs: bool = False) -> SpectralDecomposi
     n, N = Zm.shape
     if N < n and not keep_eigvecs:
         lam, y_rot = _decompose_gram(Zm, Y)
-        return SpectralDecomposition(lambdas=lam, y_rot=y_rot, a=n / N)
+        return SpectralDecomposition(lam, y_rot)
     lam, U = eigendecompose(kinship(Zm))
-    y_rot = rotate(U, Y)
-    return SpectralDecomposition(
-        lambdas=lam,
-        y_rot=y_rot,
-        a=n / N,
-        eigvecs=U if keep_eigvecs else None,
-    )
+    return SpectralDecomposition(lam, rotate(U, Y), U if keep_eigvecs else None)
 
 
 def _decompose_gram(Zm: np.ndarray, Y) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 import specherit
-from specherit import SimulationConfig, decompose, replicate_rng, run_replicate, simulate_cohort
+from specherit import (
+    ConfigurationError,
+    ShapeMismatchError,
+    SimulationConfig,
+    StudySpec,
+    decompose,
+    replicate_rng,
+    simulate_cohort,
+    study_records,
+)
 
 MASTER_SEED = 12345
 
@@ -29,6 +38,65 @@ def riemann_mp(a, f, points=10**7):
     weights = density * 2.0 * s * (s_hi - s_lo) / points
     atom = max(0.0, 1.0 - 1.0 / a)
     return float(np.dot(f(lam), weights) + atom * f(np.float64(0.0)))
+
+
+def var_quadform_oracle(
+    H,
+    lambdas,
+    V,
+    eta: float,
+    sigma2: float,
+    q: float,
+    use_trace_bound: bool = False,
+) -> float:
+    """Exact conditional variance of the rotated quadratic form y' H y.
+
+    Args:
+        H: diagonal entries of the n x n diagonal weight matrix (1-D), or
+            the full diagonal matrix itself.
+        lambdas: kinship eigenvalues (length n).
+        V: right singular vectors of the design: either the full N x N
+            orthonormal matrix or its first n columns (N x n).
+        eta, sigma2, q: model parameters (heritability, total variance,
+            non-null proportion).
+        use_trace_bound: replace the exact sum of squared diagonal entries
+            of the mixing matrix by its trace upper bound.
+
+    Returns:
+        2 sigma2^2 Tr[H^2 ((1-eta) I + eta D)^2] plus the sparsity term
+        3 sigma2^2 eta^2 (1/q - 1) sum_i M_ii^2 with
+        M = V diag(D H, 0) V'.
+    """
+    if not 0.0 <= eta < 1.0:
+        raise ConfigurationError(f"eta must be in [0, 1), got {eta}")
+    if not 0.0 < q <= 1.0:
+        raise ConfigurationError(f"q must be in (0, 1], got {q}")
+    lam = np.asarray(lambdas, dtype=np.float64)
+    h = np.asarray(H, dtype=np.float64)
+    if h.ndim == 2:
+        if not np.allclose(h, np.diag(np.diag(h))):
+            raise ShapeMismatchError("H must be diagonal")
+        h = np.diag(h)
+    if h.shape != lam.shape:
+        raise ShapeMismatchError(f"H has shape {h.shape}, eigenvalues {lam.shape}")
+    n = lam.size
+
+    base = 2.0 * sigma2**2 * float(np.sum(h**2 * ((1.0 - eta) + eta * lam) ** 2))
+    if q == 1.0:
+        return base
+
+    if use_trace_bound:
+        diag_sq = float(np.sum((lam * h) ** 2))
+    else:
+        Vm = np.asarray(V, dtype=np.float64)
+        if Vm.ndim != 2 or Vm.shape[1] < n:
+            raise ShapeMismatchError(
+                f"V must be N x N or N x n with n={n}, got {None if V is None else Vm.shape}"
+            )
+        V1 = Vm[:, :n]
+        m_diag = (V1**2) @ (lam * h)
+        diag_sq = float(np.sum(m_diag**2))
+    return base + 3.0 * sigma2**2 * eta**2 * (1.0 / q - 1.0) * diag_sq
 
 
 def run_child(*args, **env):
@@ -58,17 +126,18 @@ def simulated_spectrum(seed, n, N, eta_star, q=1.0, design="genotype"):
 
 
 @lru_cache(maxsize=None)
-def cell(eta_star, a, q, n, reps, design):
+def cell(eta_star, a, q, n, reps, design, seed=MASTER_SEED):
     """The replicate records of one Monte-Carlo cell, drawn once per session
-    from MASTER_SEED and shared by every test that reads the cell."""
-    records = []
-    for rep in range(reps):
-        record = run_replicate(
-            SimulationConfig(n=n, N=round(n / a), eta_star=eta_star, q=q, seed=MASTER_SEED),
-            rep, design=design,
-        )
+    from ``seed`` by ``study_records`` and shared by every test that reads
+    the cell.
+
+    The cell is a one-cell study with ``a_grid=(a,)``, so it has
+    N = round(n / a) markers.
+    """
+    base = SimulationConfig(n=n, N=round(n / a), eta_star=eta_star, q=q, seed=seed, replicates=reps)
+    records = study_records(StudySpec(base=base, a_grid=(a,), design=design))
+    for record in records:
         assert record.error == "", record.error
-        records.append(record)
     return tuple(records)
 
 

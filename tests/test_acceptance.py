@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Monte-Carlo cells are desk-scale (n = 400..500, 300..500 replicates) with a
-fixed master seed, so every run is deterministic. Cells shared by several
-criteria are computed once and cached. Pivot and coverage criteria use the
+fixed master seed, so every run is deterministic. Each cell is a one-cell
+study whose records come from ``study_records``, the loop behind
+``run_study``; ``conftest.cell`` computes it once per session and shares it
+among the criteria that read it. Pivot and coverage criteria use the
 i.i.d. Gaussian design (the design under which the sparse-case theory is
 stated); the genotype-design statistics for the same cells are printed for
 information without being asserted.
@@ -27,7 +29,7 @@ from specherit import (
 )
 from specherit.spectral import MPLaw, mp_integrate
 
-from conftest import MASTER_SEED, cell, riemann_mp, simulated_spectrum
+from conftest import MASTER_SEED, cell, riemann_mp, simulated_spectrum, var_quadform_oracle
 
 
 def _report(num, ok, detail):
@@ -183,8 +185,6 @@ def test_criterion_06_oracle_equivalence():
 
 
 def test_criterion_07_quadform_variance():
-    from specherit import var_quadform_oracle
-
     n, N, q, eta, sigma2 = 5, 8, 0.5, 0.6, 1.0
     rng = replicate_rng(MASTER_SEED, 7)
     Z = rng.standard_normal((n, N))

@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from specherit import (
     ConfigurationError,
     DataParseError,
+    DegenerateDataError,
     SimulationConfig,
     StudySpec,
     build_report,
@@ -23,6 +24,7 @@ from specherit import (
     newton_estimate,
     run_study,
     simulate_cohort,
+    study_records,
     summarize_replicates,
 )
 from specherit import harness
@@ -790,3 +792,27 @@ def test_study_records_per_replicate_failures(tmp_path, monkeypatch):
     with open(summary_path) as fh:
         summary = list(csv.DictReader(fh))[0]
     assert summary["errors"] == "1"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_study_records_are_run_replicate_in_task_order(monkeypatch, workers):
+    # One replicate fails on purpose: its record carries the error and keeps its place.
+    real = harness.simulate_cohort
+
+    def failing(config, replicate=0, design="genotype"):
+        if config.eta_star == 0.6 and replicate == 1:
+            raise DegenerateDataError("injected failure")
+        return real(config, replicate=replicate, design=design)
+
+    monkeypatch.setattr(harness, "simulate_cohort", failing)  # pool workers fork with it
+    spec = StudySpec(
+        base=SimulationConfig(n=40, N=80, eta_star=0.5, seed=5, replicates=3),
+        eta_grid=(0.3, 0.6), design="gaussian", workers=workers, ci_level=0.9,
+    )
+    expected = [
+        harness.run_replicate(c, r, design=spec.design, ci_level=spec.ci_level)
+        for c in spec.cells() for r in range(c.replicates)
+    ]
+    records = study_records(spec)
+    assert [repr(astuple(r)) for r in records] == [repr(astuple(r)) for r in expected]
+    assert [r.error for r in records] == ["", "", "", "", "DegenerateDataError: injected failure", ""]

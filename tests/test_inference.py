@@ -12,7 +12,6 @@ from specherit import (
     DataError,
     NumericalFailureError,
     ShapeMismatchError,
-    SimulationConfig,
     SolverConfig,
     UnidentifiableModelError,
     build_report,
@@ -24,15 +23,13 @@ from specherit import (
     newton_estimate,
     normal_quantile,
     replicate_rng,
-    run_replicate,
     s_empirical,
     s_limit,
     se_q1,
     tau2,
-    var_quadform_oracle,
 )
 
-from conftest import cell, riemann_mp, seeded_spectrum
+from conftest import cell, riemann_mp, seeded_spectrum, var_quadform_oracle
 from test_likelihood import GOLDEN_FITS
 
 
@@ -449,15 +446,8 @@ def test_build_report_equals_the_standalone_formulas(seed, n, eta_star, delta, N
 def test_clt_pivot_gaussian_q1():
     # pivot gamma_n sqrt(n/2) (eta_hat - eta*) over 300 replicates at
     # eta* = 0.5, n = 500, N = 1000, gaussian design
-    pivots = []
-    for rep in range(300):
-        record = run_replicate(
-            SimulationConfig(n=500, N=1000, eta_star=0.5, q=1.0, seed=31415), rep,
-            design="gaussian",
-        )
-        assert record.error == ""
-        pivots.append(record.pivot_q1)
-    pivots = np.array(pivots)
+    records = cell(0.5, 0.5, 1.0, 500, 300, "gaussian", seed=31415)
+    pivots = np.array([r.pivot_q1 for r in records])
     assert abs(pivots.mean()) < 0.25
     assert 0.7 < pivots.var() < 1.3
 

@@ -17,11 +17,11 @@ EXPORTS = {
     ],
     "harness": [
         "ReplicateRecord", "StudySpec", "estimate_files", "estimate_from_design", "mp_check",
-        "run_replicate", "run_study", "summarize_replicates",
+        "run_replicate", "run_study", "study_records", "summarize_replicates",
     ],
     "inference": [
         "EstimateReport", "build_report", "confidence_interval", "gamma2_limit", "gamma_n2",
-        "normal_quantile", "s_empirical", "s_limit", "se_q1", "tau2", "var_quadform_oracle",
+        "normal_quantile", "s_empirical", "s_limit", "se_q1", "tau2",
     ],
     "likelihood": [
         "SolverConfig", "SolverResult", "d2loglik", "dloglik", "g", "grid_oracle", "loglik",
@@ -65,8 +65,14 @@ def test_solver_path_loads_neither_harness_nor_pool():
         "import sys; from specherit import build_report, newton_estimate, rotate; "
         "print(sorted({'specherit.harness', 'specherit.synthcohort', 'concurrent.futures'}"
         " & sys.modules.keys())); "
-        "from specherit.harness import main; print('concurrent.futures.process' in sys.modules)"
+        "from specherit.harness import main; print('concurrent.futures.process' in sys.modules); "
+        # a serial study runs without the pool, too
+        "from specherit import SimulationConfig, StudySpec, study_records; "
+        "base = SimulationConfig(n=20, N=40, eta_star=0.5, replicates=2); "
+        "print([r.error for r in study_records(StudySpec(base=base))], "
+        "'concurrent.futures.process' in sys.modules)"
     )
     proc = run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "False", ""]
+    assert proc.stdout.split("\n") == ["[]", "False", "['', ''] False", ""]
+

@@ -327,7 +327,6 @@ def test_decompose_structure():
     Z = standardize(W)
     Y = rng.standard_normal(25)
     spec = decompose(Z, Y)
-    assert spec.a == 0.5
     assert spec.eigvecs is None
     assert abs(spec.lambdas.sum() - 25) <= 25 * 1e-8   # trace identity
     assert spec.lambdas.min() == 0.0                   # kernel from column centering
@@ -376,7 +375,6 @@ def test_decompose_gram_side_has_exact_structural_zeros():
     config = SimulationConfig(n=500, N=250, eta_star=0.5, q=0.5, seed=27)
     cohort = simulate_cohort(config, replicate=0, design="genotype")
     spec = decompose(cohort.Z, cohort.Y)
-    assert spec.a == 2.0
     assert np.count_nonzero(spec.lambdas == 0.0) == 250
     assert np.all(spec.lambdas[:250] > 0.0)
     assert abs(spec.lambdas.sum() - 500) <= 500 * 1e-10  # trace identity
