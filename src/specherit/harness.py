@@ -73,23 +73,24 @@ EXIT_DATA = 2
 # ---------------------------------------------------------------------------
 
 
-def _is_numeric_row(tokens: list[str]) -> bool:
+def _is_number(token: str) -> bool:
+    """Whether ``float()`` parses the token, digit separators included."""
     try:
-        for t in tokens:
-            float(t)
-        return True
+        float(token)
     except ValueError:
         return False
+    return True
 
 
 def _sniff(text: str) -> tuple[str, bool]:
     """Delimiter of the first data line, and whether that line is a header.
 
     The delimiter is a tab if the line holds one, else a comma; the line is
-    a header if any of its fields is not a number.
+    a header if any of its fields is not a number. A field such as ``1_0``
+    counts as a number here, so its row is read, and rejected, as data.
     """
     delim = "\t" if "\t" in text else ","
-    return delim, not _is_numeric_row([t for t in text.strip().split(delim) if t != ""])
+    return delim, not all(_is_number(t) for t in text.strip().split(delim) if t != "")
 
 
 def _data_lines(path: str, skip: int = 0):
@@ -97,22 +98,18 @@ def _data_lines(path: str, skip: int = 0):
 
     ``np.loadtxt`` drops a ``#`` comment and the line ending and skips lines
     left empty, so data rows and file lines drift apart; errors name the
-    file line.
+    file line. A byte that is not UTF-8 is a parse error of its line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for k, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")  # fails only on an escaped byte
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise DataParseError(f"{path}: line {k}: byte 0x{byte:02x} is not UTF-8") from None
             text = line.split("#", 1)[0].rstrip("\r\n")
             if k > skip and text:
                 yield k, text
-
-
-def _is_number(token: str) -> bool:
-    """``float()``, less the digit separators that ``np.loadtxt`` rejects."""
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return "_" not in token
 
 
 def _first_bad_line(rows, delim: str) -> str | None:
@@ -124,7 +121,7 @@ def _first_bad_line(rows, delim: str) -> str | None:
         if len(tokens) != width:
             return f"line {k}: {len(tokens)} columns, expected {width}"
         for j, token in enumerate(tokens, start=1):
-            if not _is_number(token):
+            if not _is_number(token) or "_" in token:  # np.loadtxt rejects digit separators
                 return f"line {k}, column {j}: {token.strip()!r} is not a number"
     return None
 
@@ -341,11 +338,10 @@ def estimate_files(
     }
     if covar_path is not None:
         X = read_covariates(covar_path)
-        if X.shape[0] != Y.size:
-            raise DataError(
-                f"covariate rows ({X.shape[0]}) and phenotype length ({Y.size}) disagree"
-            )
-        Y = residualize(Y, X)
+        try:
+            Y = residualize(Y, X)
+        except DataError as exc:  # the shape and rank errors, which take one message
+            raise type(exc)(f"{covar_path}: {exc}") from exc
         inputs["covariates"] = _fingerprint(covar_path, X.shape)
     design = standardize(W, policy="drop" if drop_monomorphic else "error")
     report = estimate_from_design(

@@ -24,29 +24,14 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DataError,
-    ShapeMismatchError,
-    UnidentifiableModelError,
-)
-from .likelihood import SolverResult, _denominators, g
+from .errors import ConfigurationError, UnidentifiableModelError
+from .likelihood import SolverResult, _check_etas, _eigenvalues, _pair, g
 from .spectral import MPLaw, mp_integrate
-
-
-def _spectrum(lambdas) -> np.ndarray:
-    """The eigenvalues as a float vector, checked to be 1-D, non-empty and finite."""
-    lam = np.asarray(lambdas, dtype=np.float64)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ShapeMismatchError(f"eigenvalues must be a non-empty vector, got shape {lam.shape}")
-    if not np.isfinite(lam).all():
-        raise DataError("eigenvalues must be finite")
-    return lam
 
 
 def gamma_n2(eta: float, lambdas) -> float:
     """Empirical variance of g(eta, lambda) over the spectrum."""
-    return _spectral_factors(eta, _spectrum(lambdas), sparse=False)[0]
+    return _spectral_factors(eta, _eigenvalues(lambdas), sparse=False)[0]
 
 
 def _spectral_factors(eta: float, lam: np.ndarray, sparse: bool) -> tuple[float, float | None]:
@@ -56,7 +41,10 @@ def _spectral_factors(eta: float, lam: np.ndarray, sparse: bool) -> tuple[float,
     spectrum, with ``g``'s checks: the kernel g = (lam - 1) / d, its two
     moments, and the means of lam / d and lam (lam - 1) / d^2 for S.
     """
-    c, d = _denominators(eta, lam)
+    eta = float(eta)
+    c = lam - 1.0
+    _check_etas(eta, c)
+    d = eta * c + 1.0
     terms = np.empty((4 if sparse else 2, lam.size))
     kernel = np.divide(c, d, out=terms[0])
     np.multiply(kernel, kernel, out=terms[1])
@@ -94,7 +82,7 @@ def s_empirical(eta: float, lambdas) -> float:
     lam / (eta (lam-1) + 1) and (lam-1) / (eta (lam-1) + 1). Like ``g``,
     it requires eta in [0, 1) and positive denominators.
     """
-    return _spectral_factors(eta, _spectrum(lambdas), sparse=True)[1]
+    return _spectral_factors(eta, _eigenvalues(lambdas), sparse=True)[1]
 
 
 def s_limit(a: float, eta: float) -> float:
@@ -206,15 +194,13 @@ def build_report(
     The interval uses the assumed-q sparse standard error when a q
     assumption is supplied (identical to the q = 1 interval at q = 1) and
     the non-sparse standard error otherwise. ``n_markers`` must be a
-    positive integer (not a bool), ``lambdas`` a non-empty finite vector
-    and ``y_rot`` a vector of its length.
+    positive integer (not a bool), and ``lambdas`` and ``y_rot`` pass the
+    solver's checks: a non-empty finite vector, and a finite vector of its
+    length that is not all zero.
     """
     if isinstance(n_markers, bool) or not isinstance(n_markers, numbers.Integral) or n_markers < 1:
         raise ConfigurationError(f"n_markers must be a positive integer, got {n_markers!r}")
-    lam = _spectrum(lambdas)
-    y = np.asarray(y_rot)
-    if y.shape != lam.shape:
-        raise ShapeMismatchError(f"y_rot {y.shape} and eigenvalues {lam.shape} differ in shape")
+    lam = _pair(lambdas, y_rot)[0]
     n = lam.size
     a = n / n_markers
     eta_hat = solver_result.eta_hat

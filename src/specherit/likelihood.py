@@ -11,9 +11,13 @@ leaving the scalar objective
 
 to maximize over eta in [0, 1 - delta]. The data enter only through
 (lambda_i, w_i = y_i^2 / m) and m = mean(y^2): L = L_w - log m, where L_w
-is L with w in place of y^2. ``_prepare`` validates and forms these once and
-``_moments`` checks a vector of eta and evaluates L_w and its analytic
-derivatives over it; the public functions wrap the two. The solver checks
+is L with w in place of y^2. Each input rule is one function, and every
+public entry goes through it: ``_eigenvalues`` (a non-empty finite vector),
+``_pair`` (those, and y of their shape, finite and not all zero) and
+``_check_etas`` (every eta in [0, 1), every denominator positive).
+``_prepare`` forms w and m from a checked pair, and ``_profile`` checks a
+vector of eta against it and evaluates L_w and its analytic derivatives
+over it; the public functions are one call on it. The solver checks
 the search interval once and then calls the unchecked kernels: Newton
 steps evaluate only L_w' and L_w'' (``_newton_block``), everything else
 the table rows (``_rows``). Both kernels put every spectral term of a
@@ -72,70 +76,89 @@ _MAX_ROUNDS = 50
 _BLOCK_ELEMENTS = 1 << 15
 
 
+def _eigenvalues(lambdas) -> np.ndarray:
+    """The eigenvalues as a float vector, checked to be 1-D, non-empty and finite."""
+    lam = np.asarray(lambdas, dtype=np.float64)
+    if lam.ndim != 1 or lam.size == 0:
+        raise ShapeMismatchError(f"eigenvalues must be a non-empty vector, got shape {lam.shape}")
+    if not np.isfinite(lam).all():
+        raise DataError("eigenvalues must be finite")
+    return lam
+
+
+def _pair(lambdas, y_rot) -> tuple[np.ndarray, np.ndarray, float]:
+    """``_eigenvalues``, then y of their shape, finite and not all zero: ``lam, y, max|y|``."""
+    lam = _eigenvalues(lambdas)
+    y = np.asarray(y_rot, dtype=np.float64)
+    if y.shape != lam.shape:
+        raise ShapeMismatchError(
+            f"rotated observations {y.shape} and eigenvalues {lam.shape} differ in shape"
+        )
+    s = float(np.maximum.reduce(np.abs(y), initial=0.0))  # inf or nan unless y is finite
+    if not math.isfinite(s):
+        raise DataError("rotated observations must be finite")
+    if s == 0.0:
+        raise DegenerateDataError("rotated observations are identically zero")
+    return lam, y, s
+
+
 def _prepare(lambdas, y_rot) -> tuple[np.ndarray, np.ndarray, float]:
-    """Validate the spectral data once and reduce y to scale-free weights.
+    """``_pair``, with y reduced to scale-free weights.
 
     Returns ``lam``, ``w = u^2 / mean(u^2)`` with ``u = y / max|y|``, and
     ``m = mean(y^2)``. Dividing by max|y| before squaring keeps ``w`` clear
     of overflow and of wholesale underflow at any scale of y; ``m`` leaves
     the float range only when mean(y^2) itself does.
     """
-    lam = np.asarray(lambdas, dtype=np.float64)
-    y = np.asarray(y_rot, dtype=np.float64)
-    if lam.ndim != 1 or y.ndim != 1 or lam.size != y.size:
-        raise ShapeMismatchError(
-            f"eigenvalues ({lam.shape}) and rotated observations ({y.shape}) disagree"
-        )
-    s = float(np.maximum.reduce(np.abs(y), initial=0.0))  # inf or nan unless y is finite
-    if not (np.isfinite(lam).all() and math.isfinite(s)):
-        raise DataError("eigenvalues and rotated observations must be finite")
-    if s == 0.0:
-        raise DegenerateDataError("rotated observations are identically zero")
+    lam, y, s = _pair(lambdas, y_rot)
     u2 = (y / s) ** 2
     mean_u2 = float(np.add.reduce(u2)) / u2.size  # the bits of np.mean
     u2 /= mean_u2
     return lam, u2, s * (s * mean_u2)
 
 
-def _moments(etas, lam: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
-    """Scale-free profile quantities at each eta, up to derivative ``order``.
-
-    Returns the rows ``[mean(w / d), mean(log d), L_w]``, then for
-    ``order >= 1`` ``t = mean(w (lam - 1) / d^2) / mean(w / d)`` and L_w',
-    then for ``order >= 2`` L_w'', each a vector over ``etas``, with
-    d = eta (lam - 1) + 1. Every row is computed and reduced on its own, so
-    neither the blocking nor the choice of etas changes a row's bits.
-    """
-    etas = np.asarray(etas, dtype=np.float64)
-    inside = (etas >= 0.0) & (etas < 1.0)
-    if not inside.all():
-        raise ConfigurationError(f"eta must be in [0, 1), got {etas[~inside][0]}")
-    c = lam - 1.0
-    if etas.size:
-        _check_denominators(etas.max(), c.min(), lam)
-    return _rows(etas, c, w, order)[1:]
-
-
-def _check_denominators(eta_max: float, c_min: float, lam: np.ndarray) -> None:
-    """Raise unless d = eta c + 1 is positive for every eta in [0, eta_max],
-    where ``c_min`` is the least c = lam - 1.
+def _check_etas(etas, c) -> np.ndarray:
+    """The etas as a float array, checked to lie in [0, 1) with d = eta c + 1
+    positive for each eta in [0, max(etas)] and each c = lambda - 1.
 
     d >= min(1 - eta, 1) > 0 for lambda >= 0 and eta < 1. Each d_i is 1 at
     eta = 0 and monotone in eta, and its rounded value is monotone in c_i,
-    so the least c at eta_max decides for every eta and every c.
+    so the least c at the largest eta decides for every eta and every c.
     """
+    etas = np.asarray(etas, dtype=np.float64)
+    eta_max = etas.max(initial=0.0)  # nan if any eta is
+    if not (etas.min(initial=0.0) >= 0.0 and eta_max < 1.0):
+        outside = etas[~((etas >= 0.0) & (etas < 1.0))]
+        raise ConfigurationError(f"eta must be in [0, 1), got {outside[0]}")
+    c_min = c.min(initial=np.inf)
     if eta_max * c_min + 1.0 <= 0.0:
-        raise NumericalFailureError(f"non-positive denominator: min eigenvalue {lam.min()}")
+        raise NumericalFailureError(
+            f"non-positive denominator at eta={eta_max}: min eigenvalue - 1 is {c_min}"
+        )
+    return etas
+
+
+def _profile(etas, lambdas, y_rot, order: int) -> tuple[np.ndarray, float]:
+    """The ``_rows`` table of ``etas`` for the checked pair, and m = mean(y^2)."""
+    lam, w, m = _prepare(lambdas, y_rot)
+    c = lam - 1.0
+    return _rows(_check_etas(etas, c), c, w, order), m
 
 
 def _rows(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
-    """The solver table of ``etas``: a row of the etas over ``_moments``' rows,
-    a column per eta; unchecked, ``c = lam - 1``, in blocks of
-    ``_BLOCK_ELEMENTS // n`` etas."""
+    """Scale-free profile quantities at each eta, up to derivative ``order``.
+
+    Returns the rows ``[eta, mean(w / d), mean(log d), L_w]``, then for
+    ``order >= 1`` ``t = mean(w (lam - 1) / d^2) / mean(w / d)`` and L_w',
+    then for ``order >= 2`` L_w'', a column per eta, with d = eta c + 1 and
+    ``c = lam - 1``; unchecked. The etas go in blocks of
+    ``_BLOCK_ELEMENTS // n``, and every row is computed and reduced on its
+    own, so neither the blocking nor the choice of etas changes a row's bits.
+    """
     rows = max(1, _BLOCK_ELEMENTS // c.size)
     if etas.size <= rows:
-        return _moments_block(etas, c, w, order)
-    blocks = [_moments_block(etas[i : i + rows], c, w, order) for i in range(0, etas.size, rows)]
+        return _rows_block(etas, c, w, order)
+    blocks = [_rows_block(etas[i : i + rows], c, w, order) for i in range(0, etas.size, rows)]
     return np.concatenate(blocks, axis=1)
 
 
@@ -182,7 +205,7 @@ def _slopes(means: np.ndarray, order: int) -> list:
     return out
 
 
-def _moments_block(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
+def _rows_block(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
     """``_rows`` on one block."""
     means = _means(etas, c, w, order, log=True)
     s0, logdet = means[0], means[-1]
@@ -193,7 +216,7 @@ def _moments_block(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -
 
 
 def _newton_block(etas, c: np.ndarray, w: np.ndarray) -> list:
-    """L_w' and L_w'' at each eta: the bits of ``_moments(etas, lam, w, 2)[4:]``.
+    """L_w' and L_w'' at each eta: the bits of ``_rows(etas, c, w, 2)[5:]``.
 
     The caller has checked eta and the denominators; log d, which a Newton
     step never reads, is skipped. A float eta gives two scalars.
@@ -207,51 +230,39 @@ def g(eta: float, lam):
     This is d/d_eta log(eta (lam - 1) + 1); its empirical variance over the
     spectrum drives every standard-error formula in the package.
     """
-    c, d = _denominators(eta, lam)
-    result = c / d
-    return float(result) if result.ndim == 0 else result
-
-
-def _denominators(eta: float, lam) -> tuple[np.ndarray, np.ndarray]:
-    """``c = lam - 1`` and ``d = eta c + 1`` for ``g``, with eta in [0, 1) and d > 0 checked."""
     eta = float(eta)
-    if not 0.0 <= eta < 1.0:
-        raise ConfigurationError(f"eta must be in [0, 1), got {eta}")
     c = np.asarray(lam, dtype=np.float64) - 1.0
-    d = eta * c + 1.0
-    if (d <= 0.0).any():
-        raise NumericalFailureError(f"non-positive denominator at eta={eta}")
-    return c, d
+    _check_etas(eta, c)
+    result = c / (eta * c + 1.0)
+    return float(result) if result.ndim == 0 else result
 
 
 def profile_sigma2(eta: float, lambdas, y_rot) -> float:
     """Closed-form residual-variance profile at a given heritability."""
-    lam, w, m = _prepare(lambdas, y_rot)
-    return m * float(_moments([float(eta)], lam, w, 0)[0][0])
+    table, m = _profile([float(eta)], lambdas, y_rot, 0)
+    return m * float(table[1, 0])
 
 
 def loglik(eta: float, lambdas, y_rot) -> float:
     """Profile log-likelihood (up to constants) at eta."""
-    lam, w, m = _prepare(lambdas, y_rot)
-    return float(_moments([float(eta)], lam, w, 0)[2][0]) - math.log(m)
+    table, m = _profile([float(eta)], lambdas, y_rot, 0)
+    return float(table[3, 0]) - math.log(m)
 
 
 def loglik_grid(etas: np.ndarray, lambdas, y_rot) -> np.ndarray:
     """Vectorized profile log-likelihood over a grid of eta values."""
-    lam, w, m = _prepare(lambdas, y_rot)
-    return _moments(etas, lam, w, 0)[2] - math.log(m)
+    table, m = _profile(etas, lambdas, y_rot, 0)
+    return table[3] - math.log(m)
 
 
 def dloglik(eta: float, lambdas, y_rot) -> float:
     """Analytic first derivative of the profile log-likelihood."""
-    lam, w, _ = _prepare(lambdas, y_rot)
-    return float(_moments([float(eta)], lam, w, 1)[4][0])
+    return float(_profile([float(eta)], lambdas, y_rot, 1)[0][5, 0])
 
 
 def d2loglik(eta: float, lambdas, y_rot) -> float:
     """Analytic second derivative of the profile log-likelihood."""
-    lam, w, _ = _prepare(lambdas, y_rot)
-    return float(_moments([float(eta)], lam, w, 2)[5][0])
+    return float(_profile([float(eta)], lambdas, y_rot, 2)[0][6, 0])
 
 
 @dataclass(frozen=True)
@@ -382,15 +393,14 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
     cfg = cfg or SolverConfig()
     lam, w, m = _prepare(lambdas, y_rot)
     c = lam - 1.0
-    c_min, c_max = c.min(), c.max()
-    if -_FLAT_SPECTRUM_TOL < c_min and c_max < _FLAT_SPECTRUM_TOL:
+    if -_FLAT_SPECTRUM_TOL < c.min() and c.max() < _FLAT_SPECTRUM_TOL:
         raise UnidentifiableModelError(
             "all kinship eigenvalues equal 1: the likelihood is constant in eta"
         )
 
     upper = cfg.upper
     # Every eta the solve evaluates lies in [0, upper].
-    _check_denominators(upper, c_min, lam)
+    _check_etas(upper, c)
 
     # Table rows: eta, s0, mean(log d), L_w, t, L_w' (and L_w'' for the
     # knots); a column per eta.

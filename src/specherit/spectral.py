@@ -137,7 +137,9 @@ def standardize(W, policy: str = "error") -> StandardizedDesign:
 def residualize(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Project Y onto the orthogonal complement of the column space of X.
 
-    Raises RankDeficientCovariatesError when X is column-rank deficient.
+    Raises ShapeMismatchError unless X has one row per entry of Y and fewer
+    columns than rows, and RankDeficientCovariatesError when X is
+    column-rank deficient.
     """
     Y = np.asarray(Y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -149,7 +151,7 @@ def residualize(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
         )
     n, p = X.shape
     if p >= n:
-        raise ConfigurationError(f"need p < n covariates, got p={p}, n={n}")
+        raise ShapeMismatchError(f"need p < n covariates, got p={p}, n={n}")
     Q, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))
     tol = max(n, p) * np.finfo(np.float64).eps * (diag.max() if diag.size else 0.0)

@@ -185,6 +185,40 @@ def test_header_only_files_have_no_values(tmp_path, cohort_files, capsys):
     assert capsys.readouterr().err == f"error: {path}: no covariate values found\n"
 
 
+@pytest.mark.parametrize("kind", ["genotype", "phenotype", "covariates"])
+@pytest.mark.parametrize("line", [1, 3])
+def test_non_utf8_byte_is_a_parse_error_of_its_line(tmp_path, cohort_files, capsys, kind, line):
+    """A byte that is not UTF-8 ends the CLI with exit 2 and the file line,
+    not a ``UnicodeDecodeError`` traceback."""
+    cohort, geno, pheno = cohort_files
+    if kind == "genotype":
+        lines = [",".join(map(str, row)).encode() for row in cohort.genotypes.entries]
+    elif kind == "phenotype":
+        lines = [f"{v}".encode() for v in cohort.Y]
+    else:
+        lines = [f"{v},1".encode() for v in np.arange(60.0) ** 2]
+    lines[line - 1] = lines[line - 1][:2] + b"\xff" + lines[line - 1][2:]
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    argv = {
+        "genotype": [str(path), pheno],
+        "phenotype": [geno, str(path)],
+        "covariates": [geno, pheno, "--covariates", str(path)],
+    }[kind]
+    assert main(["estimate", *argv]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}: line {line}: byte 0xff is not UTF-8\n"
+
+
+def test_a_number_with_a_digit_separator_is_data_not_a_header(tmp_path):
+    """``1_0`` parses as a float, so the first row is data, which
+    ``np.loadtxt`` then rejects; it is not skipped as a header."""
+    path = tmp_path / "c.csv"
+    path.write_text("1_0,2.5\n3,4\n5,6\n")
+    with pytest.raises(DataParseError) as excinfo:
+        read_covariates(str(path))
+    assert str(excinfo.value) == f"{path}: line 1, column 1: '1_0' is not a number"
+
+
 def test_write_genotypes_matches_per_entry_format(cohort_files, tmp_path):
     cohort, geno, _ = cohort_files
     W = cohort.genotypes.entries
@@ -663,6 +697,18 @@ def test_estimate_dimension_mismatch_exits_2(cohort_files, tmp_path):
     short = tmp_path / "short.txt"
     short.write_text("1.0\n2.0\n")
     assert main(["estimate", geno, str(short)]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("columns", [60, 61])
+def test_covariate_file_too_wide_is_a_data_error(cohort_files, tmp_path, capsys, columns):
+    """With no fewer covariate columns than rows, the file is at fault:
+    exit 2, and the message names the file."""
+    _, geno, pheno = cohort_files
+    covar = tmp_path / "wide.csv"
+    np.savetxt(covar, np.random.default_rng(0).standard_normal((60, columns)), delimiter=",")
+    assert main(["estimate", geno, pheno, "--covariates", str(covar)]) == EXIT_DATA
+    want = f"error: {covar}: need p < n covariates, got p={columns}, n=60\n"
+    assert capsys.readouterr().err == want
 
 
 def test_cli_bad_inits_is_usage_error(cohort_files):

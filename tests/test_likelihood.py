@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from specherit import (
     ConfigurationError,
+    DataError,
     DegenerateDataError,
+    NumericalFailureError,
+    ShapeMismatchError,
     SolverConfig,
     UnidentifiableModelError,
+    build_report,
     d2loglik,
     dloglik,
     g,
@@ -20,6 +24,7 @@ from specherit import (
     newton_estimate,
     profile_sigma2,
     replicate_rng,
+    s_empirical,
 )
 
 from specherit import likelihood
@@ -94,6 +99,88 @@ def test_domain_checks():
         loglik(1.0, lam, y)
     with pytest.raises(ConfigurationError):
         loglik(-0.1, lam, y)
+
+
+# ---------------------------------------------------------------------------
+# input rules: each is one check, and every entry that takes the input
+# raises the same error for it
+# ---------------------------------------------------------------------------
+
+
+def raised(call):
+    """The class and message of the error ``call()`` raises."""
+    with pytest.raises(Exception) as excinfo:
+        call()
+    return type(excinfo.value), str(excinfo.value)
+
+
+PAIR_ENTRIES = {
+    "newton_estimate": lambda lam, y: newton_estimate(lam, y),
+    "build_report": lambda lam, y: build_report(
+        lam, y, 60, newton_estimate(*seeded_spectrum(seed=1, n=30, eta=0.5))
+    ),
+    "grid_oracle": lambda lam, y: grid_oracle(lam, y, 1e-2),
+    "loglik": lambda lam, y: loglik(0.5, lam, y),
+    "loglik_grid": lambda lam, y: loglik_grid(np.array([0.0, 0.5]), lam, y),
+    "dloglik": lambda lam, y: dloglik(0.5, lam, y),
+    "d2loglik": lambda lam, y: d2loglik(0.5, lam, y),
+    "profile_sigma2": lambda lam, y: profile_sigma2(0.5, lam, y),
+}
+
+
+@pytest.mark.parametrize(
+    "lam, y, error, message",
+    [
+        pytest.param([], [], ShapeMismatchError,
+                     "eigenvalues must be a non-empty vector, got shape (0,)", id="empty"),
+        pytest.param([[0.5, 1.5], [1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]], ShapeMismatchError,
+                     "eigenvalues must be a non-empty vector, got shape (2, 2)", id="2-D"),
+        pytest.param([0.5, 1.5, 2.0], [1.0, 2.0], ShapeMismatchError,
+                     "rotated observations (2,) and eigenvalues (3,) differ in shape",
+                     id="y-short"),
+        pytest.param([0.5, np.nan, 2.0], [1.0, 2.0, 3.0], DataError,
+                     "eigenvalues must be finite", id="nan-lambda"),
+        pytest.param([0.5, 1.5, 2.0], [1.0, np.inf, 3.0], DataError,
+                     "rotated observations must be finite", id="inf-y"),
+        pytest.param([0.5, 1.5, 2.0], [0.0, 0.0, 0.0], DegenerateDataError,
+                     "rotated observations are identically zero", id="zero-y"),
+    ],
+)
+def test_every_entry_applies_the_pair_rule(lam, y, error, message):
+    got = {name: raised(lambda: entry(lam, y)) for name, entry in PAIR_ENTRIES.items()}
+    assert got == dict.fromkeys(PAIR_ENTRIES, (error, message))
+
+
+Y3 = np.array([1.0, 2.0, 3.0])
+ETA_ENTRIES = {
+    "g": lambda eta, lam: g(eta, lam),
+    "gamma_n2": lambda eta, lam: gamma_n2(eta, lam),
+    "s_empirical": lambda eta, lam: s_empirical(eta, lam),
+    "loglik": lambda eta, lam: loglik(eta, lam, Y3),
+    "loglik_grid": lambda eta, lam: loglik_grid(np.array([0.0, eta]), lam, Y3),
+}
+
+
+@pytest.mark.parametrize(
+    "eta, lam, error, message",
+    [
+        pytest.param(1.0, [0.0, 1.0, 2.0], ConfigurationError,
+                     "eta must be in [0, 1), got 1.0", id="eta-1"),
+        pytest.param(1.5, [0.0, 1.0, 2.0], ConfigurationError,
+                     "eta must be in [0, 1), got 1.5", id="eta-above-1"),
+        pytest.param(-0.1, [0.0, 1.0, 2.0], ConfigurationError,
+                     "eta must be in [0, 1), got -0.1", id="eta-negative"),
+        pytest.param(math.nan, [0.0, 1.0, 2.0], ConfigurationError,
+                     "eta must be in [0, 1), got nan", id="eta-nan"),
+        pytest.param(0.5, [-2.0, 1.0, 2.0], NumericalFailureError,
+                     "non-positive denominator at eta=0.5: min eigenvalue - 1 is -3.0",
+                     id="non-positive-d"),
+    ],
+)
+def test_every_entry_applies_the_eta_rule(eta, lam, error, message):
+    lam = np.array(lam)
+    got = {name: raised(lambda: entry(eta, lam)) for name, entry in ETA_ENTRIES.items()}
+    assert got == dict.fromkeys(ETA_ENTRIES, (error, message))
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +387,9 @@ def check_certificate(lam, y, delta, grid):
     L_w plus its gap. Returns the solve."""
     lam_, w, _ = likelihood._prepare(lam, y)
     result = newton_estimate(lam, y, SolverConfig(delta=delta))
-    score = likelihood._moments([result.eta_hat], lam_, w, 0)[2][0]
+    score = likelihood._rows(np.array([result.eta_hat]), lam_ - 1.0, w, 0)[3][0]
     assert 0.0 <= result.gap <= 1e-6
-    assert likelihood._moments(grid, lam_, w, 0)[2].max() <= score + result.gap
+    assert likelihood._rows(grid, lam_ - 1.0, w, 0)[3].max() <= score + result.gap
     return result
 
 
@@ -394,9 +481,9 @@ def test_near_singular_denominator_stops_with_an_honest_gap():
     result = newton_estimate(lam, y, SolverConfig(delta=0.05))
     assert result.clamped and result.gap > 1e-6
     lam_, w, _ = likelihood._prepare(lam, y)
-    score = likelihood._moments([result.eta_hat], lam_, w, 0)[2][0]
+    score = likelihood._rows(np.array([result.eta_hat]), lam_ - 1.0, w, 0)[3][0]
     grid = np.append(np.arange(0.0, 0.95, 1e-5), 0.95)
-    assert likelihood._moments(grid, lam_, w, 0)[2].max() <= score + result.gap
+    assert likelihood._rows(grid, lam_ - 1.0, w, 0)[3].max() <= score + result.gap
 
 
 def test_full_grid_never_beats_the_certified_solve():
@@ -415,7 +502,7 @@ def test_newton_block_matches_moments(n):
     etas = np.array([0.0, 0.1, 0.37, 0.5, 0.9, 0.99])
     for rows in ([0], [2], [1, 3, 5], slice(None)):
         got = likelihood._newton_block(etas[rows], lam_ - 1.0, w)
-        for a, b in zip(got, likelihood._moments(etas[rows], lam_, w, 2)[4:]):
+        for a, b in zip(got, likelihood._rows(etas[rows], lam_ - 1.0, w, 2)[5:]):
             assert np.array_equal(a, b)
 
 
@@ -443,18 +530,18 @@ def test_moments_rows_do_not_depend_on_the_other_etas(n):
     lam, y = seeded_spectrum(seed=n, n=n, eta=0.5)
     lam_, w, _ = likelihood._prepare(lam, y)
     grid = full_grid(0.99, 1e-3)
-    full = likelihood._moments(grid, lam_, w, 2)
+    full = likelihood._rows(grid, lam_ - 1.0, w, 2)
     subsets = [[0], [990], np.arange(17, 32), np.arange(0, 991, 16)]
     subsets += [np.sort(rng.choice(991, size, replace=False)) for size in (2, 50, 400)]
     for rows in subsets:
-        for got, want in zip(likelihood._moments(grid[rows], lam_, w, 2), full):
+        for got, want in zip(likelihood._rows(grid[rows], lam_ - 1.0, w, 2), full):
             assert np.array_equal(got, want[rows])
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """The eta count of each call to either kernel, per kernel name."""
-    calls = {"_moments_block": [], "_newton_block": []}
+    calls = {"_rows_block": [], "_newton_block": []}
 
     def counting(name, kernel):
         def count(etas, *args):
@@ -481,10 +568,10 @@ def test_solve_scores_at_most_a_twelfth_of_the_grid(kernel_calls, eta_star):
 @pytest.mark.parametrize("eta_star", [0.0, 0.5, 0.8])
 def test_solve_makes_at_most_four_row_passes(kernel_calls, eta_star):
     """The knots, Newton's optimum with its ladder and the bisection rounds
-    together take at most four ``_moments_block`` calls."""
+    together take at most four ``_rows_block`` calls."""
     lam, y = seeded_spectrum(seed=4, n=1500, eta=eta_star)
     newton_estimate(lam, y)
-    assert len(kernel_calls["_moments_block"]) <= 4
+    assert len(kernel_calls["_rows_block"]) <= 4
 
 
 @pytest.mark.parametrize("eta_star, calls", [(0.0, 5), (0.5, 4), (0.8, 6)])
@@ -506,7 +593,7 @@ def test_no_newton_run_starts_where_the_likelihood_is_convex(kernel_calls):
     assert d2loglik(knots[np.argmax(loglik_grid(knots, lam, y))], lam, y) > 0.0
     result = newton_estimate(lam, y)
     assert result.converged and result.rows <= 31
-    assert kernel_calls["_moments_block"][:2] == [9, 1]  # knots, then one midpoint
+    assert kernel_calls["_rows_block"][:2] == [9, 1]  # knots, then one midpoint
     assert abs(result.eta_hat - grid_oracle(lam, y, 5e-4)) <= 5e-4
 
 

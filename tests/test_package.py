@@ -1,12 +1,16 @@
-"""The package namespace: the names it exports, and the modules a name loads."""
+"""The package namespace: the names it exports, the modules a name loads,
+and the names the benchmark's tracer rebinds."""
 
 import importlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
 import specherit
 
-from conftest import run_child
+from conftest import run_child, seeded_spectrum
 
 # Each exported name under the module that defines it.
 EXPORTS = {
@@ -76,3 +80,45 @@ def test_solver_path_loads_neither_harness_nor_pool():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["[]", "False", "['', ''] False", ""]
 
+
+
+def load_bench_tracer():
+    """``bench/tracer.py``, loaded from its file as the benchmark loads it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_binds_and_restores():
+    """Every name the tracer spans or counts is a function of its module; a
+    solve and its report run under the tracer, and ``uninstall`` puts every
+    original back. A refactor that breaks the benchmark's ``--trace 1``
+    fails here."""
+    tracer = load_bench_tracer()
+    originals = {}
+    for qualname in tracer.SPANNED + tracer.COUNTED:
+        module_name, attr = qualname.split(".")
+        module = importlib.import_module(f"specherit.{module_name}")
+        assert callable(getattr(module, attr, None)), qualname
+        originals[module, attr] = getattr(module, attr)
+    lam, y = seeded_spectrum(seed=1, n=30, eta=0.5)
+    likelihood, inference = sys.modules["specherit.likelihood"], sys.modules["specherit.inference"]
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        result = likelihood.newton_estimate(lam, y)
+        inference.build_report(lam, y, 60, result)
+    finally:
+        traced.uninstall()
+    assert [span[0] for span in traced.spans] == [
+        "likelihood.newton_estimate", "inference.build_report"
+    ]
+    assert traced.counts["likelihood.solves"] == 1
+    for (module, attr), original in originals.items():
+        assert getattr(module, attr) is original
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "specherit":
+            for _, attr in originals:
+                assert not hasattr(getattr(module, attr, None), "__wrapped__"), (name, attr)

@@ -206,7 +206,8 @@ def test_residualize_rank_deficient():
 
 
 def test_residualize_too_many_covariates():
-    with pytest.raises(ConfigurationError):
+    # the covariates are at fault, not a setting: a data error (CLI exit 2)
+    with pytest.raises(ShapeMismatchError, match=r"need p < n covariates, got p=3, n=3"):
         residualize(np.arange(3.0), np.eye(3))
 
 
