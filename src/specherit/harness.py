@@ -28,7 +28,6 @@ import json
 import logging
 import math
 import mmap
-import numbers
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -42,14 +41,16 @@ from .errors import (
     NumericalFailureError,
     SpecheritError,
     UnidentifiableModelError,
+    _check_design,
+    _check_level,
+    _check_number,
 )
-from .inference import EstimateReport, _check_level, _check_report_options, build_report
+from .inference import EstimateReport, _check_report_options, build_report
 from .likelihood import SolverConfig, newton_estimate
 from .spectral import MPLaw, decompose, esd, mp_cdf, residualize, standardize
 from .synthcohort import (
     GenotypeMatrix,
     SimulationConfig,
-    _check_type,
     _from_doc,
     _parse_json,
     replicate_rng,
@@ -414,8 +415,9 @@ class StudySpec:
 
     Each grid point is one ``SimulationConfig`` cell; ``a_grid`` values map
     to marker counts N = round(n / a), and an empty grid keeps the base
-    value. The sparse standard error in every record assumes the cell's
-    own q (labelled "assumed q" because real data never reveals it).
+    value; no two cells may share (eta_star, N, q). The sparse standard
+    error in every record assumes the cell's own q (labelled "assumed q"
+    because real data never reveals it).
     """
 
     base: SimulationConfig
@@ -427,17 +429,20 @@ class StudySpec:
     ci_level: float = 0.95
 
     def __post_init__(self):
-        if self.design not in ("genotype", "gaussian"):
-            raise ConfigurationError(f"design must be genotype|gaussian, got {self.design!r}")
-        _check_type("workers", self.workers, numbers.Integral)
-        if self.workers < 1:
+        _check_design(self.design)
+        if _check_number("workers", self.workers, integer=True) < 1:
             raise ConfigurationError("workers must be >= 1")
         for a in self.a_grid:
-            _check_type("a grid value", a, numbers.Real)
-            if not a > 0.0:
+            if not _check_number("a grid value", a) > 0.0:
                 raise ConfigurationError(f"a grid value {a} must be positive")
         _check_level(self.ci_level)
-        self.cells()  # each cell's SimulationConfig checks eta_star, q and N >= 1
+        seen = set()
+        for cell in self.cells():  # each cell's SimulationConfig checks eta_star, q and N
+            if cell in seen:  # the summary would merge the two, counting each draw twice
+                raise ConfigurationError(
+                    f"study grid repeats the cell eta_star={cell.eta_star}, N={cell.N}, q={cell.q}"
+                )
+            seen.add(cell)
 
     @classmethod
     def from_json(cls, text: str) -> "StudySpec":
@@ -598,8 +603,7 @@ def mp_check(n: int, N: int, dist: str = "gaussian", seed: int = 0) -> dict:
     """
     if n < 2 or N < 2:
         raise ConfigurationError(f"need n, N >= 2, got n={n}, N={N}")
-    if dist not in ("gaussian", "genotype"):
-        raise ConfigurationError(f"dist must be gaussian|genotype, got {dist!r}")
+    _check_design(dist, "dist")
     rng = replicate_rng(seed, 0)
     if dist == "gaussian":
         Z = rng.standard_normal((n, N))

@@ -18,13 +18,14 @@ quadrature for convergence checks.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConfigurationError, UnidentifiableModelError
+from .errors import (
+    ConfigurationError, UnidentifiableModelError, _check_level, _check_number, _check_q,
+)
 from .likelihood import SolverResult, _check_etas, _eigenvalues, _pair, g
 from .spectral import MPLaw, mp_integrate
 
@@ -108,24 +109,9 @@ def tau2(a: float, eta: float, q: float, gamma2: float, S: float) -> float:
     return 2.0 / gamma2 + 3.0 * a**2 * eta**2 / gamma2**2 * (1.0 / q - 1.0) * S
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _check_q(q: float) -> None:
-    if not (_is_real(q) and 0.0 < q <= 1.0):
-        raise ConfigurationError(f"q must be in (0, 1], got {q!r}")
-
-
-def _check_level(level: float) -> None:
-    if not (_is_real(level) and 0.0 < level < 1.0):
-        raise ConfigurationError(f"level must be in (0, 1), got {level!r}")
-
-
 def normal_quantile(p: float) -> float:
     """Standard normal quantile, ``statistics.NormalDist().inv_cdf(p)``."""
-    if not 0.0 < p < 1.0:
-        raise ConfigurationError(f"quantile level must be in (0, 1), got {p}")
+    _check_level(p, "quantile level")
     return NormalDist().inv_cdf(p)
 
 
@@ -198,7 +184,7 @@ def build_report(
     solver's checks: a non-empty finite vector, and a finite vector of its
     length that is not all zero.
     """
-    if isinstance(n_markers, bool) or not isinstance(n_markers, numbers.Integral) or n_markers < 1:
+    if _check_number("n_markers", n_markers, integer=True) < 1:
         raise ConfigurationError(f"n_markers must be a positive integer, got {n_markers!r}")
     lam = _pair(lambdas, y_rot)[0]
     n = lam.size

@@ -50,6 +50,7 @@ from .errors import (
     NumericalFailureError,
     ShapeMismatchError,
     UnidentifiableModelError,
+    _check_number,
 )
 
 # Eigenvalue spreads below this are treated as "all lambda equal 1", where
@@ -278,7 +279,7 @@ class SolverConfig:
     delta: float = 0.01
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 0.5:
+        if not 0.0 < _check_number("delta", self.delta) < 0.5:
             raise ConfigurationError(f"delta must be in (0, 0.5), got {self.delta}")
 
     @property
@@ -471,7 +472,7 @@ def grid_oracle(lambdas, y_rot, grid_step: float, delta: float = 0.01) -> float:
     point is scored with ``loglik_grid`` and ties resolve to the lowest eta,
     so the oracle shares no search code with ``newton_estimate``.
     """
-    if not 0.0 < grid_step <= 0.01:
+    if not 0.0 < _check_number("grid_step", grid_step) <= 0.01:
         raise ConfigurationError(f"grid_step must be in (0, 0.01], got {grid_step}")
     upper = SolverConfig(delta=delta).upper
     count = int(np.floor(upper / grid_step + 1e-9))

@@ -110,7 +110,8 @@ def standardize(W, policy: str = "error") -> StandardizedDesign:
         mean = np.add.reduce(Wm, axis=0, dtype=np.float64) / n
         for start in range(0, n, rows):
             block = Z[start : start + rows]
-            np.subtract(Wm[start : start + rows], mean, out=block)
+            np.copyto(block, Wm[start : start + rows])  # casting first beats a mixed-dtype subtract
+            block -= mean
             squares[0] = total
             np.square(block, out=squares[1 : len(block) + 1])
             np.add.reduce(squares[: len(block) + 1], axis=0, out=total)
@@ -163,14 +164,15 @@ def residualize(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def kinship(Z) -> np.ndarray:
-    """Kinship matrix R = Z Z' / N, symmetrized against round-off."""
+    """Kinship matrix R = Z Z' / N, exactly symmetric: NumPy forms the product
+    of a C- or F-contiguous Zm with its transpose as one symmetric update."""
     Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
     if Zm.ndim != 2:
         raise ShapeMismatchError("design matrix must be 2-D")
+    if not (Zm.flags.c_contiguous or Zm.flags.f_contiguous):
+        Zm = np.ascontiguousarray(Zm)
     R = Zm @ Zm.T
     R /= Zm.shape[1]
-    R += R.T
-    R *= 0.5
     return R
 
 

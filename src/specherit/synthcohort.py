@@ -13,12 +13,14 @@ replicate streams are independent of each other and of scheduling order.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeMismatchError
+from .errors import (
+    ConfigurationError, ShapeMismatchError, _check_count, _check_design, _check_eta_star,
+    _check_freqs, _check_number, _check_q, _check_sigma_star2,
+)
 
 # Uniforms drawn per block by ``sample_genotypes`` (at least one row).
 _DRAW_BLOCK = 1 << 16
@@ -33,13 +35,6 @@ def replicate_rng(seed: int, replicate: int = 0) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(replicate),))
     return np.random.default_rng(ss)
-
-
-def _check_type(name: str, value, kind: type) -> None:
-    """Reject a bool, or a value that is not a ``kind`` (``numbers.Integral`` or ``Real``)."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is numbers.Integral else "a number"
-        raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
 
 
 def _parse_json(text: str, what: str):
@@ -89,25 +84,15 @@ class SimulationConfig:
     replicates: int = 1
 
     def __post_init__(self):
-        for name in ("n", "N", "seed", "replicates"):
-            _check_type(name, getattr(self, name), numbers.Integral)
-        for name in ("eta_star", "q", "sigma_star2", "freq_lo", "freq_hi"):
-            _check_type(name, getattr(self, name), numbers.Real)
-        if self.seed < 0:
+        _check_count("n", self.n, 2)
+        _check_count("N", self.N, 1)
+        _check_eta_star(self.eta_star)
+        _check_q(self.q)
+        _check_sigma_star2(self.sigma_star2)
+        _check_freqs(self.freq_lo, self.freq_hi)
+        if _check_number("seed", self.seed, integer=True) < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.n < 2 or self.N < 1:
-            raise ConfigurationError(f"need n >= 2 and N >= 1, got n={self.n}, N={self.N}")
-        if not 0.0 < self.q <= 1.0:
-            raise ConfigurationError(f"q must be in (0, 1], got {self.q}")
-        if not 0.0 <= self.eta_star < 1.0:
-            raise ConfigurationError(f"eta_star must be in [0, 1), got {self.eta_star}")
-        if not self.sigma_star2 > 0.0:
-            raise ConfigurationError(f"sigma_star2 must be positive, got {self.sigma_star2}")
-        if not 0.0 < self.freq_lo <= self.freq_hi < 1.0:
-            raise ConfigurationError(
-                f"need 0 < freq_lo <= freq_hi < 1, got [{self.freq_lo}, {self.freq_hi}]"
-            )
-        if self.replicates < 1:
+        if _check_number("replicates", self.replicates, integer=True) < 1:
             raise ConfigurationError(f"replicates must be >= 1, got {self.replicates}")
 
     def to_json(self) -> str:
@@ -167,9 +152,9 @@ def sample_allele_frequencies(
     N: int, lo: float, hi: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw N i.i.d. allele frequencies uniformly on [lo, hi]."""
-    if not 0.0 < lo <= hi < 1.0:
-        raise ConfigurationError(f"need 0 < lo <= hi < 1, got [{lo}, {hi}]")
-    return rng.uniform(lo, hi, size=int(N))
+    _check_count("N", N, 0)
+    _check_freqs(lo, hi)
+    return rng.uniform(lo, hi, size=N)
 
 
 def sample_genotypes(n: int, freqs: np.ndarray, rng: np.random.Generator) -> GenotypeMatrix:
@@ -212,14 +197,10 @@ def effect_scale(eta_star: float, sigma_star2: float, q: float, N: int) -> tuple
     and sigma_e2 = (1 - eta_star)*sigma_star2, so that the heritability
     ratio N q sigma_u2 / (N q sigma_u2 + sigma_e2) recovers eta_star exactly.
     """
-    if not 0.0 <= eta_star < 1.0:
-        raise ConfigurationError(f"eta_star must be in [0, 1), got {eta_star}")
-    if not sigma_star2 > 0.0:
-        raise ConfigurationError(f"sigma_star2 must be positive, got {sigma_star2}")
-    if not 0.0 < q <= 1.0:
-        raise ConfigurationError(f"q must be in (0, 1], got {q}")
-    if N < 1:
-        raise ConfigurationError(f"N must be >= 1, got {N}")
+    _check_eta_star(eta_star)
+    _check_sigma_star2(sigma_star2)
+    _check_q(q)
+    _check_count("N", N, 1)
     sigma_u2 = eta_star * sigma_star2 / (N * q)
     sigma_e2 = (1.0 - eta_star) * sigma_star2
     return sigma_u2, sigma_e2
@@ -227,11 +208,10 @@ def effect_scale(eta_star: float, sigma_star2: float, q: float, N: int) -> tuple
 
 def sample_effects(N: int, q: float, sigma_u2: float, rng: np.random.Generator) -> EffectVector:
     """Draw a sparse effect vector: Bernoulli(q) support times N(0, sigma_u2)."""
-    if not 0.0 < q <= 1.0:
-        raise ConfigurationError(f"q must be in (0, 1], got {q}")
-    if sigma_u2 < 0.0:
+    _check_count("N", N, 0)
+    _check_q(q)
+    if _check_number("sigma_u2", sigma_u2) < 0.0:
         raise ConfigurationError(f"sigma_u2 must be >= 0, got {sigma_u2}")
-    N = int(N)
     support = rng.random(N) < q
     u = support * rng.normal(0.0, np.sqrt(sigma_u2), N)
     return EffectVector(u=u, support=support, sigma_u2=sigma_u2)
@@ -245,7 +225,7 @@ def simulate_phenotype(Z, u, sigma_e2: float, rng: np.random.Generator) -> np.nd
     """
     Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
     uv = np.asarray(getattr(u, "u", u), dtype=np.float64)
-    if sigma_e2 < 0.0:
+    if _check_number("sigma_e2", sigma_e2) < 0.0:
         raise ConfigurationError(f"sigma_e2 must be >= 0, got {sigma_e2}")
     if Zm.ndim != 2 or uv.ndim != 1 or Zm.shape[1] != uv.size:
         raise ShapeMismatchError(
@@ -294,8 +274,7 @@ def simulate_cohort(
     """
     from .spectral import standardize  # local import to avoid a cycle
 
-    if design not in ("genotype", "gaussian"):
-        raise ConfigurationError(f"design must be 'genotype' or 'gaussian', got {design!r}")
+    _check_design(design)
     rng = replicate_rng(config.seed, replicate)
     genotypes = None
     if design == "genotype":

@@ -99,6 +99,13 @@ def var_quadform_oracle(
     return base + 3.0 * sigma2**2 * eta**2 * (1.0 / q - 1.0) * diag_sq
 
 
+def raised(call):
+    """The class and message of the error ``call()`` raises."""
+    with pytest.raises(Exception) as excinfo:
+        call()
+    return type(excinfo.value), str(excinfo.value)
+
+
 def run_child(*args, **env):
     """Run a fresh interpreter on ``args`` with this checkout's package first
     on ``PYTHONPATH`` and ``env`` added to the environment."""

@@ -607,6 +607,7 @@ def test_study_spec_json_round_trip():
 
 
 _BASE_SHAPE = "simulation config must be a JSON object with n, N, eta_star"
+_REPEATED = "study grid repeats the cell eta_star={}, N={}, q={}"
 
 
 @pytest.mark.parametrize(
@@ -624,17 +625,23 @@ _BASE_SHAPE = "simulation config must be a JSON object with n, N, eta_star"
         ({"workers": 2.7}, "workers must be an integer, got 2.7"),
         ({"workers": "3"}, "workers must be an integer, got '3'"),
         ({"workers": True}, "workers must be an integer, got True"),
-        ({"ci_level": "0.9"}, "level must be in (0, 1), got '0.9'"),
+        ({"ci_level": "0.9"}, "level must be a number, got '0.9'"),
         ({"a_grid": [True]}, "a grid value must be a number, got True"),
         ({"eta_grid": [False]}, "eta_star must be a number, got False"),
         ({"base": {"n": 40, "N": 80, "eta_star": 0.5, "replicates": 1, "q": True}},
          "q must be a number, got True"),
         ({"base": {"n": 40}}, _BASE_SHAPE),
         ({"base": 5}, _BASE_SHAPE),
+        # a repeated cell would be summarized as one, each draw counted twice
+        ({"a_grid": [0.5, 0.5], "design": "gaussian"}, _REPEATED.format(0.5, 80, 1.0)),
+        ({"a_grid": [0.5, 0.5000001]}, _REPEATED.format(0.5, 80, 1.0)),
+        ({"eta_grid": [0.2, 0.4, 0.2]}, _REPEATED.format(0.2, 80, 1.0)),
+        ({"q_grid": [0.5, 1, 0.5]}, _REPEATED.format(0.5, 80, 0.5)),
     ],
     ids=["workers-str", "grid-scalar", "base-n-str", "base-unknown", "unknown-key",
          "outputs", "eta-out-of-range", "workers-float", "workers-digit-str", "workers-bool",
-         "level-str", "a-bool", "eta-bool", "base-q-bool", "base-missing-keys", "base-scalar"],
+         "level-str", "a-bool", "eta-bool", "base-q-bool", "base-missing-keys", "base-scalar",
+         "a-repeated", "a-rounds-to-same-N", "eta-repeated", "q-repeated"],
 )
 def test_malformed_study_json_is_usage_error(tmp_path, capsys, overrides, message):
     doc = {"base": {"n": 40, "N": 80, "eta_star": 0.5, "replicates": 1}, **overrides}
@@ -752,10 +759,10 @@ BAD_REPORT_OPTIONS = [
     pytest.param({"ci_level": 1.5}, "level must be in (0, 1), got 1.5", id="level-1.5"),
     pytest.param({"ci_level": 0.0}, "level must be in (0, 1), got 0.0", id="level-0"),
     # a bool is not a proportion, and a string is not compared with numbers
-    pytest.param({"q_assumed": True}, "q must be in (0, 1], got True", id="q-bool"),
-    pytest.param({"q_assumed": "0.5"}, "q must be in (0, 1], got '0.5'", id="q-str"),
-    pytest.param({"ci_level": True}, "level must be in (0, 1), got True", id="level-bool"),
-    pytest.param({"ci_level": "0.9"}, "level must be in (0, 1), got '0.9'", id="level-str"),
+    pytest.param({"q_assumed": True}, "q must be a number, got True", id="q-bool"),
+    pytest.param({"q_assumed": "0.5"}, "q must be a number, got '0.5'", id="q-str"),
+    pytest.param({"ci_level": True}, "level must be a number, got True", id="level-bool"),
+    pytest.param({"ci_level": "0.9"}, "level must be a number, got '0.9'", id="level-str"),
     # q is checked first, as build_report reaches it first
     pytest.param({"q_assumed": -1.0, "ci_level": 1.5}, "q must be in (0, 1], got -1.0", id="both"),
 ]

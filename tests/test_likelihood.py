@@ -30,7 +30,7 @@ from specherit import (
 from specherit import likelihood
 from specherit.likelihood import loglik_grid
 
-from conftest import seeded_spectrum, simulated_spectrum
+from conftest import raised, seeded_spectrum, simulated_spectrum
 
 
 def finite_difference(fn, eta, h):
@@ -105,13 +105,6 @@ def test_domain_checks():
 # input rules: each is one check, and every entry that takes the input
 # raises the same error for it
 # ---------------------------------------------------------------------------
-
-
-def raised(call):
-    """The class and message of the error ``call()`` raises."""
-    with pytest.raises(Exception) as excinfo:
-        call()
-    return type(excinfo.value), str(excinfo.value)
 
 
 PAIR_ENTRIES = {

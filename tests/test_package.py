@@ -81,6 +81,20 @@ def test_solver_path_loads_neither_harness_nor_pool():
     assert proc.stdout.split("\n") == ["[]", "False", "['', ''] False", ""]
 
 
+def test_errors_is_a_leaf_module():
+    """Every module imports the parameter rules from ``errors``, so it must
+    load nothing else, and the solver path must stay free of the harness."""
+    code = (
+        "import sys; import specherit.errors; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('specherit'))); "
+        "from specherit import SolverConfig, build_report; "
+        "print(sorted({'specherit.harness', 'specherit.synthcohort'} & sys.modules.keys()))"
+    )
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["['specherit', 'specherit.errors']", "[]", ""]
+
+
 
 def load_bench_tracer():
     """``bench/tracer.py``, loaded from its file as the benchmark loads it."""

@@ -237,6 +237,35 @@ def test_kinship_psd():
     assert lam.min() >= -1e-10
 
 
+def symmetrized_kinship(Z):
+    """The kinship as it was formed before it relied on NumPy's symmetric product."""
+    Zm = np.asarray(Z, dtype=np.float64)
+    R = Zm @ Zm.T
+    R /= Zm.shape[1]
+    R += R.T
+    R *= 0.5
+    return R
+
+
+@pytest.mark.parametrize("n, N", [(7, 13), (100, 300), (257, 129), (400, 1000)])
+def test_kinship_is_exactly_symmetric_in_every_layout(n, N):
+    rng = replicate_rng(n)
+    Z = rng.standard_normal((n, 2 * N))
+    layouts = {
+        "C": np.ascontiguousarray(Z[:, :N]),
+        "F": np.asfortranarray(Z[:, :N]),
+        "int8": rng.integers(0, 3, size=(n, N)).astype(np.int8),
+        "row-sliced": Z[::2, :N],
+        "transposed": np.ascontiguousarray(Z[:, :N].T).T,
+        "column-strided": Z[:, ::2],
+    }
+    for name, A in layouts.items():
+        R = kinship(A)
+        assert np.array_equal(R, R.T), name
+        if name in ("C", "F", "int8"):
+            assert np.array_equal(R, symmetrized_kinship(A)), name
+
+
 def test_eigendecompose_identity_and_diag():
     lam, U = eigendecompose(np.eye(4))
     assert np.allclose(lam, 1.0)
