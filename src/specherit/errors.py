@@ -6,11 +6,12 @@ ranges) and data/numerical problems (bad input data, degenerate models,
 solver failures).
 
 Each parameter rule is one function, called by every entry that takes the
-parameter: ``_check_count`` (an integer >= a floor, such as N), ``_check_q``,
-``_check_level``, ``_check_eta_star``, ``_check_sigma_star2``,
-``_check_freqs`` and ``_check_design``. Each applies ``_check_number`` (a
-bool, string or None is not a number) before its range. The module imports
-neither numpy nor the package, so every module can import it.
+parameter: ``_check_count`` (an integer >= a floor, such as N),
+``_check_seed``, ``_check_q``, ``_check_level``, ``_check_eta_star``,
+``_check_sigma_star2``, ``_check_freqs`` and ``_check_design``. Each
+applies ``_check_number`` (a bool, string or None is not a number) before
+its range. The module imports neither numpy nor the package, so every
+module can import it.
 """
 
 import numbers
@@ -72,9 +73,14 @@ def _check_number(name: str, value, integer: bool = False):
     return value
 
 
-def _check_count(name: str, value, least: int) -> None:
+def _check_count(name: str, value, least: int, error=ConfigurationError) -> None:
     if _check_number(name, value, integer=True) < least:
-        raise ConfigurationError(f"need {name} >= {least}, got {name}={value}")
+        raise error(f"need {name} >= {least}, got {name}={value}")
+
+
+def _check_seed(seed) -> None:
+    if _check_number("seed", seed, integer=True) < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
 
 
 def _check_q(q) -> None:

@@ -3,12 +3,12 @@
 Formats (all UTF-8 text, chosen for desk-scale transparency):
 
 * genotype: delimited (comma or tab, autodetected), one row per
-  individual, one column per marker, entries in {0, 1, 2}, optional
-  single header row;
-* phenotype: one decimal value per line;
-* covariates: delimited, one row per individual;
-* in all three, ``#`` starts a comment and blank lines are skipped; errors
-  name the file line (and column);
+  individual, one column per marker, entries in {0, 1, 2};
+* phenotype: one column, one row per individual, finite values;
+* covariates: delimited, one row per individual, finite values;
+* all three are read by one parser: an optional single header row, ``#``
+  starts a comment, blank lines are skipped, and errors name the file
+  line (and column);
 * simulation/study configs, truth files and reports: strict JSON, with
   non-finite floats written as ``null``;
 * replicate and summary tables: CSV with fixed column order, floats
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import logging
 import math
@@ -39,11 +38,14 @@ from .errors import (
     DataError,
     DataParseError,
     NumericalFailureError,
+    ShapeMismatchError,
     SpecheritError,
     UnidentifiableModelError,
+    _check_count,
     _check_design,
     _check_level,
     _check_number,
+    _check_seed,
 )
 from .inference import EstimateReport, _check_report_options, build_report
 from .likelihood import SolverConfig, newton_estimate
@@ -94,13 +96,14 @@ def _sniff(text: str) -> tuple[str, bool]:
     return delim, not all(_is_number(t) for t in text.strip().split(delim) if t != "")
 
 
-def _data_lines(path: str, skip: int = 0):
-    """Yield ``(file line, text)`` past line ``skip`` as ``np.loadtxt`` reads rows.
+def _data_lines(path: str) -> list[tuple[int, str]]:
+    """The ``(file line, text)`` of each data line of a file.
 
-    ``np.loadtxt`` drops a ``#`` comment and the line ending and skips lines
-    left empty, so data rows and file lines drift apart; errors name the
-    file line. A byte that is not UTF-8 is a parse error of its line.
+    The text is the line without its ``#`` comment and line ending; lines
+    left blank are dropped, so errors can name the file line of a data
+    row. A byte that is not UTF-8 is a parse error of its line.
     """
+    rows = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for k, line in enumerate(fh, start=1):
             try:
@@ -109,52 +112,53 @@ def _data_lines(path: str, skip: int = 0):
                 byte = ord(line[exc.start]) - 0xDC00
                 raise DataParseError(f"{path}: line {k}: byte 0x{byte:02x} is not UTF-8") from None
             text = line.split("#", 1)[0].rstrip("\r\n")
-            if k > skip and text:
-                yield k, text
+            if text.strip():
+                rows.append((k, text))
+    return rows
 
 
-def _first_bad_line(rows, delim: str) -> str | None:
-    """Describe the first row with a changed column count or a non-number."""
-    width = None
+def _first_bad_line(rows, delim: str, width: int | None = None) -> str | None:
+    """Describe the first row with a column count other than ``width`` (by
+    default the first row's) or a field that is not a number."""
     for k, text in rows:
         tokens = text.split(delim)
         width = len(tokens) if width is None else width
         if len(tokens) != width:
             return f"line {k}: {len(tokens)} columns, expected {width}"
         for j, token in enumerate(tokens, start=1):
-            if not _is_number(token) or "_" in token:  # np.loadtxt rejects digit separators
+            # np.loadtxt reads what float() reads, less digit separators and non-ASCII digits
+            if not _is_number(token) or "_" in token or not token.strip().isascii():
                 return f"line {k}, column {j}: {token.strip()!r} is not a number"
     return None
 
 
-def _read_matrix(path: str, kind: str, allowed, rule: str) -> np.ndarray:
+def _read_matrix(path: str, kind: str, allowed, rule: str, width: int | None = None) -> np.ndarray:
     """Read a delimited matrix, autodetecting delimiter and optional header.
 
-    The first data line sets the delimiter and, if it is not numeric, is
-    the header. ``allowed`` maps the matrix to a mask of acceptable entries;
-    the first other entry is reported with its line and column, followed
-    by ``rule``.
+    The file is read once: ``_data_lines`` lists its data lines, the first
+    sets the delimiter and, if it is not numeric, is the header, and
+    ``np.loadtxt`` parses the texts of the rest. Every error names the file
+    line of its row in that list: a row whose column count differs from the
+    first row's (or from ``width``), a field that is not a number, or an
+    entry outside ``allowed``, a map from the matrix to a mask of
+    acceptable entries, followed by ``rule``.
     """
-    first = next(_data_lines(path), None)
-    if first is None:
-        raise DataParseError(f"{path}: no {kind} values found")
-    k, text = first
-    delim, header = _sniff(text)
-    skip = k if header else 0
-    if header and next(_data_lines(path, skip), None) is None:
+    rows = _data_lines(path)
+    delim, header = _sniff(rows[0][1] if rows else "")
+    rows = rows[1:] if header else rows
+    if not rows:
         raise DataParseError(f"{path}: no {kind} values found")
     try:
-        M = np.loadtxt(path, delimiter=delim, skiprows=skip, ndmin=2)
+        M = np.loadtxt([text for _, text in rows], delimiter=delim, ndmin=2)
     except ValueError as exc:
-        where = _first_bad_line(_data_lines(path, skip), delim)
-        raise DataParseError(f"{path}: {where or exc}") from exc
+        raise DataParseError(f"{path}: {_first_bad_line(rows, delim, width) or exc}") from exc
+    if width is not None and M.shape[1] != width:
+        raise DataParseError(f"{path}: {_first_bad_line(rows, delim, width)}")
     bad = ~allowed(M)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        line = next(itertools.islice(_data_lines(path, skip), int(i), None))[0]
         raise DataParseError(
-            f"{path}: line {line}, column {int(j) + 1}: "
-            f"{kind} entry {float(M[i, j])!r} {rule}"
+            f"{path}: line {rows[i][0]}, column {j + 1}: {kind} entry {float(M[i, j])!r} {rule}"
         )
     return M
 
@@ -214,22 +218,8 @@ def read_genotypes(path: str) -> np.ndarray:
 
 
 def read_phenotype(path: str) -> np.ndarray:
-    """Read a phenotype vector, one decimal per line; ``#`` starts a comment."""
-    values = []
-    for lineno, text in _data_lines(path):
-        text = text.strip()
-        if not text:
-            continue
-        try:
-            value = float(text)
-        except ValueError as exc:
-            raise DataParseError(f"{path}: line {lineno}: {text!r} is not a number") from exc
-        if not math.isfinite(value):
-            raise DataParseError(f"{path}: line {lineno}: {text!r} is not finite")
-        values.append(value)
-    if not values:
-        raise DataParseError(f"{path}: no phenotype values found")
-    return np.asarray(values, dtype=np.float64)
+    """Read a phenotype vector of finite values, one per data line."""
+    return _read_matrix(path, "phenotype", np.isfinite, "is not finite", width=1).ravel()
 
 
 def read_covariates(path: str) -> np.ndarray:
@@ -344,7 +334,10 @@ def estimate_files(
         except DataError as exc:  # the shape and rank errors, which take one message
             raise type(exc)(f"{covar_path}: {exc}") from exc
         inputs["covariates"] = _fingerprint(covar_path, X.shape)
-    design = standardize(W, policy="drop" if drop_monomorphic else "error")
+    try:
+        design = standardize(W, policy="drop" if drop_monomorphic else "error")
+    except ShapeMismatchError as exc:  # a file of one row
+        raise ShapeMismatchError(f"{geno_path}: {exc}") from exc
     report = estimate_from_design(
         design.Z, Y, q_assumed=q_assumed, ci_level=ci_level, solver=solver
     )
@@ -601,9 +594,10 @@ def mp_check(n: int, N: int, dist: str = "gaussian", seed: int = 0) -> dict:
     The distance is evaluated on a 2001-point grid spanning
     [-0.1, a_plus + 0.1]; the check passes below 0.05.
     """
-    if n < 2 or N < 2:
-        raise ConfigurationError(f"need n, N >= 2, got n={n}, N={N}")
+    _check_count("n", n, 2)
+    _check_count("N", N, 2)
     _check_design(dist, "dist")
+    _check_seed(seed)
     rng = replicate_rng(seed, 0)
     if dist == "gaussian":
         Z = rng.standard_normal((n, N))
@@ -634,6 +628,7 @@ class _Parser(argparse.ArgumentParser):
     # usage problems must exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

@@ -30,6 +30,7 @@ from .errors import (
     NumericalFailureError,
     RankDeficientCovariatesError,
     ShapeMismatchError,
+    _check_count,
 )
 
 # Tiny negative eigenvalues from round-off are clamped to zero; R is PSD
@@ -97,8 +98,7 @@ def standardize(W, policy: str = "error") -> StandardizedDesign:
     if Wm.ndim != 2:
         raise ShapeMismatchError("design matrix must be 2-D")
     n, N = Wm.shape
-    if n < 2:
-        raise ConfigurationError(f"standardization needs n >= 2 rows, got {n}")
+    _check_count("n", n, 2, ShapeMismatchError)
     # One n x N array is centered and scaled in place. A non-finite entry
     # makes its column's mean or scale non-finite, and so does an entry whose
     # square overflows; those O(N) vectors are checked instead of Z itself.

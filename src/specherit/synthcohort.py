@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError, ShapeMismatchError, _check_count, _check_design, _check_eta_star,
-    _check_freqs, _check_number, _check_q, _check_sigma_star2,
+    _check_freqs, _check_number, _check_q, _check_seed, _check_sigma_star2,
 )
 
 # Uniforms drawn per block by ``sample_genotypes`` (at least one row).
@@ -90,8 +90,7 @@ class SimulationConfig:
         _check_q(self.q)
         _check_sigma_star2(self.sigma_star2)
         _check_freqs(self.freq_lo, self.freq_hi)
-        if _check_number("seed", self.seed, integer=True) < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
         if _check_number("replicates", self.replicates, integer=True) < 1:
             raise ConfigurationError(f"replicates must be >= 1, got {self.replicates}")
 
@@ -117,10 +116,8 @@ class GenotypeMatrix:
         self.entries = np.asarray(self.entries)
         if self.entries.ndim != 2:
             raise ShapeMismatchError("genotype matrix must be 2-D")
-        if self.entries.shape[0] < 2 or self.entries.shape[1] < 1:
-            raise ConfigurationError(
-                f"need n >= 2 individuals and N >= 1 markers, got shape {self.entries.shape}"
-            )
+        _check_count("n", self.entries.shape[0], 2)
+        _check_count("N", self.entries.shape[1], 1)
         E = self.entries
         if E.dtype.kind in "iu":
             # read as unsigned of the same width, a negative count lands above 2
@@ -167,12 +164,13 @@ def sample_genotypes(n: int, freqs: np.ndarray, rng: np.random.Generator) -> Gen
     ``rng.random((n, N))`` twice. The uniforms are drawn into one reused
     block of about ``_DRAW_BLOCK`` values, so no n x N float array exists.
     """
+    _check_count("n", n, 2)
     freqs = np.asarray(freqs, dtype=np.float64)
     if freqs.ndim != 1:
         raise ConfigurationError("freqs must be a 1-D vector")
     if freqs.size and not ((freqs > 0.0) & (freqs < 1.0)).all():
         raise ConfigurationError("allele frequencies must lie strictly inside (0, 1)")
-    n, N = int(n), freqs.size
+    N = freqs.size
     entries = np.empty((n, N), dtype=np.int8)
     rows = max(1, _DRAW_BLOCK // max(N, 1))
     uniform = np.empty((min(rows, n), N))

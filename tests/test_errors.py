@@ -9,6 +9,8 @@ import pytest
 
 from specherit import (
     ConfigurationError,
+    GenotypeMatrix,
+    ShapeMismatchError,
     SimulationConfig,
     SolverConfig,
     StudySpec,
@@ -24,8 +26,10 @@ from specherit import (
     replicate_rng,
     sample_allele_frequencies,
     sample_effects,
+    sample_genotypes,
     simulate_cohort,
     simulate_phenotype,
+    standardize,
     tau2,
 )
 
@@ -237,3 +241,50 @@ def test_n_is_at_least_two():
     assert raised(lambda: SimulationConfig(n=1, N=80, eta_star=0.5)) == (
         ConfigurationError, "need n >= 2, got n=1"
     )
+
+
+# Counts that take n >= 2 beside SimulationConfig's n.
+COUNT_ENTRIES = {
+    ("sample_genotypes", "n"): lambda n: sample_genotypes(n, np.full(3, 0.3), replicate_rng(0)),
+    ("mp_check", "n"): lambda n: mp_check(n, 80),
+    ("mp_check", "N"): lambda N: mp_check(40, N),
+}
+
+
+@pytest.mark.parametrize("value, message", [
+    *not_numbers("an integer"),
+    pytest.param(2.7, "{name} must be an integer, got 2.7", id="2.7"),
+    pytest.param(40.0, "{name} must be an integer, got 40.0", id="40.0"),
+    pytest.param(1, "need {name} >= 2, got {name}=1", id="1"),
+    pytest.param(-1, "need {name} >= 2, got {name}=-1", id="-1"),
+])
+def test_sampler_and_mp_check_counts_apply_the_count_rule(value, message):
+    check_rule(COUNT_ENTRIES, value, message)
+
+
+SEED_ENTRIES = {
+    ("SimulationConfig", "seed"):
+        lambda seed: SimulationConfig(n=40, N=80, eta_star=0.5, seed=seed),
+    ("mp_check", "seed"): lambda seed: mp_check(10, 10, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed, message", [
+    *not_numbers("an integer"),
+    pytest.param(0.5, "seed must be an integer, got 0.5", id="0.5"),
+    pytest.param(-1, "seed must be >= 0, got -1", id="-1"),
+])
+def test_every_entry_applies_the_seed_rule(seed, message):
+    check_rule(SEED_ENTRIES, seed, message)
+
+
+def test_every_n_rule_has_one_wording():
+    """A one-row array is a shape fault of ``standardize``'s data; the
+    other entries take n as a parameter."""
+    one_row = np.array([[0, 1, 2]])
+    assert raised(lambda: GenotypeMatrix(one_row)) == (ConfigurationError, "need n >= 2, got n=1")
+    assert raised(lambda: GenotypeMatrix(np.zeros((2, 0)))) == (
+        ConfigurationError, "need N >= 1, got N=0"
+    )
+    assert raised(lambda: standardize(one_row)) == (ShapeMismatchError, "need n >= 2, got n=1")
+    assert raised(lambda: mp_check(1, 80)) == (ConfigurationError, "need n >= 2, got n=1")

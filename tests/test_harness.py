@@ -322,6 +322,58 @@ def test_phenotype_reader_skips_comments(tmp_path):
     assert f"{path}: line 4" in str(excinfo.value)
 
 
+# One table for the three readers: the same text reads the same way in a
+# phenotype, a covariate and a genotype file (general parser), and each fault
+# has one message, ``{kind}`` and ``{rule}`` being the reader's.
+READERS = [
+    pytest.param(read_phenotype, "phenotype", "is not finite", id="phenotype"),
+    pytest.param(read_covariates, "covariate", "is not finite", id="covariate"),
+    pytest.param(read_genotypes, "genotype", "not in {0, 1, 2}", id="genotype"),
+]
+
+
+@pytest.mark.parametrize("reader, kind, rule", READERS)
+@pytest.mark.parametrize("data, message", [
+    pytest.param(b"1\n1_0\n", "line 2, column 1: '1_0' is not a number", id="digit-separator"),
+    pytest.param("1\n\u0661\n".encode(), "line 2, column 1: '\u0661' is not a number",
+                 id="arabic-indic-digit"),
+    pytest.param(b"1\nnan\n", "line 2, column 1: {kind} entry nan {rule}", id="nan"),
+    pytest.param(b"1\n-inf\n", "line 2, column 1: {kind} entry -inf {rule}", id="inf"),
+    pytest.param(b"1\n1e309\n", "line 2, column 1: {kind} entry inf {rule}", id="overflow"),
+    pytest.param(b"1\n1\xff\n", "line 2: byte 0xff is not UTF-8", id="non-utf8"),
+    pytest.param(b"1\n1,1\n", "line 2: 2 columns, expected 1", id="ragged"),
+    pytest.param(b"value\n\n# none\n", "no {kind} values found", id="header-only"),
+    pytest.param(b"# a\n\n1\n  \n1 # b\n1_0\n", "line 6, column 1: '1_0' is not a number",
+                 id="digit-separator-past-blanks"),
+    pytest.param(b"value\n1\n\n# a\n  # b\n2\ninf\n", "line 7, column 1: {kind} entry inf {rule}",
+                 id="inf-past-header-and-blanks"),
+])
+def test_one_rule_table_for_the_three_readers(tmp_path, reader, kind, rule, data, message):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    with pytest.raises(DataParseError) as excinfo:
+        reader(str(path))
+    assert str(excinfo.value) == f"{path}: " + message.format(kind=kind, rule=rule)
+
+
+@pytest.mark.parametrize("reader, kind, rule", READERS)
+def test_the_three_readers_share_the_header_and_blank_line_rules(tmp_path, reader, kind, rule):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"# a\nvalue\n  \n1\n2 # b\n\t\n0\n")
+    assert np.array_equal(np.ravel(reader(str(path))), [1, 2, 0])
+
+
+def test_phenotype_lines_hold_one_column(tmp_path):
+    path = tmp_path / "p.txt"
+    # the first data line sets the delimiter, as in the other two files
+    for text, k in (("1.5,2.5\n3,4\n", 1), ("1.5\n2.5,3\n", 2), ("y\n1\n2,3\n", 3),
+                    ("1.5\t2.5\n3\t4\n", 1)):
+        path.write_text(text)
+        with pytest.raises(DataParseError) as excinfo:
+            read_phenotype(str(path))
+        assert str(excinfo.value) == f"{path}: line {k}: 2 columns, expected 1"
+
+
 # ---------------------------------------------------------------------------
 # estimation from files
 # ---------------------------------------------------------------------------
@@ -697,6 +749,68 @@ def test_mp_check_invalid_dist():
 # ---------------------------------------------------------------------------
 # error handling details
 # ---------------------------------------------------------------------------
+
+
+def _cli_fault(tmp_path, case):
+    """``(argv, exit code, message)`` of one bad invocation; a message ending
+    in ``...`` is argparse's, of which only that prefix is pinned."""
+    def write(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    geno = write("g.csv", "0,1\n1,2\n2,0\n")
+    pheno = write("p.txt", "1.5\n-0.5\n2\n")
+    missing = str(tmp_path / "missing.csv")
+    return {
+        "one-row-genotype": (["estimate", write("g1.csv", "0,1,2\n"), write("p1.txt", "1.5\n")],
+                             EXIT_DATA, f"{tmp_path / 'g1.csv'}: need n >= 2, got n=1"),
+        "phenotype-digit-separator": (
+            ["estimate", geno, write("p2.txt", "1.5\n2\n1_0\n")], EXIT_DATA,
+            f"{tmp_path / 'p2.txt'}: line 3, column 1: '1_0' is not a number"),
+        "phenotype-nan": (
+            ["estimate", geno, write("p3.txt", "1.5\nnan\n2\n")], EXIT_DATA,
+            f"{tmp_path / 'p3.txt'}: line 2, column 1: phenotype entry nan is not finite"),
+        "rows-disagree": (["estimate", geno, write("p4.txt", "1\n2\n")], EXIT_DATA,
+                          "genotype rows (3) and phenotype length (2) disagree"),
+        "missing-file": (["estimate", missing, pheno], EXIT_DATA,
+                         f"[Errno 2] No such file or directory: {missing!r}"),
+        "q-0": (["estimate", geno, pheno, "--q", "0"], EXIT_USAGE, "q must be in (0, 1], got 0.0"),
+        "level-word": (["estimate", geno, pheno, "--level", "high"], EXIT_USAGE,
+                       "argument --level: ..."),
+        "unknown-option": (["estimate", geno, pheno, "--inits", "0.1"], EXIT_USAGE,
+                           "unrecognized arguments: ..."),
+        "missing-argument": (["estimate", geno], EXIT_USAGE, "the following arguments ..."),
+        "seed-negative": (["mp-check", "--n", "40", "--N", "80", "--seed", "-1"], EXIT_USAGE,
+                          "seed must be >= 0, got -1"),
+        "n-1": (["mp-check", "--n", "1", "--N", "80"], EXIT_USAGE, "need n >= 2, got n=1"),
+        "n-word": (["mp-check", "--n", "forty", "--N", "80"], EXIT_USAGE, "argument --n: ..."),
+        "dist-choice": (["mp-check", "--n", "4", "--N", "8", "--dist", "uniform"], EXIT_USAGE,
+                        "argument --dist: ..."),
+        "out-in-missing-dir": (
+            ["mp-check", "--n", "4", "--N", "8", "--out", missing + "/mp.json"], EXIT_DATA,
+            f"[Errno 2] No such file or directory: '{missing}/mp.json'"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "one-row-genotype", "phenotype-digit-separator", "phenotype-nan", "rows-disagree",
+    "missing-file", "q-0", "level-word", "unknown-option", "missing-argument",
+    "seed-negative", "n-1", "n-word", "dist-choice", "out-in-missing-dir",
+])
+def test_cli_faults_exit_with_one_error_line(tmp_path, case):
+    """A bad argument or file ends ``estimate`` and ``mp-check`` with exit 1
+    (usage) or 2 (data) and one ``error:`` line on stderr, never a traceback."""
+    argv, code, message = _cli_fault(tmp_path, case)
+    proc = run_child("-m", "specherit", *argv)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    if message.endswith("..."):  # argparse prints its usage first
+        assert lines[0].startswith("usage: specherit")
+        assert lines[-1].startswith(f"error: {message[:-3]}")
+    else:
+        assert lines == [f"error: {message}"]
+    assert [line for line in lines if line.startswith("error: ")] == lines[-1:]
 
 
 def test_estimate_dimension_mismatch_exits_2(cohort_files, tmp_path):

@@ -70,7 +70,7 @@ def test_standardize_identities_random():
 
 
 def test_standardize_needs_two_rows():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ShapeMismatchError, match=r"^need n >= 2, got n=1$"):
         standardize(np.array([[0, 1, 2]]))
 
 
