@@ -55,9 +55,6 @@ from .synthcohort import (
     SimulationConfig,
     _from_doc,
     _parse_json,
-    replicate_rng,
-    sample_allele_frequencies,
-    sample_genotypes,
     simulate_cohort,
 )
 
@@ -315,7 +312,12 @@ def estimate_files(
     drop_monomorphic: bool = False,
     solver: SolverConfig | None = None,
 ) -> dict:
-    """File-based estimation: returns the report document with fingerprints."""
+    """File-based estimation: returns the report document with fingerprints.
+
+    The phenotype mean is always fitted: Y is projected off [1, X], or off 1
+    alone without a covariate file. Covariates that already span 1, such as
+    a constant non-zero column or indicators of every level, are used as given.
+    """
     _check_report_options(q_assumed, ci_level)
     W = read_genotypes(geno_path)
     Y = read_phenotype(pheno_path)
@@ -327,10 +329,17 @@ def estimate_files(
         "genotype": _fingerprint(geno_path, W.shape),
         "phenotype": _fingerprint(pheno_path, Y.shape),
     }
-    if covar_path is not None:
+    if covar_path is None:
+        Y = Y - Y.mean()
+    else:
         X = read_covariates(covar_path)
         try:
-            Y = residualize(Y, X)
+            Y, ones = residualize(Y, X), residualize(np.ones(Y.size), X)
+            if np.abs(ones).max() > 1e-8:  # X does not span 1: project off 1's rest too
+                if X.shape[1] == Y.size - 1:
+                    raise ShapeMismatchError(f"need p < n - 1 covariates besides the "
+                                             f"intercept, got p={X.shape[1]}, n={Y.size}")
+                Y = Y - (ones @ Y) / (ones @ ones) * ones
         except DataError as exc:  # the shape and rank errors, which take one message
             raise type(exc)(f"{covar_path}: {exc}") from exc
         inputs["covariates"] = _fingerprint(covar_path, X.shape)
@@ -591,19 +600,14 @@ def summarize_replicates(replicates_path: str) -> list[dict]:
 def mp_check(n: int, N: int, dist: str = "gaussian", seed: int = 0) -> dict:
     """Sup-distance between the empirical spectral CDF and the MP law.
 
-    The distance is evaluated on a 2001-point grid spanning
-    [-0.1, a_plus + 0.1]; the check passes below 0.05.
+    The design is ``simulate_cohort``'s replicate 0 at ``seed``. The distance
+    is taken on a 2001-point grid over [-0.1, a_plus + 0.1]; below 0.05 passes.
     """
     _check_count("n", n, 2)
     _check_count("N", N, 2)
     _check_design(dist, "dist")
     _check_seed(seed)
-    rng = replicate_rng(seed, 0)
-    if dist == "gaussian":
-        Z = rng.standard_normal((n, N))
-    else:
-        freqs = sample_allele_frequencies(N, 0.1, 0.5, rng)
-        Z = standardize(sample_genotypes(n, freqs, rng)).Z
+    Z = simulate_cohort(SimulationConfig(n=n, N=N, eta_star=0.0, seed=seed), design=dist).Z
     spec = decompose(Z, np.zeros(n))
     law = MPLaw(n / N)
     grid = np.linspace(-0.1, law.a_plus + 0.1, 2001)

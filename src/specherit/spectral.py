@@ -14,6 +14,8 @@ at zero. Integrals against the continuous part use the substitution
 under which the density becomes (2/pi) sin(theta)^2 / lambda(theta):
 both square-root edge singularities disappear and fixed-order
 Gauss-Legendre quadrature converges spectrally for smooth integrands.
+The distribution function needs no quadrature: the bulk mass up to
+theta has the closed form given in ``mp_cdf``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
 # for the caller to notice.
 EIGENVALUE_CLAMP_TOL = 1e-8
 
-# Gauss-Legendre nodes behind every Marchenko-Pastur integral and CDF value.
+# Gauss-Legendre nodes behind every Marchenko-Pastur integral.
 QUADRATURE_ORDER = 512
 
 # Side of the square blocks in which ``eigendecompose`` compares R with R'.
@@ -309,10 +311,10 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
 
 
-def _bulk_quadrature(a: float, upper: float) -> tuple[np.ndarray, np.ndarray]:
-    # Gauss-Legendre nodes mapped onto [0, upper] in the theta variable.
+def _bulk_quadrature(a: float) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Legendre nodes mapped onto [0, pi] in the theta variable.
     x, w = _gauss_legendre()
-    theta, wt = 0.5 * upper * (x + 1.0), 0.5 * upper * w
+    theta, wt = 0.5 * np.pi * (x + 1.0), 0.5 * np.pi * w
     lam = 1.0 + a - 2.0 * np.sqrt(a) * np.cos(theta)
     density = (2.0 / np.pi) * np.sin(theta) ** 2 / lam
     return lam, density * wt
@@ -327,7 +329,7 @@ def mp_integrate(law: MPLaw, f) -> float:
     step discontinuities inside the support are only resolved to
     O(1/QUADRATURE_ORDER).
     """
-    lam, weights = _bulk_quadrature(law.a, np.pi)
+    lam, weights = _bulk_quadrature(law.a)
     values = np.asarray(f(lam), dtype=np.float64)
     atom = law.mass_at_zero
     atom_term = atom * float(f(np.float64(0.0))) if atom > 0.0 else 0.0
@@ -338,28 +340,21 @@ def mp_integrate(law: MPLaw, f) -> float:
 
 
 def mp_cdf(law: MPLaw, x) -> float | np.ndarray:
-    """Marchenko-Pastur distribution function at x.
+    """Marchenko-Pastur distribution function at x, in closed form.
 
-    Computed as mass_at_zero * 1{x >= 0} plus the bulk integral up to x,
-    evaluated by Gauss-Legendre on the theta interval [0, theta_x], which
-    keeps the integrand smooth for every x.
+    0 for x < 0, else mass_at_zero plus the bulk mass below x, the theta
+    density's integral over [0, t] with t = arccos(clip((1 + a - x) /
+    (2 sqrt(a)), -1, 1)): (2/pi) [sin t / (2 sqrt(a)) + (1 + a) t / (4 a)
+    - |1 - a| / (2 a) arctan((1 + sqrt(a)) / |1 - sqrt(a)| tan(t / 2))].
+    A NaN x raises NumericalFailureError.
     """
-    scalar = np.isscalar(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty(xs.shape, dtype=np.float64)
-    sqrt_a = np.sqrt(law.a)
-    for i, xi in enumerate(xs.ravel()):
-        if xi < 0.0:
-            out.ravel()[i] = 0.0
-        elif xi >= law.a_plus:
-            out.ravel()[i] = 1.0
-        elif xi <= law.a_minus:
-            out.ravel()[i] = law.mass_at_zero
-        else:
-            cos_theta = (1.0 + law.a - xi) / (2.0 * sqrt_a)
-            theta_x = float(np.arccos(np.clip(cos_theta, -1.0, 1.0)))
-            _, weights = _bulk_quadrature(law.a, theta_x)
-            out.ravel()[i] = law.mass_at_zero + float(weights.sum())
+    xs = np.asarray(x, dtype=np.float64)
+    a, sqrt_a = law.a, np.sqrt(law.a)
+    t = np.arccos(np.clip((1.0 + a - xs) / (2.0 * sqrt_a), -1.0, 1.0))
+    # arctan2 keeps the last term finite at a = 1, where its weight |1 - a| is 0
+    edge = np.arctan2((1.0 + sqrt_a) * np.tan(t / 2.0), abs(1.0 - sqrt_a))
+    bulk = np.sin(t) / (2.0 * sqrt_a) + (1.0 + a) * t / (4.0 * a) - abs(1.0 - a) / (2.0 * a) * edge
+    out = np.where(xs < 0.0, 0.0, law.mass_at_zero + (2.0 / np.pi) * bulk)
     if not np.isfinite(out).all():
-        raise NumericalFailureError("CDF quadrature produced non-finite values")
-    return float(out[0]) if scalar else out
+        raise NumericalFailureError("CDF evaluated at NaN")
+    return float(out) if np.isscalar(x) else out

@@ -21,6 +21,7 @@ from .errors import (
     ConfigurationError, ShapeMismatchError, _check_count, _check_design, _check_eta_star,
     _check_freqs, _check_number, _check_q, _check_seed, _check_sigma_star2,
 )
+from .spectral import standardize
 
 # Uniforms drawn per block by ``sample_genotypes`` (at least one row).
 _DRAW_BLOCK = 1 << 16
@@ -270,8 +271,6 @@ def simulate_cohort(
     them; ``design="gaussian"`` uses an i.i.d. N(0,1) design directly
     (no standardization), which is the setting of the sparse-case theory.
     """
-    from .spectral import standardize  # local import to avoid a cycle
-
     _check_design(design)
     rng = replicate_rng(config.seed, replicate)
     genotypes = None

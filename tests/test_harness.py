@@ -19,11 +19,13 @@ from specherit import (
     SimulationConfig,
     StudySpec,
     build_report,
+    decompose,
     estimate_from_design,
     mp_check,
     newton_estimate,
     run_study,
     simulate_cohort,
+    standardize,
     study_records,
     summarize_replicates,
 )
@@ -382,12 +384,45 @@ def test_phenotype_lines_hold_one_column(tmp_path):
 def test_estimate_files_matches_in_memory(cohort_files):
     cohort, geno, pheno = cohort_files
     doc = estimate_files(geno, pheno)
-    direct = estimate_from_design(cohort.Z, cohort.Y)
+    direct = estimate_from_design(cohort.Z, cohort.Y - cohort.Y.mean())  # the fitted intercept
     assert abs(doc["eta_hat"] - direct.eta_hat) <= 1e-12
     assert abs(doc["sigma2_hat"] - direct.sigma2_hat) <= 1e-12
     assert doc["inputs"]["genotype"]["rows"] == 60
     assert doc["inputs"]["genotype"]["cols"] == 120
     assert len(doc["inputs"]["genotype"]["sha256"]) == 64
+
+
+def test_estimate_files_fits_the_phenotype_mean(cohort_files, tmp_path):
+    """A shifted and rescaled phenotype file gives the same estimate, with or
+    without covariates; covariates that span 1 (a constant column, indicators
+    of every level) stand for the intercept."""
+    cohort, geno, _ = cohort_files
+    x = np.random.default_rng(0).standard_normal((60, 1))
+    covariates = {"none": None}
+    for name, X in (("x", x), ("1x", np.column_stack([np.full(60, 2.0), x])),
+                    ("levels", np.eye(3)[np.arange(60) % 3])):
+        covariates[name] = str(tmp_path / f"{name}.csv")
+        np.savetxt(covariates[name], X, delimiter=",")
+    fits = {}
+    for label, Y in (("Y", cohort.Y), ("shifted", 170.0 + 10.0 * cohort.Y),
+                     ("centered", cohort.Y - cohort.Y.mean())):
+        pheno = tmp_path / f"{label}.txt"
+        write_phenotype(pheno, Y)
+        for name in covariates:
+            fits[label, name] = estimate_files(geno, str(pheno), covariates[name])["eta_hat"]
+    for name in covariates:
+        assert abs(fits["shifted", name] - fits["Y", name]) <= 1e-9
+        assert abs(fits["centered", name] - fits["Y", name]) <= 1e-9
+    assert abs(fits["Y", "1x"] - fits["Y", "x"]) <= 1e-9
+
+
+def test_covariates_leave_no_residual_beside_the_intercept(cohort_files, tmp_path, capsys):
+    _, geno, pheno = cohort_files
+    covar = tmp_path / "wide.csv"
+    np.savetxt(covar, np.random.default_rng(0).standard_normal((60, 59)), delimiter=",")
+    assert main(["estimate", geno, pheno, "--covariates", str(covar)]) == EXIT_DATA
+    want = f"error: {covar}: need p < n - 1 covariates besides the intercept, got p=59, n=60\n"
+    assert capsys.readouterr().err == want
 
 
 def test_estimate_files_sparse_flag(cohort_files):
@@ -739,6 +774,23 @@ def test_mp_check_small_degenerate():
     doc = mp_check(2, 2, "gaussian", seed=3)
     assert np.isfinite(doc["ks_distance"])
     assert doc["a"] == 1.0
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "genotype"])
+def test_mp_check_uses_the_simulated_design(dist, monkeypatch, tmp_path):
+    """mp-check decomposes ``simulate_cohort``'s design, so ``specherit
+    simulate`` at the same seed writes the genotypes behind its spectrum."""
+    seen = []
+    monkeypatch.setattr(harness, "decompose", lambda Z, Y: seen.append(Z) or decompose(Z, Y))
+    mp_check(40, 30, dist, seed=9)
+    config = SimulationConfig(n=40, N=30, eta_star=0.0, seed=9)
+    assert np.array_equal(seen[0], simulate_cohort(config, design=dist).Z)
+    if dist == "genotype":
+        path = tmp_path / "config.json"
+        path.write_text(config.to_json())
+        assert main(["simulate", str(path), str(tmp_path / "out")]) == EXIT_OK
+        W = read_genotypes(str(tmp_path / "out" / "genotypes.csv"))
+        assert np.array_equal(seen[0], standardize(W).Z)
 
 
 def test_mp_check_invalid_dist():

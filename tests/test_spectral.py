@@ -521,6 +521,38 @@ def test_mp_cdf_median():
     assert abs(median - oracle_median) < 1e-6
 
 
+@pytest.mark.parametrize("a", [0.1, 1.0, 4.0])
+def test_mp_cdf_differentiates_to_the_density(a):
+    law = MPLaw(a)
+    x = law.a_minus + (law.a_plus - law.a_minus) * np.array([0.05, 0.3, 0.5, 0.7, 0.95])
+    h = 1e-6
+    slope = (mp_cdf(law, x + h) - mp_cdf(law, x - h)) / (2.0 * h)
+    density = np.sqrt((law.a_plus - x) * (x - law.a_minus)) / (2.0 * np.pi * a * x)
+    assert np.allclose(slope, density, rtol=1e-7, atol=0.0)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 2.0, 4.0])
+def test_mp_cdf_support_edges_are_exact(a):
+    law = MPLaw(a)
+    assert abs(mp_cdf(law, law.a_minus) - law.mass_at_zero) <= 1e-15
+    assert abs(mp_cdf(law, law.a_plus) - 1.0) <= 1e-15
+
+
+def test_mp_cdf_at_a_one_against_riemann_oracle():
+    # a = 1 puts the lower edge at 0, where the density has a 1/sqrt(lambda) pole
+    law = MPLaw(1.0)
+    for x in (1e-4, 0.01, 0.5, 1.0, 2.5, 3.99):
+        oracle = riemann_mp(1.0, lambda lam: (lam <= x).astype(float), points=10**6)
+        assert abs(mp_cdf(law, x) - oracle) <= 1e-5
+
+
+def test_mp_cdf_rejects_nan():
+    from specherit import NumericalFailureError
+
+    with pytest.raises(NumericalFailureError, match="NaN"):
+        mp_cdf(MPLaw(0.5), np.array([0.5, np.nan]))
+
+
 def test_mp_integrate_moments_against_riemann_oracle():
     for a in (0.25, 0.5, 1.0, 2.0):
         law = MPLaw(a)
