@@ -42,10 +42,10 @@ class MonomorphicColumnError(DataError):
 
     def __init__(self, columns):
         self.columns = tuple(int(c) for c in columns)
-        super().__init__(
-            f"monomorphic (zero-variance) columns cannot be standardized: "
-            f"{list(self.columns)}"
-        )
+        shown = list(self.columns[:10])
+        if len(self.columns) > 10:  # a message line stays short; .columns has them all
+            shown = f"{len(self.columns)} columns, the first 10 {shown}"
+        super().__init__(f"monomorphic (zero-variance) columns cannot be standardized: {shown}")
 
 
 class RankDeficientCovariatesError(DataError):

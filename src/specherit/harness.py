@@ -23,12 +23,15 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import logging
 import math
 import mmap
 import os
+import stat
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -93,24 +96,41 @@ def _sniff(text: str) -> tuple[str, bool]:
     return delim, not all(_is_number(t) for t in text.strip().split(delim) if t != "")
 
 
-def _data_lines(path: str) -> list[tuple[int, str]]:
-    """The ``(file line, text)`` of each data line of a file.
+@contextmanager
+def _file_bytes(path: str, data=None):
+    """A file's bytes from one open, or ``data`` when given. A non-empty regular
+    file is mapped read-only (freeing a read buffer of a few MB raises malloc's
+    mmap threshold, and peak memory with it); a pipe, device or empty file is read."""
+    if data is not None:
+        yield data
+        return
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size:
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+                yield mapped
+        else:
+            yield fh.read()
+
+
+def _data_lines(path: str, data) -> list[tuple[int, str]]:
+    """The ``(file line, text)`` of each data line of a file's bytes ``data``.
 
     The text is the line without its ``#`` comment and line ending; lines
     left blank are dropped, so errors can name the file line of a data
     row. A byte that is not UTF-8 is a parse error of its line.
     """
     rows = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for k, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")  # fails only on an escaped byte
-            except UnicodeEncodeError as exc:
-                byte = ord(line[exc.start]) - 0xDC00
-                raise DataParseError(f"{path}: line {k}: byte 0x{byte:02x} is not UTF-8") from None
-            text = line.split("#", 1)[0].rstrip("\r\n")
-            if text.strip():
-                rows.append((k, text))
+    lines = io.StringIO(bytes(data).decode("utf-8", "surrogateescape"), newline=None)
+    for k, line in enumerate(lines, start=1):
+        try:
+            line.encode("utf-8")  # fails only on an escaped byte
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00
+            raise DataParseError(f"{path}: line {k}: byte 0x{byte:02x} is not UTF-8") from None
+        text = line.split("#", 1)[0].rstrip("\r\n")
+        if text.strip():
+            rows.append((k, text))
     return rows
 
 
@@ -129,10 +149,11 @@ def _first_bad_line(rows, delim: str, width: int | None = None) -> str | None:
     return None
 
 
-def _read_matrix(path: str, kind: str, allowed, rule: str, width: int | None = None) -> np.ndarray:
+def _read_matrix(path: str, kind: str, allowed, rule: str, width=None, data=None) -> np.ndarray:
     """Read a delimited matrix, autodetecting delimiter and optional header.
 
-    The file is read once: ``_data_lines`` lists its data lines, the first
+    The file's bytes (``data``, or else read from ``path``) are parsed
+    once: ``_data_lines`` lists its data lines, the first
     sets the delimiter and, if it is not numeric, is the header, and
     ``np.loadtxt`` parses the texts of the rest. Every error names the file
     line of its row in that list: a row whose column count differs from the
@@ -140,7 +161,8 @@ def _read_matrix(path: str, kind: str, allowed, rule: str, width: int | None = N
     entry outside ``allowed``, a map from the matrix to a mask of
     acceptable entries, followed by ``rule``.
     """
-    rows = _data_lines(path)
+    with _file_bytes(path, data) as data:
+        rows = _data_lines(path, data)
     delim, header = _sniff(rows[0][1] if rows else "")
     rows = rows[1:] if header else rows
     if not rows:
@@ -195,33 +217,30 @@ def _decode_digits(data) -> np.ndarray | None:
     return digits.view(np.int8)
 
 
-def read_genotypes(path: str) -> np.ndarray:
+def read_genotypes(path: str, data=None) -> np.ndarray:
     """Read a genotype matrix with entries in {0, 1, 2} as a C-contiguous int8 array.
 
+    ``data``, when given, is the file's bytes, and the file is not opened.
     Single-digit files decode straight from bytes; every other layout goes
     through ``np.loadtxt`` and its ``file:line`` errors.
     """
-    W = None
-    with open(path, "rb") as fh:
-        # Map the file rather than read it: freeing a read buffer of a few MB
-        # raises malloc's mmap threshold, and the estimate's peak memory with it.
-        if os.fstat(fh.fileno()).st_size:  # an empty file cannot be mapped
-            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
-                W = _decode_digits(data)
-    if W is None:
-        M = _read_matrix(path, "genotype", lambda M: np.isin(M, (0.0, 1.0, 2.0)), "not in {0, 1, 2}")
-        W = M.astype(np.int8)
+    with _file_bytes(path, data) as data:
+        W = _decode_digits(data)
+        if W is None:
+            M = _read_matrix(path, "genotype", lambda M: np.isin(M, (0.0, 1.0, 2.0)),
+                             "not in {0, 1, 2}", data=data)
+            W = M.astype(np.int8)
     return W
 
 
-def read_phenotype(path: str) -> np.ndarray:
+def read_phenotype(path: str, data=None) -> np.ndarray:
     """Read a phenotype vector of finite values, one per data line."""
-    return _read_matrix(path, "phenotype", np.isfinite, "is not finite", width=1).ravel()
+    return _read_matrix(path, "phenotype", np.isfinite, "is not finite", width=1, data=data).ravel()
 
 
-def read_covariates(path: str) -> np.ndarray:
+def read_covariates(path: str, data=None) -> np.ndarray:
     """Read a covariate matrix of finite values, one row per individual."""
-    return _read_matrix(path, "covariate", np.isfinite, "is not finite")
+    return _read_matrix(path, "covariate", np.isfinite, "is not finite", data=data)
 
 
 def write_genotypes(path: str, W: np.ndarray) -> None:
@@ -261,17 +280,13 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write(_json_text(doc) + "\n")
 
 
-def _fingerprint(path: str, shape: tuple[int, ...]) -> dict:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    info = {"path": os.path.abspath(path), "sha256": digest.hexdigest()}
-    if len(shape) == 2:
-        info["rows"], info["cols"] = int(shape[0]), int(shape[1])
-    else:
-        info["rows"] = int(shape[0])
-    return info
+def _read_fingerprinted(reader, path: str) -> tuple[np.ndarray, dict]:
+    """What ``reader`` parses from the file, and its path, shape and the sha256
+    of the bytes parsed, with the file opened once (so a pipe works too)."""
+    with _file_bytes(path) as data:
+        M = reader(path, data)
+        digest = hashlib.sha256(data).hexdigest()
+    return M, dict(zip(("rows", "cols"), M.shape), path=os.path.abspath(path), sha256=digest)
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +334,17 @@ def estimate_files(
     a constant non-zero column or indicators of every level, are used as given.
     """
     _check_report_options(q_assumed, ci_level)
-    W = read_genotypes(geno_path)
-    Y = read_phenotype(pheno_path)
+    inputs = {}
+    W, inputs["genotype"] = _read_fingerprinted(read_genotypes, geno_path)
+    Y, inputs["phenotype"] = _read_fingerprinted(read_phenotype, pheno_path)
     if W.shape[0] != Y.size:
         raise DataError(
             f"genotype rows ({W.shape[0]}) and phenotype length ({Y.size}) disagree"
         )
-    inputs = {
-        "genotype": _fingerprint(geno_path, W.shape),
-        "phenotype": _fingerprint(pheno_path, Y.shape),
-    }
     if covar_path is None:
         Y = Y - Y.mean()
     else:
-        X = read_covariates(covar_path)
+        X, inputs["covariates"] = _read_fingerprinted(read_covariates, covar_path)
         try:
             Y, ones = residualize(Y, X), residualize(np.ones(Y.size), X)
             if np.abs(ones).max() > 1e-8:  # X does not span 1: project off 1's rest too
@@ -342,7 +354,6 @@ def estimate_files(
                 Y = Y - (ones @ Y) / (ones @ ones) * ones
         except DataError as exc:  # the shape and rank errors, which take one message
             raise type(exc)(f"{covar_path}: {exc}") from exc
-        inputs["covariates"] = _fingerprint(covar_path, X.shape)
     try:
         design = standardize(W, policy="drop" if drop_monomorphic else "error")
     except ShapeMismatchError as exc:  # a file of one row

@@ -74,6 +74,24 @@ class SpectralDecomposition:
     eigvecs: np.ndarray | None = None
 
 
+def _design_shape(M: np.ndarray) -> tuple[int, int]:
+    """The design rule, ``(n, N)`` of a 2-D array of n >= 2 rows and N >= 1 columns."""
+    if M.ndim != 2 or 0 in M.shape:
+        raise ShapeMismatchError(f"design matrix must be 2-D and non-empty, got shape {M.shape}")
+    _check_count("n", M.shape[0], 2, ShapeMismatchError)
+    return M.shape
+
+
+def _phenotype(Y, n: int) -> np.ndarray:
+    """The phenotype rule: Y as float64, a 1-D array of n finite values."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.shape != (n,):
+        raise ShapeMismatchError(f"phenotype must have shape ({n},), got {Y.shape}")
+    if not np.isfinite(Y).all():
+        raise DataError(f"phenotype holds {np.count_nonzero(~np.isfinite(Y))} nan/inf value(s)")
+    return Y
+
+
 def standardize(W, policy: str = "error") -> StandardizedDesign:
     """Center and scale genotype columns to zero mean and unit empirical variance.
 
@@ -97,10 +115,7 @@ def standardize(W, policy: str = "error") -> StandardizedDesign:
     if policy not in ("error", "drop"):
         raise ConfigurationError(f"policy must be 'error' or 'drop', got {policy!r}")
     Wm = np.asarray(getattr(W, "entries", W))
-    if Wm.ndim != 2:
-        raise ShapeMismatchError("design matrix must be 2-D")
-    n, N = Wm.shape
-    _check_count("n", n, 2, ShapeMismatchError)
+    n, N = _design_shape(Wm)
     # One n x N array is centered and scaled in place. A non-finite entry
     # makes its column's mean or scale non-finite, and so does an entry whose
     # square overflows; those O(N) vectors are checked instead of Z itself.
@@ -140,18 +155,21 @@ def standardize(W, policy: str = "error") -> StandardizedDesign:
 def residualize(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Project Y onto the orthogonal complement of the column space of X.
 
+    Y must pass the phenotype rule and X must be finite (DataError).
     Raises ShapeMismatchError unless X has one row per entry of Y and fewer
     columns than rows, and RankDeficientCovariatesError when X is
     column-rank deficient.
     """
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = _phenotype(Y, np.size(Y))
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
-    if Y.ndim != 1 or X.ndim != 2 or X.shape[0] != Y.size:
+    if X.ndim != 2 or X.shape[0] != Y.size:
         raise ShapeMismatchError(
             f"covariates {X.shape} do not align with phenotype of length {Y.size}"
         )
+    if not np.isfinite(X).all():
+        raise DataError(f"covariates hold {np.count_nonzero(~np.isfinite(X))} nan/inf value(s)")
     n, p = X.shape
     if p >= n:
         raise ShapeMismatchError(f"need p < n covariates, got p={p}, n={n}")
@@ -166,11 +184,11 @@ def residualize(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def kinship(Z) -> np.ndarray:
-    """Kinship matrix R = Z Z' / N, exactly symmetric: NumPy forms the product
-    of a C- or F-contiguous Zm with its transpose as one symmetric update."""
+    """Kinship matrix R = Z Z' / N of a design that passes the design rule,
+    exactly symmetric: NumPy forms the product of a C- or F-contiguous Zm
+    with its transpose as one symmetric update."""
     Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
-    if Zm.ndim != 2:
-        raise ShapeMismatchError("design matrix must be 2-D")
+    _design_shape(Zm)
     if not (Zm.flags.c_contiguous or Zm.flags.f_contiguous):
         Zm = np.ascontiguousarray(Zm)
     R = Zm @ Zm.T
@@ -226,16 +244,16 @@ def rotate(U: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def decompose(Z, Y: np.ndarray, keep_eigvecs: bool = False) -> SpectralDecomposition:
     """Full spectral pipeline: kinship, eigendecomposition, rotation.
 
-    With N >= n, or when the eigenvectors are kept, this is
-    ``eigendecompose(kinship(Z))`` followed by ``rotate``. With N < n the
-    n x n kinship has at least n - N zero eigenvalues, so the N x N Gram
-    Z'Z is decomposed instead (see ``_decompose_gram``).
+    Z and Y pass the design and phenotype rules before any kinship work.
+    With N >= n or N = 1, or when the eigenvectors are kept, this is
+    ``eigendecompose(kinship(Z))`` followed by ``rotate``. With 1 < N < n
+    the n x n kinship has at least n - N zero eigenvalues, so the N x N
+    Gram Z'Z is decomposed instead (see ``_decompose_gram``).
     """
     Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
-    if Zm.ndim != 2 or 0 in Zm.shape:
-        raise ShapeMismatchError(f"design matrix must be 2-D and non-empty, got {Zm.shape}")
-    n, N = Zm.shape
-    if N < n and not keep_eigvecs:
+    n, N = _design_shape(Zm)
+    Y = _phenotype(Y, n)
+    if 1 < N < n and not keep_eigvecs:
         lam, y_rot = _decompose_gram(Zm, Y)
         return SpectralDecomposition(lam, y_rot)
     lam, U = eigendecompose(kinship(Zm))
@@ -254,7 +272,6 @@ def _decompose_gram(Zm: np.ndarray, Y) -> tuple[np.ndarray, np.ndarray]:
     The mass is taken from the residual, not as ||Y||^2 - ||U1'Y||^2,
     which cancels when the mass is small.
     """
-    Y = np.asarray(Y, dtype=np.float64)
     n, N = Zm.shape
     zy = rotate(Zm, Y)  # Z'Y
     nu, V = eigendecompose(kinship(Zm.T))

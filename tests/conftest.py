@@ -106,13 +106,15 @@ def raised(call):
     return type(excinfo.value), str(excinfo.value)
 
 
-def run_child(*args, **env):
+def run_child(*args, input=None, **env):
     """Run a fresh interpreter on ``args`` with this checkout's package first
-    on ``PYTHONPATH`` and ``env`` added to the environment."""
+    on ``PYTHONPATH``, ``env`` added to the environment and ``input`` on its
+    standard input."""
     src = os.path.dirname(os.path.dirname(specherit.__file__))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, **env, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          input=input)
 
 
 def seeded_spectrum(seed, n, eta):

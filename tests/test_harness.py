@@ -1,11 +1,11 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import re
-import subprocess
-import sys
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,7 +225,7 @@ def test_write_genotypes_matches_per_entry_format(cohort_files, tmp_path):
     cohort, geno, _ = cohort_files
     W = cohort.genotypes.entries
     expected = "".join(",".join(str(int(v)) for v in row) + "\n" for row in W).encode()
-    assert open(geno, "rb").read() == expected
+    assert Path(geno).read_bytes() == expected
     path = tmp_path / "g.csv"
     for entries in (W.astype(np.int64), W.astype(np.float64), W.tolist()):
         write_genotypes(path, entries)
@@ -392,6 +392,33 @@ def test_estimate_files_matches_in_memory(cohort_files):
     assert len(doc["inputs"]["genotype"]["sha256"]) == 64
 
 
+def test_estimate_files_opens_each_input_once(cohort_files, tmp_path, monkeypatch):
+    _, geno, pheno = cohort_files
+    covar = tmp_path / "covar.csv"
+    np.savetxt(covar, np.random.default_rng(1).standard_normal((60, 2)), delimiter=",")
+    opened, real_open = [], open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    estimate_files(geno, pheno, str(covar))
+    assert sorted(opened) == sorted([geno, pheno, str(covar)])
+
+
+def test_piped_input_is_fingerprinted_from_its_bytes(cohort_files):
+    # the fingerprint hashes the bytes that were parsed, so a pipe read once is named right
+    _, geno, pheno = cohort_files
+    text = Path(pheno).read_text()
+    proc = run_child("-m", "specherit", "estimate", geno, "/dev/stdin", input=text)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["inputs"]["phenotype"]["sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    assert doc["inputs"]["phenotype"]["rows"] == 60
+    assert abs(doc["eta_hat"] - estimate_files(geno, pheno)["eta_hat"]) <= 1e-12
+
+
 def test_estimate_files_fits_the_phenotype_mean(cohort_files, tmp_path):
     """A shifted and rescaled phenotype file gives the same estimate, with or
     without covariates; covariates that span 1 (a constant column, indicators
@@ -539,11 +566,8 @@ def test_harness_module_runs_without_runpy_warning():
 
 
 def test_cli_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "specherit", "mp-check", "--n", "80",
-         "--N", "160", "--dist", "gaussian", "--seed", "1"],
-        capture_output=True, text=True,
-    )
+    proc = run_child("-m", "specherit", "mp-check", "--n", "80",
+                     "--N", "160", "--dist", "gaussian", "--seed", "1")
     assert proc.returncode == EXIT_OK
     assert proc.stderr == ""
     doc = json.loads(proc.stdout)
@@ -588,12 +612,28 @@ def test_mc_study_single_replicate(tmp_path):
         assert len(list(csv.DictReader(fh))) == 1
 
 
+def test_allow_large_guards_wide_cells(tmp_path, capsys):
+    doc = {"base": {"n": 4, "N": 20_001, "eta_star": 0.5, "seed": 1, "replicates": 1},
+           "design": "gaussian"}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(doc))
+    spec = StudySpec.from_json(path.read_text())
+    with pytest.raises(ConfigurationError, match="pass --allow-large to run it anyway"):
+        run_study(spec, str(tmp_path / "refused"))
+    assert main(["mc-study", str(path), str(tmp_path / "cli")]) == EXIT_USAGE
+    assert "--allow-large" in capsys.readouterr().err
+    run_study(spec, str(tmp_path / "allowed"), allow_large=True)
+    assert main(["mc-study", str(path), str(tmp_path / "flag"), "--allow-large"]) == EXIT_OK
+    for name in ("replicates.csv", "summary.csv"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "allowed" / name).read_bytes()
+
+
 def test_mc_study_determinism_across_workers(tmp_path):
     path = _study_doc(tmp_path)
     spec = StudySpec.from_json(path.read_text())
     rep1, _ = run_study(replace(spec, workers=1), str(tmp_path / "serial"))
     rep2, _ = run_study(replace(spec, workers=2), str(tmp_path / "parallel"))
-    assert open(rep1).read() == open(rep2).read()
+    assert Path(rep1).read_text() == Path(rep2).read_text()
 
 
 def test_mc_study_cli_pool_matches_serial_in_fresh_processes(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from specherit import spectral
 from specherit import (
     ConfigurationError,
     DataError,
@@ -32,7 +33,7 @@ from specherit import (
 from specherit.likelihood import loglik_grid
 from specherit.synthcohort import sample_allele_frequencies, sample_genotypes
 
-from conftest import riemann_mp
+from conftest import raised, riemann_mp
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +52,16 @@ def test_standardize_monomorphic_error_lists_columns():
     with pytest.raises(MonomorphicColumnError) as excinfo:
         standardize(W)
     assert excinfo.value.columns == (0, 2)
+
+
+def test_monomorphic_message_is_bounded():
+    with pytest.raises(MonomorphicColumnError) as excinfo:
+        standardize(np.ones((3, 2000)))
+    assert excinfo.value.columns == tuple(range(2000))
+    assert str(excinfo.value) == (
+        "monomorphic (zero-variance) columns cannot be standardized: "
+        "2000 columns, the first 10 [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]"
+    )
 
 
 def test_standardize_drop_policy():
@@ -197,6 +208,17 @@ def test_residualize_orthogonality():
     Y = rng.standard_normal(50)
     out = residualize(Y, X)
     assert np.abs(X.T @ out).max() < 1e-8 * np.linalg.norm(Y)
+
+
+def test_residualize_names_the_non_finite_input():
+    X = replicate_rng(4).standard_normal((20, 2))
+    Y = np.arange(20.0)
+    Y[3] = np.nan
+    assert raised(lambda: residualize(Y, X)) == (DataError, "phenotype holds 1 nan/inf value(s)")
+    X[:, 1] = np.inf
+    assert raised(lambda: residualize(np.arange(20.0), X)) == (
+        DataError, "covariates hold 20 nan/inf value(s)"
+    )
 
 
 def test_residualize_rank_deficient():
@@ -370,6 +392,49 @@ def test_decompose_rejects_empty_design():
     design = standardize(np.ones((4, 2)), policy="drop")
     with pytest.raises(ShapeMismatchError, match="non-empty"):
         estimate_from_design(design.Z, np.arange(4.0))
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((5,), "design matrix must be 2-D and non-empty, got shape (5,)"),
+    ((2, 3, 4), "design matrix must be 2-D and non-empty, got shape (2, 3, 4)"),
+    ((3, 0), "design matrix must be 2-D and non-empty, got shape (3, 0)"),
+    ((1, 4), "need n >= 2, got n=1"),
+], ids=["1-D", "3-D", "no-column", "one-row"])
+def test_every_design_entry_applies_one_rule(shape, message):
+    Z = np.ones(shape)
+    calls = (lambda: standardize(Z), lambda: kinship(Z), lambda: decompose(Z, np.zeros(3)))
+    assert {raised(call) for call in calls} == {(ShapeMismatchError, message)}
+
+
+@pytest.mark.parametrize("N", [40, 10], ids=["kinship-side", "gram-side"])
+@pytest.mark.parametrize("fault, error", [
+    ("short", (ShapeMismatchError, "phenotype must have shape (20,), got (19,)")),
+    ("nan", (DataError, "phenotype holds 1 nan/inf value(s)")),
+], ids=["short", "nan"])
+def test_phenotype_rule_applies_before_kinship(monkeypatch, N, fault, error):
+    rng = replicate_rng(28)
+    Z, Y = rng.standard_normal((20, N)), rng.standard_normal(20)
+    if fault == "short":
+        Y = Y[:-1]
+    else:
+        Y[4] = np.nan
+
+    def no_kinship(Z):
+        raise AssertionError("kinship ran")
+
+    monkeypatch.setattr(spectral, "kinship", no_kinship)
+    assert raised(lambda: estimate_from_design(Z, Y)) == error
+
+
+def test_decompose_one_marker():
+    # Z' has one row, below the design rule, so the n x n kinship is decomposed
+    rng = replicate_rng(29)
+    z, Y = rng.standard_normal(30), rng.standard_normal(30)
+    spec = decompose(z[:, None], Y)
+    assert spec.lambdas[0] == pytest.approx(z @ z, rel=1e-12)
+    assert np.abs(spec.lambdas[1:]).max() <= 1e-12 * (z @ z)
+    assert spec.y_rot[0] ** 2 == pytest.approx((z @ Y) ** 2 / (z @ z), rel=1e-10)
+    assert spec.y_rot @ spec.y_rot == pytest.approx(Y @ Y, rel=1e-12)
 
 
 def _n_side(Z, Y):
