@@ -33,6 +33,7 @@ import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -52,12 +53,16 @@ from .errors import (
 )
 from .inference import EstimateReport, _check_report_options, build_report
 from .likelihood import SolverConfig, newton_estimate
-from .spectral import MPLaw, decompose, esd, mp_cdf, residualize, standardize
+from . import spectral
+from .spectral import MPLaw, decompose, esd, mp_cdf, standardize
 from .synthcohort import (
     GenotypeMatrix,
     SimulationConfig,
     _from_doc,
     _parse_json,
+    draw_design,
+    draw_response,
+    replicate_rng,
     simulate_cohort,
 )
 
@@ -306,14 +311,14 @@ def estimate_from_design(
     _check_report_options(q_assumed, ci_level)
     Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
     spec = decompose(Zm, np.asarray(Y, dtype=np.float64))
-    result = newton_estimate(spec.lambdas, spec.y_rot, solver or SolverConfig())
+    return _solve(spec.lambdas, spec.y_rot, Zm.shape[1], q_assumed, ci_level, solver)
+
+
+def _solve(lam, y_rot, N: int, q_assumed, ci_level: float, solver=None) -> EstimateReport:
+    """The fit and report of one spectrum ``(lam, y_rot)`` of an n x N design."""
+    result = newton_estimate(lam, y_rot, solver or SolverConfig())
     return build_report(
-        spec.lambdas,
-        spec.y_rot,
-        n_markers=Zm.shape[1],
-        solver_result=result,
-        q_assumed=q_assumed,
-        ci_level=ci_level,
+        lam, y_rot, n_markers=N, solver_result=result, q_assumed=q_assumed, ci_level=ci_level
     )
 
 
@@ -346,7 +351,8 @@ def estimate_files(
     else:
         X, inputs["covariates"] = _read_fingerprinted(read_covariates, covar_path)
         try:
-            Y, ones = residualize(Y, X), residualize(np.ones(Y.size), X)
+            # X is checked and factored once, for both projections
+            Y, ones = map(spectral._residualizer(X, Y.size), (Y, np.ones(Y.size)))
             if np.abs(ones).max() > 1e-8:  # X does not span 1: project off 1's rest too
                 if X.shape[1] == Y.size - 1:
                     raise ShapeMismatchError(f"need p < n - 1 covariates besides the "
@@ -484,56 +490,122 @@ def run_replicate(
     """Simulate replicate ``replicate`` of ``config`` and estimate it.
 
     The sparse SE assumes the cell's own q; failures land in the record.
+    This is the one-cell case of the study path (``_group_records``).
     """
-    record = ReplicateRecord(
-        replicate_id=replicate, seed=config.seed, eta_star=config.eta_star,
-        a=config.n / config.N, q=config.q, n=config.n, N=config.N,
-    )
+    return _group_records((config,), replicate, design, ci_level)[0]
+
+
+def _message(exc: SpecheritError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _group_records(cells, replicate: int, design: str, ci_level: float) -> list[ReplicateRecord]:
+    """Replicate ``replicate`` of cells that share one design group: the
+    same n, N, seed and allele-frequency range, so the same design.
+
+    The design is drawn and decomposed once. Each cell's response is drawn
+    from the stream state the design draw left, so each record equals the
+    cell's own ``simulate_cohort`` plus ``estimate_from_design``. On the n
+    side (N >= n, or N = 1) the design and its genotypes are released after
+    ``kinship`` and before ``eigendecompose``; on the Gram side (1 < N < n)
+    the narrow Z is kept for each cell's rotation. A failure in the
+    design or the decomposition marks every cell still standing; one in a
+    cell's response, rotation or solve marks that cell only.
+    """
+    records = [
+        ReplicateRecord(
+            replicate_id=replicate, seed=cell.seed, eta_star=cell.eta_star,
+            a=cell.n / cell.N, q=cell.q, n=cell.n, N=cell.N,
+        )
+        for cell in cells
+    ]
+    n, N = cells[0].n, cells[0].N
+    responses = {}
     try:
-        cohort = simulate_cohort(config, replicate=replicate, design=design)
-        report = estimate_from_design(cohort.Z, cohort.Y, q_assumed=config.q, ci_level=ci_level)
+        rng = replicate_rng(cells[0].seed, replicate)
+        Z = draw_design(cells[0], rng, design)[2]  # the genotypes go with the tuple
+        state = rng.bit_generator.state
+        for k, cell in enumerate(cells):
+            rng.bit_generator.state = state
+            try:
+                Y = draw_response(cell, Z, rng)[2]
+                _check_report_options(cell.q, ci_level)
+                responses[k] = spectral._phenotype(Y, n)
+            except SpecheritError as exc:
+                records[k].error = _message(exc)
+        if not responses:
+            return records
+        if 1 < N < n:
+            gram = spectral._gram_eigen(Z)
+        else:
+            gram, R = None, spectral.kinship(Z)
+            del Z  # eigh, the rotations and the solves need only R's eigenpairs
+            lam, U = spectral.eigendecompose(R)
     except SpecheritError as exc:
-        record.error = f"{type(exc).__name__}: {exc}"
-        return record
-    eta_star = config.eta_star
-    record.eta_hat = report.eta_hat
-    record.sigma2_hat = report.sigma2_hat
-    record.se_q1 = report.se_q1
-    record.se_sparse = report.se_sparse
-    record.pivot_q1 = (report.eta_hat - eta_star) / report.se_q1
-    record.pivot_sparse = (report.eta_hat - eta_star) / report.se_sparse
-    record.ci_lo = report.ci_lo
-    record.ci_hi = report.ci_hi
-    record.covered = report.ci_lo <= eta_star <= report.ci_hi
-    record.iterations = report.solver["newton_steps"]
-    record.clamped = bool(report.solver["clamped"])
-    return record
-
-
-def _study_task(payload: tuple) -> ReplicateRecord:
-    cell, rep, design, ci_level = payload
-    return run_replicate(cell, rep, design=design, ci_level=ci_level)
+        for record in records:
+            record.error = record.error or _message(exc)
+        return records
+    for k, Y in responses.items():
+        cell, record = cells[k], records[k]
+        try:
+            if gram is None:
+                spectrum = lam, spectral.rotate(U, Y)
+            else:
+                spectrum = spectral._gram_rotate(Z, *gram, Y)
+            report = _solve(*spectrum, N, cell.q, ci_level)
+        except SpecheritError as exc:
+            record.error = _message(exc)
+            continue
+        eta_star = cell.eta_star
+        record.eta_hat = report.eta_hat
+        record.sigma2_hat = report.sigma2_hat
+        record.se_q1 = report.se_q1
+        record.se_sparse = report.se_sparse
+        record.pivot_q1 = (report.eta_hat - eta_star) / report.se_q1
+        record.pivot_sparse = (report.eta_hat - eta_star) / report.se_sparse
+        record.ci_lo = report.ci_lo
+        record.ci_hi = report.ci_hi
+        record.covered = report.ci_lo <= eta_star <= report.ci_hi
+        record.iterations = report.solver["newton_steps"]
+        record.clamped = bool(report.solver["clamped"])
+    return records
 
 
 def study_records(spec: StudySpec) -> list[ReplicateRecord]:
     """Run every replicate of every cell of a study and return the records.
 
-    Records come in task order (cell by cell, replicate by replicate).
-    Replicate streams depend only on (master seed, replicate index), so the
-    records are the same for any ``spec.workers`` at a fixed BLAS thread
-    count. This is ``run_study`` without the files.
+    Cells that share (n, N, seed, allele-frequency range) share each
+    replicate's design, so the tasks are (design group, replicate) pairs,
+    each run by ``_group_records``. Records come in task order of the cells
+    (cell by cell, replicate by replicate). Replicate streams depend only on
+    (master seed, replicate index), so the records are the same for any
+    ``spec.workers`` at a fixed BLAS thread count. This is ``run_study``
+    without the files.
     """
     cells = spec.cells()
-    tasks = [
-        (cell, rep, spec.design, spec.ci_level) for cell in cells for rep in range(cell.replicates)
-    ]
-    log.info("running %d replicates across %d cells", len(tasks), len(cells))
+    groups: dict[tuple, list[int]] = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault((cell.n, cell.N, cell.seed, cell.freq_lo, cell.freq_hi), []).append(i)
+    keys = [(members, rep) for members in groups.values() for rep in range(spec.base.replicates)]
+    args = (
+        [tuple(cells[i] for i in members) for members, _ in keys], [rep for _, rep in keys],
+        repeat(spec.design), repeat(spec.ci_level),
+    )
+    log.info("running %d replicates across %d cells in %d design groups",
+             len(cells) * spec.base.replicates, len(cells), len(groups))
     if spec.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            return list(pool.map(_study_task, tasks, chunksize=4))
-    return [_study_task(payload) for payload in tasks]
+            results = list(pool.map(_group_records, *args, chunksize=4))
+    else:
+        results = list(map(_group_records, *args))
+    records = {
+        (i, rep): record
+        for (members, rep), group in zip(keys, results)
+        for i, record in zip(members, group)
+    }
+    return [records[i, rep] for i in range(len(cells)) for rep in range(spec.base.replicates)]
 
 
 def run_study(spec: StudySpec, out_dir: str, *, allow_large: bool = False) -> tuple[str, str]:

@@ -155,22 +155,31 @@ def standardize(W, policy: str = "error") -> StandardizedDesign:
 def residualize(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Project Y onto the orthogonal complement of the column space of X.
 
-    Y must pass the phenotype rule and X must be finite (DataError).
-    Raises ShapeMismatchError unless X has one row per entry of Y and fewer
-    columns than rows, and RankDeficientCovariatesError when X is
-    column-rank deficient.
+    Y must pass the phenotype rule; X is checked and factored by
+    ``_residualizer``, whose errors this raises.
     """
     Y = _phenotype(Y, np.size(Y))
+    return _residualizer(X, Y.size)(Y)
+
+
+def _residualizer(X: np.ndarray, n: int):
+    """The map v -> v - Q Q'v onto the orthogonal complement of the column
+    space of X, with X checked and QR-factored once.
+
+    X must be finite (DataError). Raises ShapeMismatchError unless X has n
+    rows and fewer columns than rows, and RankDeficientCovariatesError when
+    X is column-rank deficient.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]
-    if X.ndim != 2 or X.shape[0] != Y.size:
+    if X.ndim != 2 or X.shape[0] != n:
         raise ShapeMismatchError(
-            f"covariates {X.shape} do not align with phenotype of length {Y.size}"
+            f"covariates {X.shape} do not align with phenotype of length {n}"
         )
     if not np.isfinite(X).all():
         raise DataError(f"covariates hold {np.count_nonzero(~np.isfinite(X))} nan/inf value(s)")
-    n, p = X.shape
+    p = X.shape[1]
     if p >= n:
         raise ShapeMismatchError(f"need p < n covariates, got p={p}, n={n}")
     Q, R = np.linalg.qr(X)
@@ -180,7 +189,7 @@ def residualize(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
         raise RankDeficientCovariatesError(
             f"covariate matrix has column rank < {p} (tolerance {tol:.3e})"
         )
-    return Y - Q @ (Q.T @ Y)
+    return lambda v: v - Q @ (Q.T @ v)
 
 
 def kinship(Z) -> np.ndarray:
@@ -248,33 +257,37 @@ def decompose(Z, Y: np.ndarray, keep_eigvecs: bool = False) -> SpectralDecomposi
     With N >= n or N = 1, or when the eigenvectors are kept, this is
     ``eigendecompose(kinship(Z))`` followed by ``rotate``. With 1 < N < n
     the n x n kinship has at least n - N zero eigenvalues, so the N x N
-    Gram Z'Z is decomposed instead (see ``_decompose_gram``).
+    Gram Z'Z is decomposed instead (see ``_gram_rotate``).
     """
     Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
     n, N = _design_shape(Zm)
     Y = _phenotype(Y, n)
     if 1 < N < n and not keep_eigvecs:
-        lam, y_rot = _decompose_gram(Zm, Y)
-        return SpectralDecomposition(lam, y_rot)
+        return SpectralDecomposition(*_gram_rotate(Zm, *_gram_eigen(Zm), Y))
     lam, U = eigendecompose(kinship(Zm))
     return SpectralDecomposition(lam, rotate(U, Y), U if keep_eigvecs else None)
 
 
-def _decompose_gram(Zm: np.ndarray, Y) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and rotated observations of R = Z Z'/N from the Gram side.
+def _gram_eigen(Zm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Y-free half of the Gram route: eigenpairs (nu, V) of ``kinship(Z')`` = Z'Z/n."""
+    return eigendecompose(kinship(Zm.T))
 
-    ``kinship(Z')`` = Z'Z/n has eigenpairs (nu, V); R's nonzero eigenvalues
-    are mu = (n/N) nu with eigenvectors U1 = Z V / sqrt(n nu). Eigenvalues
-    at or below EIGENVALUE_CLAMP_TOL join the null block. The estimator
-    depends on the spectrum only through the pairs (lambda_i, y_i^2), so
-    any orthonormal basis of the null space gives the same fit; the one
-    chosen puts the whole null mass ||Y - U1 U1'Y||^2 on its first vector.
-    The mass is taken from the residual, not as ||Y||^2 - ||U1'Y||^2,
-    which cancels when the mass is small.
+
+def _gram_rotate(Zm: np.ndarray, nu: np.ndarray, V: np.ndarray, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and rotated observations of R = Z Z'/N from the Gram
+    eigenpairs ``(nu, V) = _gram_eigen(Zm)``.
+
+    R's nonzero eigenvalues are mu = (n/N) nu with eigenvectors
+    U1 = Z V / sqrt(n nu). Eigenvalues at or below EIGENVALUE_CLAMP_TOL
+    join the null block. The estimator depends on the spectrum only through
+    the pairs (lambda_i, y_i^2), so any orthonormal basis of the null space
+    gives the same fit; the one chosen puts the whole null mass
+    ||Y - U1 U1'Y||^2 on its first vector. The mass is taken from the
+    residual, not as ||Y||^2 - ||U1'Y||^2, which cancels when the mass is
+    small.
     """
     n, N = Zm.shape
     zy = rotate(Zm, Y)  # Z'Y
-    nu, V = eigendecompose(kinship(Zm.T))
     mu = nu * (n / N)
     r = int(np.count_nonzero(mu > EIGENVALUE_CLAMP_TOL))
     V1, scale = V[:, :r], np.sqrt(n * nu[:r])

@@ -21,7 +21,7 @@ from .errors import (
     ConfigurationError, ShapeMismatchError, _check_count, _check_design, _check_eta_star,
     _check_freqs, _check_number, _check_q, _check_seed, _check_sigma_star2,
 )
-from .spectral import standardize
+from . import spectral
 
 # Uniforms drawn per block by ``sample_genotypes`` (at least one row).
 _DRAW_BLOCK = 1 << 16
@@ -262,27 +262,46 @@ class SimulatedCohort:
         }
 
 
+def draw_design(
+    config: SimulationConfig, rng: np.random.Generator, design: str = "genotype"
+) -> tuple[np.ndarray | None, GenotypeMatrix | None, np.ndarray]:
+    """Draw a cohort's design from ``rng``: ``(freqs, genotypes, Z)``.
+
+    ``design="genotype"`` draws allele frequencies and binomial allele
+    counts and standardizes them into Z; ``design="gaussian"`` draws an
+    i.i.d. N(0,1) Z directly (no standardization, no frequencies or
+    genotypes), which is the setting of the sparse-case theory. Only n, N
+    and the frequency range of ``config`` are read, so cells that differ in
+    eta_star or q get the same design from the same stream.
+    """
+    _check_design(design)
+    if design == "gaussian":
+        return None, None, rng.standard_normal((config.n, config.N))
+    freqs = sample_allele_frequencies(config.N, config.freq_lo, config.freq_hi, rng)
+    genotypes = sample_genotypes(config.n, freqs, rng)
+    return freqs, genotypes, spectral.standardize(genotypes).Z
+
+
+def draw_response(
+    config: SimulationConfig, Z: np.ndarray, rng: np.random.Generator
+) -> tuple[EffectVector, float, np.ndarray]:
+    """Draw a cohort's response on the design Z: ``(effects, sigma_e2, Y)``.
+
+    ``rng`` continues the stream in the state ``draw_design`` left it.
+    """
+    sigma_u2, sigma_e2 = effect_scale(config.eta_star, config.sigma_star2, config.q, config.N)
+    effects = sample_effects(config.N, config.q, sigma_u2, rng)
+    return effects, sigma_e2, simulate_phenotype(Z, effects, sigma_e2, rng)
+
+
 def simulate_cohort(
     config: SimulationConfig, replicate: int = 0, design: str = "genotype"
 ) -> SimulatedCohort:
-    """Generate one full cohort (design, effects, phenotype) for a replicate.
-
-    ``design="genotype"`` draws binomial allele counts and standardizes
-    them; ``design="gaussian"`` uses an i.i.d. N(0,1) design directly
-    (no standardization), which is the setting of the sparse-case theory.
-    """
-    _check_design(design)
+    """Generate one full cohort for a replicate: ``draw_design`` then
+    ``draw_response`` on one ``replicate_rng(config.seed, replicate)`` stream."""
     rng = replicate_rng(config.seed, replicate)
-    genotypes = None
-    if design == "genotype":
-        freqs = sample_allele_frequencies(config.N, config.freq_lo, config.freq_hi, rng)
-        genotypes = sample_genotypes(config.n, freqs, rng)
-        Z = standardize(genotypes).Z
-    else:
-        Z = rng.standard_normal((config.n, config.N))
-    sigma_u2, sigma_e2 = effect_scale(config.eta_star, config.sigma_star2, config.q, config.N)
-    effects = sample_effects(config.N, config.q, sigma_u2, rng)
-    Y = simulate_phenotype(Z, effects, sigma_e2, rng)
+    _, genotypes, Z = draw_design(config, rng, design)
+    effects, sigma_e2, Y = draw_response(config, Z, rng)
     return SimulatedCohort(
         config=config,
         replicate=replicate,

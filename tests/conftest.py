@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -134,20 +133,51 @@ def simulated_spectrum(seed, n, N, eta_star, q=1.0, design="genotype"):
     return spec.lambdas, spec.y_rot
 
 
-@lru_cache(maxsize=None)
+# Every Monte-Carlo cell the acceptance criteria read, once each, as
+# (eta_star, a, q, n, replicates, design). Cells with the same a, n,
+# replicates and design share each replicate's design (a design group).
+ACCEPTANCE_CELLS = (
+    (0.5, 0.1, 1.0, 500, 300, "genotype"),
+    (0.3, 0.1, 1.0, 500, 300, "genotype"),
+    (0.3, 0.5, 1.0, 500, 300, "genotype"),
+    (0.5, 0.5, 1.0, 500, 300, "genotype"),
+    (0.7, 0.5, 0.5, 400, 300, "genotype"),
+    (0.5, 0.1, 1.0, 500, 500, "gaussian"),
+    (0.7, 0.5, 0.5, 400, 300, "gaussian"),
+)
+
+_cells = {}
+
+
 def cell(eta_star, a, q, n, reps, design, seed=MASTER_SEED):
     """The replicate records of one Monte-Carlo cell, drawn once per session
     from ``seed`` by ``study_records`` and shared by every test that reads
     the cell.
 
-    The cell is a one-cell study with ``a_grid=(a,)``, so it has
-    N = round(n / a) markers.
+    The cell has N = round(n / a) markers. Its first call runs the cell's
+    whole design group, every listed cell that shares its a, n, replicates
+    and design, as one study with ``a_grid=(a,)``, so each replicate's design
+    is drawn and decomposed once for the group; an unlisted cell is a group
+    of its own. The records are those of the cell's own one-cell study.
     """
-    base = SimulationConfig(n=n, N=round(n / a), eta_star=eta_star, q=q, seed=seed, replicates=reps)
-    records = study_records(StudySpec(base=base, a_grid=(a,), design=design))
+    key = (eta_star, a, q, n, reps, design, seed)
+    if key not in _cells:
+        group = [c for c in ACCEPTANCE_CELLS if c[1] == a and c[3:] == (n, reps, design)]
+        etas = sorted({eta_star, *(c[0] for c in group)})
+        qs = sorted({q, *(c[2] for c in group)})
+        base = SimulationConfig(n=n, N=round(n / a), eta_star=eta_star, q=q, seed=seed,
+                                replicates=reps)
+        spec = StudySpec(base=base, eta_grid=tuple(etas), a_grid=(a,), q_grid=tuple(qs),
+                         design=design)
+        records = study_records(spec)
+        for k, c in enumerate(spec.cells()):
+            _cells[c.eta_star, a, c.q, n, reps, design, seed] = tuple(
+                records[k * reps : (k + 1) * reps]
+            )
+    records = _cells[key]
     for record in records:
         assert record.error == "", record.error
-    return tuple(records)
+    return records
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import weakref
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -1026,7 +1027,7 @@ def test_cli_herit_log_accepts_only_level_names(tmp_path, name, logged):
 def test_study_records_per_replicate_failures(tmp_path, monkeypatch):
     import specherit.harness as harness
 
-    real = harness.estimate_from_design
+    real = harness._solve  # every replicate's fit goes through it
     calls = {"count": 0}
 
     def flaky(*args, **kwargs):
@@ -1037,7 +1038,7 @@ def test_study_records_per_replicate_failures(tmp_path, monkeypatch):
             raise DegenerateDataError("injected failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "estimate_from_design", flaky)
+    monkeypatch.setattr(harness, "_solve", flaky)
     spec = StudySpec(
         base=SimulationConfig(n=40, N=80, eta_star=0.5, seed=5, replicates=3)
     )
@@ -1053,25 +1054,105 @@ def test_study_records_per_replicate_failures(tmp_path, monkeypatch):
     assert summary["errors"] == "1"
 
 
+def _reference_record(cell, rep, design, ci_level):
+    """A study record from the cell's own cohort and ``estimate_from_design``."""
+    cohort = simulate_cohort(cell, replicate=rep, design=design)
+    report = estimate_from_design(cohort.Z, cohort.Y, q_assumed=cell.q, ci_level=ci_level)
+    eta = cell.eta_star
+    return harness.ReplicateRecord(
+        replicate_id=rep, seed=cell.seed, eta_star=eta, a=cell.n / cell.N, q=cell.q,
+        n=cell.n, N=cell.N, eta_hat=report.eta_hat, sigma2_hat=report.sigma2_hat,
+        se_q1=report.se_q1, se_sparse=report.se_sparse,
+        pivot_q1=(report.eta_hat - eta) / report.se_q1,
+        pivot_sparse=(report.eta_hat - eta) / report.se_sparse,
+        ci_lo=report.ci_lo, ci_hi=report.ci_hi, covered=report.ci_lo <= eta <= report.ci_hi,
+        iterations=report.solver["newton_steps"], clamped=bool(report.solver["clamped"]),
+    )
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_study_records_are_run_replicate_in_task_order(monkeypatch, workers):
-    # One replicate fails on purpose: its record carries the error and keeps its place.
-    real = harness.simulate_cohort
+    # Cells that differ only in eta* or q share each replicate's design, drawn
+    # and decomposed once; every record still equals the cell's own cohort and
+    # estimate, on the n side (a = 0.5, N > n) and the Gram side (a = 1.6, N < n).
+    for design in ("genotype", "gaussian"):
+        spec = StudySpec(
+            base=SimulationConfig(n=40, N=80, eta_star=0.5, seed=5, replicates=3),
+            eta_grid=(0.3, 0.5), a_grid=(0.5, 1.6), q_grid=(0.5, 1.0), design=design,
+            workers=workers, ci_level=0.9,
+        )
+        expected = [
+            _reference_record(c, r, design, spec.ci_level)
+            for c in spec.cells() for r in range(c.replicates)
+        ]
+        assert [c.N for c in spec.cells()] == [80, 80, 25, 25] * 2
+        records = study_records(spec)
+        assert [repr(astuple(r)) for r in records] == [repr(astuple(r)) for r in expected]
+        assert not any(r.error for r in records)
+        assert records == [harness.run_replicate(c, r, design=design, ci_level=spec.ci_level)
+                           for c in spec.cells() for r in range(c.replicates)]
 
-    def failing(config, replicate=0, design="genotype"):
-        if config.eta_star == 0.6 and replicate == 1:
-            raise DegenerateDataError("injected failure")
-        return real(config, replicate=replicate, design=design)
+    # A failed design marks every cell of its group; a failed response, only its
+    # cell. The design of replicate 1 fails, and so does each response of eta* = 0.6.
+    real_design, real_response = harness.draw_design, harness.draw_response
+    replicate_1 = harness.replicate_rng(5, 1).bit_generator.state
 
-    monkeypatch.setattr(harness, "simulate_cohort", failing)  # pool workers fork with it
+    def failing_design(config, rng, design):
+        if rng.bit_generator.state == replicate_1:
+            raise DegenerateDataError("injected design failure")
+        return real_design(config, rng, design)
+
+    def failing_response(config, Z, rng):
+        if config.eta_star == 0.6:
+            raise DegenerateDataError("injected response failure")
+        return real_response(config, Z, rng)
+
+    monkeypatch.setattr(harness, "draw_design", failing_design)  # pool workers fork with it
+    monkeypatch.setattr(harness, "draw_response", failing_response)
     spec = StudySpec(
         base=SimulationConfig(n=40, N=80, eta_star=0.5, seed=5, replicates=3),
         eta_grid=(0.3, 0.6), design="gaussian", workers=workers, ci_level=0.9,
     )
+    errors = [
+        "", "DegenerateDataError: injected design failure", "",
+        "DegenerateDataError: injected response failure",
+        "DegenerateDataError: injected design failure",
+        "DegenerateDataError: injected response failure",
+    ]
     expected = [
-        harness.run_replicate(c, r, design=spec.design, ci_level=spec.ci_level)
-        for c in spec.cells() for r in range(c.replicates)
+        _reference_record(c, r, spec.design, spec.ci_level) if not error else
+        harness.ReplicateRecord(r, c.seed, c.eta_star, c.n / c.N, c.q, c.n, c.N, error=error)
+        for (c, r), error in zip(((c, r) for c in spec.cells() for r in range(3)), errors)
     ]
     records = study_records(spec)
     assert [repr(astuple(r)) for r in records] == [repr(astuple(r)) for r in expected]
-    assert [r.error for r in records] == ["", "", "", "", "DegenerateDataError: injected failure", ""]
+    assert [r.error for r in records] == errors
+
+
+def test_study_path_releases_the_design_before_eigh(monkeypatch):
+    # On the n side (N >= n) eigh needs only the kinship: the genotypes and the
+    # n x N design are gone by the time it runs.
+    from specherit import spectral
+
+    real_standardize, real_eigendecompose = spectral.standardize, spectral.eigendecompose
+    drawn = []
+
+    def standardize(W, policy="error"):
+        design = real_standardize(W, policy)
+        drawn.append((weakref.ref(W), weakref.ref(design.Z)))
+        return design
+
+    def eigendecompose(R):
+        assert drawn, "no design was standardized"
+        genotypes, Z = drawn[-1]
+        assert genotypes() is None and Z() is None, "the design is alive at eigendecompose"
+        return real_eigendecompose(R)
+
+    monkeypatch.setattr(spectral, "standardize", standardize)
+    monkeypatch.setattr(spectral, "eigendecompose", eigendecompose)
+    spec = StudySpec(
+        base=SimulationConfig(n=40, N=120, eta_star=0.5, seed=5, replicates=2),
+        eta_grid=(0.3, 0.5),
+    )
+    assert [r.error for r in study_records(spec)] == [""] * 4
+    assert len(drawn) == 2  # one design per replicate, shared by both cells
