@@ -310,7 +310,8 @@ def estimate_from_design(
     """Run the spectral pipeline and inference on an in-memory design."""
     _check_report_options(q_assumed, ci_level)
     Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
-    spec = decompose(Zm, np.asarray(Y, dtype=np.float64))
+    Y = spectral._phenotype(Y, spectral._design_shape(Zm)[0])  # one phenotype, before kinship
+    spec = decompose(Zm, Y)
     return _solve(spec.lambdas, spec.y_rot, Zm.shape[1], q_assumed, ci_level, solver)
 
 
@@ -503,14 +504,13 @@ def _group_records(cells, replicate: int, design: str, ci_level: float) -> list[
     """Replicate ``replicate`` of cells that share one design group: the
     same n, N, seed and allele-frequency range, so the same design.
 
-    The design is drawn and decomposed once. Each cell's response is drawn
-    from the stream state the design draw left, so each record equals the
-    cell's own ``simulate_cohort`` plus ``estimate_from_design``. On the n
-    side (N >= n, or N = 1) the design and its genotypes are released after
-    ``kinship`` and before ``eigendecompose``; on the Gram side (1 < N < n)
-    the narrow Z is kept for each cell's rotation. A failure in the
+    The design is drawn once, and ``decompose`` gets the only reference to
+    it with the cells' responses as columns, so on the n side it is freed
+    before ``eigh``. Each cell's response is drawn from the stream state the
+    design draw left, so each record equals the cell's own
+    ``simulate_cohort`` plus ``estimate_from_design``. A failure in the
     design or the decomposition marks every cell still standing; one in a
-    cell's response, rotation or solve marks that cell only.
+    cell's response or solve marks that cell only.
     """
     records = [
         ReplicateRecord(
@@ -523,36 +523,28 @@ def _group_records(cells, replicate: int, design: str, ci_level: float) -> list[
     responses = {}
     try:
         rng = replicate_rng(cells[0].seed, replicate)
-        Z = draw_design(cells[0], rng, design)[2]  # the genotypes go with the tuple
+        drawn = [draw_design(cells[0], rng, design)[2]]  # the genotypes go with the tuple
         state = rng.bit_generator.state
         for k, cell in enumerate(cells):
             rng.bit_generator.state = state
             try:
-                Y = draw_response(cell, Z, rng)[2]
+                Y = draw_response(cell, drawn[0], rng)[2]
                 _check_report_options(cell.q, ci_level)
                 responses[k] = spectral._phenotype(Y, n)
             except SpecheritError as exc:
                 records[k].error = _message(exc)
         if not responses:
             return records
-        if 1 < N < n:
-            gram = spectral._gram_eigen(Z)
-        else:
-            gram, R = None, spectral.kinship(Z)
-            del Z  # eigh, the rotations and the solves need only R's eigenpairs
-            lam, U = spectral.eigendecompose(R)
+        # the list gives decompose the only reference, so Z is freed before eigh
+        spec = decompose(drawn.pop(), np.column_stack(list(responses.values())))
     except SpecheritError as exc:
         for record in records:
             record.error = record.error or _message(exc)
         return records
-    for k, Y in responses.items():
+    for j, k in enumerate(responses):
         cell, record = cells[k], records[k]
         try:
-            if gram is None:
-                spectrum = lam, spectral.rotate(U, Y)
-            else:
-                spectrum = spectral._gram_rotate(Z, *gram, Y)
-            report = _solve(*spectrum, N, cell.q, ci_level)
+            report = _solve(spec.lambdas, spec.y_rot[:, j], N, cell.q, ci_level)
         except SpecheritError as exc:
             record.error = _message(exc)
             continue
@@ -614,13 +606,13 @@ def run_study(spec: StudySpec, out_dir: str, *, allow_large: bool = False) -> tu
     The rows are ``study_records(spec)`` in its order, so the output is
     identical for any ``spec.workers`` at a fixed BLAS thread count.
     """
-    os.makedirs(out_dir, exist_ok=True)
     for cell in spec.cells():
         if cell.N > MAX_MARKERS_DEFAULT and not allow_large:
             raise ConfigurationError(
                 f"cell (eta={cell.eta_star}, n={cell.n}, q={cell.q}) needs N={cell.N} > "
                 f"{MAX_MARKERS_DEFAULT} markers; pass --allow-large to run it anyway"
             )
+    os.makedirs(out_dir, exist_ok=True)
     records = study_records(spec)
 
     replicates_path = os.path.join(out_dir, "replicates.csv")

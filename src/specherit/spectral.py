@@ -82,11 +82,13 @@ def _design_shape(M: np.ndarray) -> tuple[int, int]:
     return M.shape
 
 
-def _phenotype(Y, n: int) -> np.ndarray:
-    """The phenotype rule: Y as float64, a 1-D array of n finite values."""
+def _phenotype(Y, n: int, columns: bool = False) -> np.ndarray:
+    """The phenotype rule: Y as float64, a 1-D array of n finite values, or
+    with ``columns`` also an n x k array of them."""
     Y = np.asarray(Y, dtype=np.float64)
-    if Y.shape != (n,):
-        raise ShapeMismatchError(f"phenotype must have shape ({n},), got {Y.shape}")
+    if Y.shape != (n,) and not (columns and Y.ndim == 2 and Y.shape[0] == n):
+        shapes = f"({n},) or ({n}, k)" if columns else f"({n},)"
+        raise ShapeMismatchError(f"phenotype must have shape {shapes}, got {Y.shape}")
     if not np.isfinite(Y).all():
         raise DataError(f"phenotype holds {np.count_nonzero(~np.isfinite(Y))} nan/inf value(s)")
     return Y
@@ -156,7 +158,9 @@ def residualize(Y: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Project Y onto the orthogonal complement of the column space of X.
 
     Y must pass the phenotype rule; X is checked and factored by
-    ``_residualizer``, whose errors this raises.
+    ``_residualizer``, whose errors this raises. No caller in the package:
+    it is the public one-projection helper (``estimate_files`` reuses one
+    ``_residualizer`` for two projections).
     """
     Y = _phenotype(Y, np.size(Y))
     return _residualizer(X, Y.size)(Y)
@@ -253,29 +257,32 @@ def rotate(U: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def decompose(Z, Y: np.ndarray, keep_eigvecs: bool = False) -> SpectralDecomposition:
     """Full spectral pipeline: kinship, eigendecomposition, rotation.
 
-    Z and Y pass the design and phenotype rules before any kinship work.
-    With N >= n or N = 1, or when the eigenvectors are kept, this is
-    ``eigendecompose(kinship(Z))`` followed by ``rotate``. With 1 < N < n
-    the n x n kinship has at least n - N zero eigenvalues, so the N x N
-    Gram Z'Z is decomposed instead (see ``_gram_rotate``).
+    Z and Y pass the design and phenotype rules before any kinship work. Y
+    is one phenotype (n,) or k as columns (n, k); ``y_rot`` has Y's shape and
+    each column equals its own 1-D call bit for bit. With N >= n or N = 1, or
+    when the eigenvectors are kept, this is ``eigendecompose(kinship(Z))``
+    and one ``rotate`` per column; a caller that passes the only reference
+    to Z frees it before ``eigh``. With 1 < N < n the n x n kinship has at
+    least n - N zero eigenvalues, so the N x N Gram Z'Z is decomposed
+    instead (see ``_gram_rotate``).
     """
     Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
     n, N = _design_shape(Zm)
-    Y = _phenotype(Y, n)
+    Y = _phenotype(Y, n, columns=True)
+    columns = np.ascontiguousarray(Y.reshape(n, -1).T)  # one row per column of Y
     if 1 < N < n and not keep_eigvecs:
-        return SpectralDecomposition(*_gram_rotate(Zm, *_gram_eigen(Zm), Y))
-    lam, U = eigendecompose(kinship(Zm))
-    return SpectralDecomposition(lam, rotate(U, Y), U if keep_eigvecs else None)
+        lam, y_rot = _gram_rotate(Zm, *eigendecompose(kinship(Zm.T)), columns)
+        return SpectralDecomposition(lam, y_rot.reshape(Y.shape, order="F"))
+    R = kinship(Zm)
+    del Z, Zm  # eigh and the rotations need only R
+    lam, U = eigendecompose(R)
+    y_rot = np.array([rotate(U, y) for y in columns]).T  # contiguous columns
+    return SpectralDecomposition(lam, y_rot.reshape(Y.shape, order="F"), U if keep_eigvecs else None)
 
 
-def _gram_eigen(Zm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Y-free half of the Gram route: eigenpairs (nu, V) of ``kinship(Z')`` = Z'Z/n."""
-    return eigendecompose(kinship(Zm.T))
-
-
-def _gram_rotate(Zm: np.ndarray, nu: np.ndarray, V: np.ndarray, Y) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and rotated observations of R = Z Z'/N from the Gram
-    eigenpairs ``(nu, V) = _gram_eigen(Zm)``.
+def _gram_rotate(Zm: np.ndarray, nu: np.ndarray, V: np.ndarray, columns) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of R = Z Z'/N, and the n x k rotations of the k rows of
+    ``columns``, from the eigenpairs ``(nu, V)`` of ``kinship(Z')`` = Z'Z/n.
 
     R's nonzero eigenvalues are mu = (n/N) nu with eigenvectors
     U1 = Z V / sqrt(n nu). Eigenvalues at or below EIGENVALUE_CLAMP_TOL
@@ -287,17 +294,17 @@ def _gram_rotate(Zm: np.ndarray, nu: np.ndarray, V: np.ndarray, Y) -> tuple[np.n
     small.
     """
     n, N = Zm.shape
-    zy = rotate(Zm, Y)  # Z'Y
     mu = nu * (n / N)
     r = int(np.count_nonzero(mu > EIGENVALUE_CLAMP_TOL))
     V1, scale = V[:, :r], np.sqrt(n * nu[:r])
-    top = (V1.T @ zy) / scale
-    residual = Y - Zm @ (V1 @ (top / scale))
     lam = np.zeros(n)
     lam[:r] = mu[:r]
-    y_rot = np.zeros(n)
-    y_rot[:r] = top
-    y_rot[r] = np.sqrt(residual @ residual)
+    y_rot = np.zeros((n, len(columns)), order="F")
+    for j, y in enumerate(columns):
+        top = (V1.T @ rotate(Zm, y)) / scale  # rotate(Zm, y) is Z'y
+        residual = y - Zm @ (V1 @ (top / scale))
+        y_rot[:r, j] = top
+        y_rot[r, j] = np.sqrt(residual @ residual)
     return lam, y_rot
 
 

@@ -444,6 +444,37 @@ def test_estimate_files_fits_the_phenotype_mean(cohort_files, tmp_path):
     assert abs(fits["Y", "1x"] - fits["Y", "x"]) <= 1e-9
 
 
+@pytest.mark.parametrize("N", [900, 150], ids=["n-side", "gram-side"])
+@pytest.mark.parametrize("with_covariates", [False, True], ids=["no-covariates", "covariates"])
+def test_estimate_files_invariances(tmp_path, N, with_covariates):
+    """eta_hat does not move when the phenotype is shifted and rescaled, when
+    the samples (rows of every file) or the markers are permuted, or when the
+    allele counts are flipped (W -> 2 - W)."""
+    n = 300
+    cohort = simulate_cohort(SimulationConfig(n=n, N=N, eta_star=0.5, seed=41))
+    rng = np.random.default_rng(41)
+    W, Y, X = cohort.genotypes.entries, cohort.Y, rng.standard_normal((n, 2))
+    rows, columns = rng.permutation(n), rng.permutation(N)
+    variants = {
+        "as-drawn": (W, Y, X),
+        "affine": (W, 10.0 * Y + 170.0, X),
+        "rows": (W[rows], Y[rows], X[rows]),
+        "columns": (W[:, columns], Y, X),
+        "flipped": (2 - W, Y, X),
+    }
+    fits = {}
+    for name, (W_, Y_, X_) in variants.items():
+        paths = [tmp_path / f"{name}.{ext}" for ext in ("geno.csv", "pheno.txt", "covar.csv")]
+        write_genotypes(paths[0], W_)
+        write_phenotype(paths[1], Y_)
+        np.savetxt(paths[2], X_, delimiter=",")
+        covar = str(paths[2]) if with_covariates else None
+        fits[name] = estimate_files(str(paths[0]), str(paths[1]), covar)["eta_hat"]
+    assert fits["as-drawn"] > 0.0
+    for name, eta_hat in fits.items():
+        assert abs(eta_hat - fits["as-drawn"]) <= 1e-12, name
+
+
 def test_covariates_leave_no_residual_beside_the_intercept(cohort_files, tmp_path, capsys):
     _, geno, pheno = cohort_files
     covar = tmp_path / "wide.csv"
@@ -623,6 +654,7 @@ def test_allow_large_guards_wide_cells(tmp_path, capsys):
         run_study(spec, str(tmp_path / "refused"))
     assert main(["mc-study", str(path), str(tmp_path / "cli")]) == EXIT_USAGE
     assert "--allow-large" in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists() and not (tmp_path / "cli").exists()
     run_study(spec, str(tmp_path / "allowed"), allow_large=True)
     assert main(["mc-study", str(path), str(tmp_path / "flag"), "--allow-large"]) == EXIT_OK
     for name in ("replicates.csv", "summary.csv"):

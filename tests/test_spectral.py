@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.optimize import brentq
 
 from specherit import spectral
@@ -31,7 +32,9 @@ from specherit import (
     standardize,
 )
 from specherit.likelihood import loglik_grid
-from specherit.synthcohort import sample_allele_frequencies, sample_genotypes
+from specherit.synthcohort import (
+    draw_design, draw_response, sample_allele_frequencies, sample_genotypes,
+)
 
 from conftest import raised, riemann_mp
 
@@ -410,14 +413,18 @@ def test_every_design_entry_applies_one_rule(shape, message):
 @pytest.mark.parametrize("fault, error", [
     ("short", (ShapeMismatchError, "phenotype must have shape (20,), got (19,)")),
     ("nan", (DataError, "phenotype holds 1 nan/inf value(s)")),
-], ids=["short", "nan"])
+    ("columns", (ShapeMismatchError, "phenotype must have shape (20,), got (20, 2)")),
+], ids=["short", "nan", "columns"])
 def test_phenotype_rule_applies_before_kinship(monkeypatch, N, fault, error):
+    # decompose takes phenotypes as columns; estimate_from_design takes one
     rng = replicate_rng(28)
     Z, Y = rng.standard_normal((20, N)), rng.standard_normal(20)
     if fault == "short":
         Y = Y[:-1]
-    else:
+    elif fault == "nan":
         Y[4] = np.nan
+    else:
+        Y = np.column_stack([Y, Y])
 
     def no_kinship(Z):
         raise AssertionError("kinship ran")
@@ -474,6 +481,42 @@ def test_decompose_gram_side_has_exact_structural_zeros():
     assert np.all(spec.lambdas[:250] > 0.0)
     assert abs(spec.lambdas.sum() - 500) <= 500 * 1e-10  # trace identity
     assert np.count_nonzero(spec.y_rot[251:]) == 0
+
+
+@pytest.mark.parametrize("design", ["genotype", "gaussian"])
+@pytest.mark.parametrize("N", [400, 100], ids=["n-side", "gram-side"])
+def test_rotated_observations_follow_their_exact_law(design, N):
+    # With q = 1, Y | Z ~ N(0, sigma*^2 (eta* R + (1 - eta*) I)), so y_i is
+    # N(0, sigma*^2 (eta* lambda_i + 1 - eta*)) given Z, independently over i.
+    # On the Gram side the null mass squared is sigma*^2 (1 - eta*) chi^2(n - r).
+    n, eta, sigma2 = 200, 0.4, 2.5
+    config = SimulationConfig(n=n, N=N, eta_star=eta, q=1.0, sigma_star2=sigma2, seed=31)
+    scaled, null = [], []
+    for replicate in range(5):
+        cohort = simulate_cohort(config, replicate=replicate, design=design)
+        spec = decompose(cohort.Z, cohort.Y)
+        lam, y = spec.lambdas, spec.y_rot
+        r = n if N >= n else int(np.count_nonzero(lam > spectral.EIGENVALUE_CLAMP_TOL))
+        scaled.append(y[:r] / np.sqrt(sigma2 * (eta * lam[:r] + 1.0 - eta)))
+        if r < n:
+            null.append(y[r] ** 2 / (sigma2 * (1.0 - eta)))
+            assert not y[r + 1 :].any()
+    assert stats.kstest(np.concatenate(scaled), "norm").pvalue > 0.01
+    assert len(null) == (5 if N < n else 0)
+    if null:
+        assert stats.kstest(null, "chi2", args=(n - r,)).pvalue > 0.01
+
+    # phenotypes that share a design rotate as the columns of one call, each
+    # column bit for bit its own 1-D call
+    rng = replicate_rng(config.seed)
+    Z = draw_design(config, rng, design)[2]
+    Y = np.column_stack([draw_response(config, Z, rng)[2] for _ in range(5)])
+    spec = decompose(Z, Y)
+    assert spec.y_rot.shape == Y.shape
+    for j in range(Y.shape[1]):
+        alone = decompose(Z, Y[:, j])
+        assert np.array_equal(spec.lambdas, alone.lambdas)
+        assert np.array_equal(spec.y_rot[:, j], alone.y_rot)
 
 
 def _design(seed, n, N, kind, duplicated):
