@@ -307,12 +307,21 @@ def estimate_from_design(
     ci_level: float = 0.95,
     solver: SolverConfig | None = None,
 ) -> EstimateReport:
-    """Run the spectral pipeline and inference on an in-memory design."""
+    """Run the spectral pipeline and inference on an in-memory design.
+
+    Z is an n x N array or a ``StandardizedDesign``. This frame passes its
+    only reference to Z on to ``decompose``, so a caller that passes its
+    only reference too, as ``estimate_files`` does, has Z freed after
+    ``kinship`` when N >= n or N = 1: peak memory is the larger of Z + R and
+    R + ``eigh``'s workspace, not their sum.
+    """
     _check_report_options(q_assumed, ci_level)
-    Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
-    Y = spectral._phenotype(Y, spectral._design_shape(Zm)[0])  # one phenotype, before kinship
-    spec = decompose(Zm, Y)
-    return _solve(spec.lambdas, spec.y_rot, Zm.shape[1], q_assumed, ci_level, solver)
+    held = [np.asarray(getattr(Z, "Z", Z), dtype=np.float64)]
+    del Z
+    n, N = spectral._design_shape(held[0])
+    Y = spectral._phenotype(Y, n)  # one phenotype, before kinship
+    spec = decompose(held.pop(), Y)
+    return _solve(spec.lambdas, spec.y_rot, N, q_assumed, ci_level, solver)
 
 
 def _solve(lam, y_rot, N: int, q_assumed, ci_level: float, solver=None) -> EstimateReport:
@@ -338,6 +347,11 @@ def estimate_files(
     The phenotype mean is always fitted: Y is projected off [1, X], or off 1
     alone without a covariate file. Covariates that already span 1, such as
     a constant non-zero column or indicators of every level, are used as given.
+
+    The genotypes are dropped once standardized, and ``estimate_from_design``
+    gets the only reference to the design, so one design-sized array is
+    alive at a time: the genotypes and Z while ``standardize`` runs, Z and R
+    at ``kinship``, and on the n x n route (N >= n) R alone at ``eigh``.
     """
     _check_report_options(q_assumed, ci_level)
     inputs = {}
@@ -362,15 +376,16 @@ def estimate_files(
         except DataError as exc:  # the shape and rank errors, which take one message
             raise type(exc)(f"{covar_path}: {exc}") from exc
     try:
-        design = standardize(W, policy="drop" if drop_monomorphic else "error")
+        held = [standardize(W, policy="drop" if drop_monomorphic else "error")]
     except ShapeMismatchError as exc:  # a file of one row
         raise ShapeMismatchError(f"{geno_path}: {exc}") from exc
-    report = estimate_from_design(
-        design.Z, Y, q_assumed=q_assumed, ci_level=ci_level, solver=solver
-    )
-    doc = report.to_dict()
-    if design.dropped:
-        doc["dropped_monomorphic_columns"] = list(design.dropped)
+    del W
+    dropped = held[0].dropped
+    doc = estimate_from_design(
+        held.pop(), Y, q_assumed=q_assumed, ci_level=ci_level, solver=solver
+    ).to_dict()
+    if dropped:
+        doc["dropped_monomorphic_columns"] = list(dropped)
     doc["inputs"] = inputs
     return doc
 
@@ -676,7 +691,9 @@ def mp_check(n: int, N: int, dist: str = "gaussian", seed: int = 0) -> dict:
     """Sup-distance between the empirical spectral CDF and the MP law.
 
     The design is ``simulate_cohort``'s replicate 0 at ``seed``. The distance
-    is taken on a 2001-point grid over [-0.1, a_plus + 0.1]; below 0.05 passes.
+    is taken on a 2001-point grid over [-0.1, a_plus + 0.1]; below ``bound``
+    = max(0.05, 4/n) passes. The ESD moves in steps of 1/n, so a fixed 0.05
+    would be two steps at n = 40; from n = 80 on the bound is 0.05.
     """
     _check_count("n", n, 2)
     _check_count("N", N, 2)
@@ -687,10 +704,12 @@ def mp_check(n: int, N: int, dist: str = "gaussian", seed: int = 0) -> dict:
     law = MPLaw(n / N)
     grid = np.linspace(-0.1, law.a_plus + 0.1, 2001)
     distance = float(np.max(np.abs(esd(spec.lambdas, grid) - mp_cdf(law, grid))))
+    bound = max(0.05, 4.0 / n)
     return {
         "ks_distance": distance,
+        "bound": bound,
         "a": law.a,
-        "pass": bool(distance < 0.05),
+        "pass": bool(distance < bound),
         "n": int(n),
         "N": int(N),
         "dist": dist,

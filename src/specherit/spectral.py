@@ -261,10 +261,15 @@ def decompose(Z, Y: np.ndarray, keep_eigvecs: bool = False) -> SpectralDecomposi
     is one phenotype (n,) or k as columns (n, k); ``y_rot`` has Y's shape and
     each column equals its own 1-D call bit for bit. With N >= n or N = 1, or
     when the eigenvectors are kept, this is ``eigendecompose(kinship(Z))``
-    and one ``rotate`` per column; a caller that passes the only reference
-    to Z frees it before ``eigh``. With 1 < N < n the n x n kinship has at
-    least n - N zero eigenvalues, so the N x N Gram Z'Z is decomposed
-    instead (see ``_gram_rotate``).
+    and one ``rotate`` per column. This frame drops its references to Z
+    after ``kinship``, so a caller that passes the only one (as
+    ``estimate_from_design`` and the study's design groups do, by popping it
+    from a list) has Z freed before ``eigh``: peak memory is the larger of
+    Z + R and R + ``eigh``'s workspace, not their sum. That needs CPython
+    3.11 or later, where a call's arguments move into the callee's frame.
+    With 1 < N < n the n x n kinship has at least n - N zero eigenvalues,
+    so the N x N Gram Z'Z is decomposed instead (see ``_gram_rotate``); Z is
+    kept for the rotations.
     """
     Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
     n, N = _design_shape(Zm)

@@ -866,6 +866,26 @@ def test_mp_check_uses_the_simulated_design(dist, monkeypatch, tmp_path):
         assert np.array_equal(seen[0], standardize(W).Z)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_mp_check_bound_allows_for_the_esd_step(seed):
+    """The ESD moves in steps of 1/n, so at n = 40 the bound is 4/n = 0.1."""
+    doc = mp_check(40, 80, seed=seed)
+    assert doc["bound"] == 0.1
+    assert doc["pass"] is True
+    assert mp_check(200, 400, seed=seed)["bound"] == 0.05
+
+
+@pytest.mark.parametrize("scale", [1.5, 0.67])
+@pytest.mark.parametrize("n", [40, 200])
+def test_mp_check_rejects_the_wrong_aspect_ratio(n, scale, monkeypatch):
+    """Against a law whose ratio is off by half, the check fails at both shapes."""
+    real = harness.MPLaw
+    monkeypatch.setattr(harness, "MPLaw", lambda a: real(a * scale))
+    for seed in range(4):
+        doc = mp_check(n, 2 * n, seed=seed)
+        assert doc["pass"] is False, (seed, doc["ks_distance"], doc["bound"])
+
+
 def test_mp_check_invalid_dist():
     with pytest.raises(ConfigurationError):
         mp_check(10, 10, "uniform", 0)
@@ -1161,30 +1181,64 @@ def test_study_records_are_run_replicate_in_task_order(monkeypatch, workers):
     assert [r.error for r in records] == errors
 
 
-def test_study_path_releases_the_design_before_eigh(monkeypatch):
-    # On the n side (N >= n) eigh needs only the kinship: the genotypes and the
-    # n x N design are gone by the time it runs.
+def _watch_release(monkeypatch, module=None):
+    """Weak references that must all be dead when ``spectral.eigendecompose``
+    runs. With ``module``, its ``standardize`` is wrapped to watch the
+    genotypes it reads and the Z it returns."""
     from specherit import spectral
 
+    watched = []
     real_standardize, real_eigendecompose = spectral.standardize, spectral.eigendecompose
-    drawn = []
 
     def standardize(W, policy="error"):
         design = real_standardize(W, policy)
-        drawn.append((weakref.ref(W), weakref.ref(design.Z)))
+        watched.extend((weakref.ref(W), weakref.ref(design.Z)))
         return design
 
     def eigendecompose(R):
-        assert drawn, "no design was standardized"
-        genotypes, Z = drawn[-1]
-        assert genotypes() is None and Z() is None, "the design is alive at eigendecompose"
+        assert watched, "no design was watched"
+        assert all(ref() is None for ref in watched), "the design is alive at eigendecompose"
         return real_eigendecompose(R)
 
-    monkeypatch.setattr(spectral, "standardize", standardize)
+    if module is not None:
+        monkeypatch.setattr(module, "standardize", standardize)
     monkeypatch.setattr(spectral, "eigendecompose", eigendecompose)
+    return watched
+
+
+# On the n side (N >= n) eigh needs only the kinship: on each route below the
+# genotypes and the n x N design are gone by the time it runs.
+
+
+def test_study_path_releases_the_design_before_eigh(monkeypatch):
+    from specherit import spectral
+
+    watched = _watch_release(monkeypatch, spectral)
     spec = StudySpec(
         base=SimulationConfig(n=40, N=120, eta_star=0.5, seed=5, replicates=2),
         eta_grid=(0.3, 0.5),
     )
     assert [r.error for r in study_records(spec)] == [""] * 4
-    assert len(drawn) == 2  # one design per replicate, shared by both cells
+    assert len(watched) == 2 * 2  # one design per replicate, shared by both cells
+
+
+def test_estimate_files_releases_the_design_before_eigh(cohort_files, monkeypatch):
+    _, geno, pheno = cohort_files
+    Y = read_phenotype(pheno)
+    expected = estimate_from_design(standardize(read_genotypes(geno)).Z, Y - Y.mean()).to_dict()
+    watched = _watch_release(monkeypatch, harness)
+    doc = estimate_files(geno, pheno)
+    assert len(watched) == 2  # the int8 genotypes and Z
+    # the report is the one the plain route gives, byte for byte
+    del doc["inputs"]
+    assert harness._json_text(doc) == harness._json_text(expected)
+
+
+def test_estimate_from_design_releases_the_callers_only_reference(monkeypatch):
+    cohort = simulate_cohort(SimulationConfig(n=40, N=80, eta_star=0.5, seed=6))
+    expected = estimate_from_design(cohort.Z, cohort.Y)
+    held = [cohort.Z.copy()]
+    watched = _watch_release(monkeypatch)
+    watched.append(weakref.ref(held[0]))
+    report = estimate_from_design(held.pop(), cohort.Y)  # not in an assert, whose rewrite keeps it
+    assert report.to_dict() == expected.to_dict()
