@@ -38,7 +38,9 @@ class DataParseError(DataError):
 
 
 class MonomorphicColumnError(DataError):
-    """Genotype columns with zero empirical variance cannot be standardized."""
+    """Genotype columns whose entries are all equal and finite (monomorphic)
+    carry no information and cannot be standardized; ``.columns`` lists them
+    all, the message at most 10."""
 
     def __init__(self, columns):
         self.columns = tuple(int(c) for c in columns)

@@ -41,6 +41,7 @@ from .errors import (
     ConfigurationError,
     DataError,
     DataParseError,
+    MonomorphicColumnError,
     NumericalFailureError,
     ShapeMismatchError,
     SpecheritError,
@@ -377,8 +378,11 @@ def estimate_files(
             raise type(exc)(f"{covar_path}: {exc}") from exc
     try:
         held = [standardize(W, policy="drop" if drop_monomorphic else "error")]
-    except ShapeMismatchError as exc:  # a file of one row
-        raise ShapeMismatchError(f"{geno_path}: {exc}") from exc
+    except (ShapeMismatchError, MonomorphicColumnError) as exc:  # one row, a constant column
+        exc.args = (f"{geno_path}: {exc}",)  # keeps the type and the error's .columns
+        raise
+    if not held[0].Z.shape[1]:
+        raise DataError(f"{geno_path}: every one of its {W.shape[1]} columns is monomorphic")
     del W
     dropped = held[0].dropped
     doc = estimate_from_design(
@@ -690,7 +694,9 @@ def summarize_replicates(replicates_path: str) -> list[dict]:
 def mp_check(n: int, N: int, dist: str = "gaussian", seed: int = 0) -> dict:
     """Sup-distance between the empirical spectral CDF and the MP law.
 
-    The design is ``simulate_cohort``'s replicate 0 at ``seed``. The distance
+    The design is ``draw_design``'s on replicate 0 at ``seed``, as
+    ``simulate_cohort`` draws it; ``decompose`` gets the only reference to
+    it, so on the n x n route (N >= n) Z is freed before ``eigh``. The distance
     is taken on a 2001-point grid over [-0.1, a_plus + 0.1]; below ``bound``
     = max(0.05, 4/n) passes. The ESD moves in steps of 1/n, so a fixed 0.05
     would be two steps at n = 40; from n = 80 on the bound is 0.05.
@@ -699,8 +705,9 @@ def mp_check(n: int, N: int, dist: str = "gaussian", seed: int = 0) -> dict:
     _check_count("N", N, 2)
     _check_design(dist, "dist")
     _check_seed(seed)
-    Z = simulate_cohort(SimulationConfig(n=n, N=N, eta_star=0.0, seed=seed), design=dist).Z
-    spec = decompose(Z, np.zeros(n))
+    config = SimulationConfig(n=n, N=N, eta_star=0.0, seed=seed)
+    drawn = [draw_design(config, replicate_rng(seed, 0), dist)[2]]  # genotypes go with the tuple
+    spec = decompose(drawn.pop(), np.zeros(n))
     law = MPLaw(n / N)
     grid = np.linspace(-0.1, law.a_plus + 0.1, 2001)
     distance = float(np.max(np.abs(esd(spec.lambdas, grid) - mp_cdf(law, grid))))

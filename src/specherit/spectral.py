@@ -99,12 +99,18 @@ def standardize(W, policy: str = "error") -> StandardizedDesign:
 
     Args:
         W: GenotypeMatrix or plain 2-D array of raw column data.
-        policy: what to do with zero-variance (monomorphic) columns:
-            ``"error"`` raises :class:`MonomorphicColumnError` listing them,
-            ``"drop"`` removes them and records their indices.
+        policy: what to do with monomorphic columns, those whose entries are
+            all equal and finite: ``"error"`` raises
+            :class:`MonomorphicColumnError` listing them, ``"drop"`` removes
+            them and records their indices.
 
     Returns:
         StandardizedDesign with column sums 0 and squared column sums n.
+
+    Monomorphic columns are found on W before Z exists, so a constant float
+    column such as 0.1 repeated is one too, though its float scale is not 0.
+    ``"drop"`` copies W's kept columns (int8 on the file and study paths, an
+    eighth of Z's size) and builds Z for those alone.
 
     The result is the two-pass formula ``Z = W - mean``,
     ``s = sqrt(mean(Z**2, axis=0))``, ``Z / s`` bit for bit, computed in
@@ -112,12 +118,23 @@ def standardize(W, policy: str = "error") -> StandardizedDesign:
     temporary. NumPy reduces a C-ordered array over axis 0 row by row, so
     each block's squares are summed into a small buffer whose row 0 carries
     the running column sum; that repeats the whole-array sum's additions in
-    the same order.
+    the same order. A column with nan/inf, or whose scale overflows or
+    underflows to 0, raises DataError naming its index in W.
     """
     if policy not in ("error", "drop"):
         raise ConfigurationError(f"policy must be 'error' or 'drop', got {policy!r}")
     Wm = np.asarray(getattr(W, "entries", W))
-    n, N = _design_shape(Wm)
+    _design_shape(Wm)
+    # All equal and finite: min and max propagate nan, and a column of inf
+    # alone is left, like one with nan, to the non-finite check below.
+    low = Wm.min(axis=0)
+    constant = (low == Wm.max(axis=0)) & np.isfinite(low)
+    dropped = tuple(int(j) for j in np.flatnonzero(constant))
+    if dropped:
+        if policy == "error":
+            raise MonomorphicColumnError(dropped)
+        Wm = Wm[:, ~constant]
+    n, N = Wm.shape
     # One n x N array is centered and scaled in place. A non-finite entry
     # makes its column's mean or scale non-finite, and so does an entry whose
     # square overflows; those O(N) vectors are checked instead of Z itself.
@@ -135,21 +152,13 @@ def standardize(W, policy: str = "error") -> StandardizedDesign:
             np.square(block, out=squares[1 : len(block) + 1])
             np.add.reduce(squares[: len(block) + 1], axis=0, out=total)
         s = np.sqrt(total / n)
-    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(s)))
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(s) & (s > 0.0)))
     if bad.size:
         raise DataError(
-            f"column {int(bad[0])} has a non-finite mean or scale: it holds nan/inf "
-            f"or entries too large to square ({bad.size} such column(s))"
+            f"column {np.flatnonzero(~constant)[bad[0]]} has a non-finite mean or scale, or a "
+            f"zero scale: it holds nan/inf, or entries too large or too close together to square "
+            f"({bad.size} such column(s))"
         )
-    monomorphic = np.flatnonzero(s == 0.0)
-    dropped: tuple[int, ...] = ()
-    if monomorphic.size:
-        if policy == "error":
-            raise MonomorphicColumnError(monomorphic)
-        keep = s > 0.0
-        Z = Z[:, keep]
-        s = s[keep]
-        dropped = tuple(int(j) for j in monomorphic)
     Z /= s
     return StandardizedDesign(Z=Z, dropped=dropped)
 

@@ -9,6 +9,7 @@ import pytest
 
 from specherit import (
     ConfigurationError,
+    EffectVector,
     GenotypeMatrix,
     ShapeMismatchError,
     SimulationConfig,
@@ -17,6 +18,7 @@ from specherit import (
     build_report,
     confidence_interval,
     effect_scale,
+    eigendecompose,
     estimate_files,
     estimate_from_design,
     grid_oracle,
@@ -24,6 +26,7 @@ from specherit import (
     newton_estimate,
     normal_quantile,
     replicate_rng,
+    residualize,
     sample_allele_frequencies,
     sample_effects,
     sample_genotypes,
@@ -235,6 +238,43 @@ def test_single_site_parameters_apply_the_number_rule(value, message):
 ])
 def test_single_site_counts_apply_the_integer_rule(value, message):
     check_rule(SINGLE_SITE_COUNTS, value, message)
+
+
+# The range of each single-site parameter, and the shape rules that one
+# entry applies: each fault raises one error with one message.
+SINGLE_SITE_FAULTS = {
+    "a-grid-0": (lambda: StudySpec(base=BASE, a_grid=(0.0,)),
+                 ConfigurationError, "a grid value 0.0 must be positive"),
+    "replicates-0": (lambda: SimulationConfig(n=40, N=80, eta_star=0.5, replicates=0),
+                     ConfigurationError, "replicates must be >= 1, got 0"),
+    "sigma_u2-negative": (lambda: sample_effects(10, 0.5, -1.0, replicate_rng(0)),
+                          ConfigurationError, "sigma_u2 must be >= 0, got -1.0"),
+    "sigma_e2-negative":
+        (lambda: simulate_phenotype(np.ones((3, 2)), np.ones(2), -1.0, replicate_rng(0)),
+         ConfigurationError, "sigma_e2 must be >= 0, got -1.0"),
+    "S-negative": (lambda: tau2(0.5, 0.5, 1.0, 1.0, -1.0),
+                   ConfigurationError, "S must be >= 0, got -1.0"),
+    "policy": (lambda: standardize(np.eye(3), policy="keep"),
+               ConfigurationError, "policy must be 'error' or 'drop', got 'keep'"),
+    "freqs-2-D": (lambda: sample_genotypes(4, np.full((2, 3), 0.3), replicate_rng(0)),
+                  ConfigurationError, "freqs must be a 1-D vector"),
+    "effects-lengths": (lambda: EffectVector(np.zeros(3), np.ones(2, dtype=bool), 1.0),
+                        ShapeMismatchError, "u and support must have the same length"),
+    "effects-off-support":
+        (lambda: EffectVector(np.array([0.0, 1.0]), np.array([True, False]), 1.0),
+         ConfigurationError, "u must vanish off the support"),
+    "non-square": (lambda: eigendecompose(np.ones((2, 3))),
+                   ShapeMismatchError, "expected a square matrix, got (2, 3)"),
+    "covariate-rows":
+        (lambda: residualize(np.arange(4.0), np.ones((3, 1))),
+         ShapeMismatchError, "covariates (3, 1) do not align with phenotype of length 4"),
+}
+
+
+@pytest.mark.parametrize("case", SINGLE_SITE_FAULTS)
+def test_single_site_faults_raise_one_error(case):
+    call, error, message = SINGLE_SITE_FAULTS[case]
+    assert raised(call) == (error, message)
 
 
 def test_n_is_at_least_two():

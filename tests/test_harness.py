@@ -511,8 +511,12 @@ def test_estimate_files_monomorphic_paths(tmp_path, cohort_files):
     write_genotypes(geno, W)
     from specherit import MonomorphicColumnError
 
-    with pytest.raises(MonomorphicColumnError):
+    with pytest.raises(MonomorphicColumnError) as excinfo:
         estimate_files(str(geno), pheno)
+    assert excinfo.value.columns == (3,)
+    assert str(excinfo.value) == (
+        f"{geno}: monomorphic (zero-variance) columns cannot be standardized: [3]"
+    )
     doc = estimate_files(str(geno), pheno, drop_monomorphic=True)
     assert doc["dropped_monomorphic_columns"] == [3]
 
@@ -917,6 +921,13 @@ def _cli_fault(tmp_path, case):
             f"{tmp_path / 'p3.txt'}: line 2, column 1: phenotype entry nan is not finite"),
         "rows-disagree": (["estimate", geno, write("p4.txt", "1\n2\n")], EXIT_DATA,
                           "genotype rows (3) and phenotype length (2) disagree"),
+        "monomorphic-column": (
+            ["estimate", write("g5.csv", "0,1\n1,1\n2,1\n"), pheno], EXIT_DATA,
+            f"{tmp_path / 'g5.csv'}: monomorphic (zero-variance) columns cannot be "
+            "standardized: [1]"),
+        "every-column-monomorphic": (
+            ["estimate", write("g6.csv", "1,0\n1,0\n1,0\n"), pheno, "--drop-monomorphic"],
+            EXIT_DATA, f"{tmp_path / 'g6.csv'}: every one of its 2 columns is monomorphic"),
         "missing-file": (["estimate", missing, pheno], EXIT_DATA,
                          f"[Errno 2] No such file or directory: {missing!r}"),
         "q-0": (["estimate", geno, pheno, "--q", "0"], EXIT_USAGE, "q must be in (0, 1], got 0.0"),
@@ -939,8 +950,9 @@ def _cli_fault(tmp_path, case):
 
 @pytest.mark.parametrize("case", [
     "one-row-genotype", "phenotype-digit-separator", "phenotype-nan", "rows-disagree",
-    "missing-file", "q-0", "level-word", "unknown-option", "missing-argument",
-    "seed-negative", "n-1", "n-word", "dist-choice", "out-in-missing-dir",
+    "monomorphic-column", "every-column-monomorphic", "missing-file", "q-0", "level-word",
+    "unknown-option", "missing-argument", "seed-negative", "n-1", "n-word", "dist-choice",
+    "out-in-missing-dir",
 ])
 def test_cli_faults_exit_with_one_error_line(tmp_path, case):
     """A bad argument or file ends ``estimate`` and ``mp-check`` with exit 1
@@ -1106,6 +1118,18 @@ def test_study_records_per_replicate_failures(tmp_path, monkeypatch):
     assert summary["errors"] == "1"
 
 
+def test_a_group_whose_every_response_fails_is_not_decomposed(monkeypatch):
+    def decompose(*args):
+        raise AssertionError("a group with no response was decomposed")
+
+    monkeypatch.setattr(harness, "decompose", decompose)
+    cells = tuple(SimulationConfig(n=40, N=80, eta_star=eta) for eta in (0.5, 0.3))
+    records = harness._group_records(cells, 0, "genotype", ci_level=1.5)
+    message = "ConfigurationError: level must be in (0, 1), got 1.5"
+    assert [r.error for r in records] == [message, message]
+    assert [r.eta_hat for r in records] == [None, None]
+
+
 def _reference_record(cell, rep, design, ci_level):
     """A study record from the cell's own cohort and ``estimate_from_design``."""
     cohort = simulate_cohort(cell, replicate=rep, design=design)
@@ -1232,6 +1256,15 @@ def test_estimate_files_releases_the_design_before_eigh(cohort_files, monkeypatc
     # the report is the one the plain route gives, byte for byte
     del doc["inputs"]
     assert harness._json_text(doc) == harness._json_text(expected)
+
+
+def test_mp_check_releases_the_design_before_eigh(monkeypatch):
+    from specherit import spectral
+
+    expected = mp_check(40, 80, "genotype", seed=4)
+    watched = _watch_release(monkeypatch, spectral)
+    assert mp_check(40, 80, "genotype", seed=4) == expected
+    assert len(watched) == 2  # the genotypes and Z
 
 
 def test_estimate_from_design_releases_the_callers_only_reference(monkeypatch):

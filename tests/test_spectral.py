@@ -139,6 +139,45 @@ def test_standardize_drop_policy_across_row_blocks():
     assert excinfo.value.columns == (7,)
 
 
+@pytest.mark.parametrize("n", [20, 40])
+@pytest.mark.parametrize("policy", ["error", "drop"])
+def test_a_constant_float_column_is_monomorphic(policy, n):
+    # 0.1 is no binary fraction: its float mean is not exactly 0.1, so its
+    # float scale is about 1e-17, and a rule on the scale would standardize
+    # the column to all +1 or all -1.
+    W = polymorphic_genotypes(29, n, 6).astype(np.float64)
+    W[:, 2] = 0.1
+    if policy == "error":
+        message = "monomorphic (zero-variance) columns cannot be standardized: [2]"
+        assert raised(lambda: standardize(W)) == (MonomorphicColumnError, message)
+    else:
+        design = standardize(W, policy="drop")
+        assert design.dropped == (2,)
+        assert np.array_equal(design.Z, two_pass(np.delete(W, 2, axis=1)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+def test_drop_policy_names_a_non_finite_column_by_its_index_in_W(value):
+    # Dropping column 2 first must not renumber the non-finite column 5; a
+    # column of inf alone is not monomorphic either.
+    W = replicate_rng(30).standard_normal((20, 40))
+    W[:, 2] = 0.1
+    W[3, 5] = value
+    W[:, 7] = np.inf
+    with pytest.raises(DataError, match="^column 5 has a non-finite mean or scale"):
+        standardize(W, policy="drop")
+
+
+def test_a_scale_that_underflows_is_a_data_error():
+    # The deviations of column 4 are near 1e-200: their squares underflow to
+    # 0, so its scale is 0 although its entries differ.
+    W = replicate_rng(31).standard_normal((20, 8))
+    W[:, 4] = 1e-200 * replicate_rng(32).integers(1, 4, 20)
+    for policy in ("error", "drop"):
+        with pytest.raises(DataError, match="^column 4 has .* or a zero scale"):
+            standardize(W, policy=policy)
+
+
 @pytest.mark.parametrize(
     "bad",
     [{5: np.nan}, {5: np.inf}, {5: -np.inf}, {5: 1e200}, {5: np.nan, 9: np.inf, 30: 1e200}],
@@ -175,6 +214,22 @@ def test_standardize_peak_memory_is_about_one_design():
     finally:
         tracemalloc.stop()
     assert peak - start <= 1.25 * Z.nbytes
+
+
+def test_drop_policy_builds_no_second_design():
+    # The monomorphic columns leave the int8 genotypes, a copy an eighth the
+    # size of Z, before Z exists; Z is not compacted after the fact.
+    W = polymorphic_genotypes(33, 400, 2000)
+    W[:, [0, 500, 1999]] = 1
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        design = standardize(W, policy="drop")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert design.dropped == (0, 500, 1999)
+    assert peak - start < 1.5 * design.Z.nbytes
 
 
 def test_estimate_from_design_names_non_finite_design():
