@@ -42,7 +42,8 @@ print("\nPatterns to notice: estimates are unbiased in every cell and the "
       "close to the search boundary, so their SE calibration and coverage "
       "are rougher than at larger sample sizes.")
 
-# The same study can run from the CLI:
+# The same study can run from the CLI. It runs serially: a process pool
+# (--workers) pays only with OPENBLAS_NUM_THREADS=1, as the README explains.
 doc = {
     "base": {"n": 300, "N": 600, "eta_star": 0.5, "seed": 777, "replicates": 60},
     "eta_grid": [0.3, 0.5, 0.7],
@@ -50,4 +51,4 @@ doc = {
 }
 with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
     json.dump(doc, fh)
-print(f"\nCLI equivalent: specherit mc-study {fh.name} mc_demo_output --workers 2")
+print(f"\nCLI equivalent: specherit mc-study {fh.name} mc_demo_output")

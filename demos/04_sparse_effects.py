@@ -55,12 +55,18 @@ for q_assumed in (1.0, 0.5, 0.1, 0.01):
 
 # --- the variance formula piece by piece ------------------------------------
 
-g2 = gamma_n2(result.eta_hat, spec.lambdas)
-S = s_empirical(result.eta_hat, spec.lambdas)
-base = tau2(a, result.eta_hat, 1.0, g2, S)
-sparse = tau2(a, result.eta_hat, q, g2, S)
+eta = result.eta_hat
+g2 = gamma_n2(eta, spec.lambdas)
+base = tau2(a, eta, 1.0, g2)
+sparse = tau2(a, eta, q, g2)
 print(f"\ntau^2 at q=1: {base:.4f} (= 2/gamma_n^2; se = {se_q1(g2, n):.4f})")
 print(f"tau^2 at q={q}: {sparse:.4f} "
       f"(inflation {100 * (sparse / base - 1):.1f}% from the sparsity term)")
+# The paper's sparsity term is 3 a^2 eta^2 / gamma^4 (1/q - 1) S, with
+# S = s_empirical = ((1 - eta) gamma^2)^2: the gammas cancel.
+S = s_empirical(eta, spec.lambdas)
+term = 3 * a**2 * eta**2 * (1 - eta) ** 2 * (1 / q - 1)
+print(f"sparsity term 3 a^2 eta^2 (1 - eta)^2 (1/q - 1) = {term:.4f}, "
+      f"with S = ((1 - eta) gamma_n^2)^2 = {S:.4f}: it needs no spectrum")
 print("\nThe proportion q is never estimated: outputs label the sparse SE "
       "'assumed q' and the CLI only computes it when --q is given.")

@@ -193,10 +193,11 @@ def _decode_digits(data) -> np.ndarray | None:
 
     The layout is what ``write_genotypes`` writes: an optional header line,
     then rows of equal width, one delimiter between digits, each row ending
-    in ``\n`` (the last newline may be missing). The first line is sniffed
-    as ``_read_matrix`` does. ``data`` is ``bytes`` or a read-only ``mmap``.
-    Returns ``None`` for any other layout, which the general parser then
-    reads or rejects with its ``file:line`` errors.
+    in ``\n`` (the last newline may be missing), or each in ``\r\n`` when
+    the first row does. The first line is sniffed as ``_read_matrix`` does.
+    ``data`` is ``bytes`` or a read-only ``mmap``. Returns ``None`` for any
+    other layout, which the general parser then reads or rejects with its
+    ``file:line`` errors.
     """
     end = data.find(b"\n")
     try:
@@ -209,15 +210,19 @@ def _decode_digits(data) -> np.ndarray | None:
     start = end + 1 if header else 0
     if (header and end < 0) or start == len(data):
         return None
+    row_end = data.find(b"\n", start)
+    eol = b"\r\n" if row_end > start and data[row_end - 1 : row_end] == b"\r" else b"\n"
     if data[-1:] != b"\n":
-        data, start = data[start:] + b"\n", 0
+        data, start = data[start:] + eol, 0
     width = data.find(b"\n", start) + 1 - start
-    if width % 2 or (len(data) - start) % width:
+    cells = width - len(eol)  # digits and delimiters
+    if cells % 2 == 0 or (len(data) - start) % width:
         return None
     rows = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(-1, width)
-    if not ((rows[:, 1:-1:2] == ord(delim)).all() and (rows[:, -1] == ord("\n")).all()):
+    ends = np.frombuffer(eol, dtype=np.uint8)
+    if not ((rows[:, 1:cells:2] == ord(delim)).all() and (rows[:, cells:] == ends).all()):
         return None
-    digits = rows[:, 0::2] - np.uint8(ord("0"))  # bytes below '0' wrap past 2
+    digits = rows[:, :cells:2] - np.uint8(ord("0"))  # bytes below '0' wrap past 2
     if not (digits <= 2).all():
         return None
     return digits.view(np.int8)
@@ -359,9 +364,8 @@ def estimate_files(
     W, inputs["genotype"] = _read_fingerprinted(read_genotypes, geno_path)
     Y, inputs["phenotype"] = _read_fingerprinted(read_phenotype, pheno_path)
     if W.shape[0] != Y.size:
-        raise DataError(
-            f"genotype rows ({W.shape[0]}) and phenotype length ({Y.size}) disagree"
-        )
+        raise DataError(f"genotype rows ({W.shape[0]}) of {geno_path} and phenotype "
+                        f"length ({Y.size}) of {pheno_path} disagree")
     if covar_path is None:
         Y = Y - Y.mean()
     else:

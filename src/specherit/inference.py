@@ -9,6 +9,10 @@ Two regimes:
 * sparse (q < 1): the asymptotic variance of sqrt(n) (eta_hat - eta*)
   acquires a nonnegative inflation term driven by the assumed proportion q
   of non-null effects, tau^2 = 2/gamma^2 + 3 a^2 eta^2 / gamma^4 (1/q - 1) S.
+  Since lambda / d = 1 + (1 - eta) g with d = eta (lambda - 1) + 1, the
+  paper's S = Cov(lambda / d, g)^2 is ((1 - eta) gamma^2)^2 under any
+  spectral law, and the inflation term is 3 a^2 eta^2 (1 - eta)^2 (1/q - 1):
+  it needs no spectrum.
 
 Empirical plug-ins replace the limiting spectral integrals by eigenvalue
 averages; the limiting versions are available through the Marchenko-Pastur
@@ -32,30 +36,20 @@ from .spectral import MPLaw, mp_integrate
 
 def gamma_n2(eta: float, lambdas) -> float:
     """Empirical variance of g(eta, lambda) over the spectrum."""
-    return _spectral_factors(eta, _eigenvalues(lambdas), sparse=False)[0]
+    return _gamma_n2(eta, _eigenvalues(lambdas))
 
 
-def _spectral_factors(eta: float, lam: np.ndarray, sparse: bool) -> tuple[float, float | None]:
-    """``gamma_n2`` and, when ``sparse``, ``s_empirical`` at eta, for a checked spectrum.
-
-    Both come from one d = eta (lam - 1) + 1 and one reduction over the
-    spectrum, with ``g``'s checks: the kernel g = (lam - 1) / d, its two
-    moments, and the means of lam / d and lam (lam - 1) / d^2 for S.
-    """
+def _gamma_n2(eta: float, lam: np.ndarray) -> float:
+    """``gamma_n2`` at eta for a checked spectrum, with ``g``'s checks: the
+    kernel g = (lam - 1) / d and its square, summed in one reduction."""
     eta = float(eta)
     c = lam - 1.0
     _check_etas(eta, c)
-    d = eta * c + 1.0
-    terms = np.empty((4 if sparse else 2, lam.size))
-    kernel = np.divide(c, d, out=terms[0])
+    terms = np.empty((2, lam.size))
+    kernel = np.divide(c, eta * c + 1.0, out=terms[0])
     np.multiply(kernel, kernel, out=terms[1])
-    if sparse:
-        np.divide(lam, d, out=terms[2])
-        np.multiply(lam, c, out=terms[3])
-        terms[3] /= np.multiply(d, d, out=d)
     means = np.add.reduce(terms, axis=1) / lam.size
-    gamma2 = float(means[1] - means[0] ** 2)
-    return gamma2, float((means[3] - means[2] * means[0]) ** 2) if sparse else None
+    return float(means[1] - means[0] ** 2)
 
 
 def gamma2_limit(a: float, eta: float) -> float:
@@ -76,37 +70,36 @@ def se_q1(gamma_n2: float, n: int) -> float:
 
 
 def s_empirical(eta: float, lambdas) -> float:
-    """Empirical version of the sparse-variance factor S.
+    """Empirical version of the sparse-variance factor S, ((1 - eta) gamma_n2)^2.
 
-    Squared difference between the eigenvalue average of
-    lam (lam-1) / (eta (lam-1) + 1)^2 and the product of the averages of
-    lam / (eta (lam-1) + 1) and (lam-1) / (eta (lam-1) + 1). Like ``g``,
-    it requires eta in [0, 1) and positive denominators.
+    The paper defines S as the squared difference between the eigenvalue
+    average of lam (lam-1) / d^2 and the product of the averages of lam / d
+    and (lam-1) / d, with d = eta (lam-1) + 1: the squared covariance of
+    lam / d and g. As lam / d = 1 + (1 - eta) g, that covariance is
+    (1 - eta) times the variance of g. Like ``g``, it requires eta in
+    [0, 1) and positive denominators.
     """
-    return _spectral_factors(eta, _eigenvalues(lambdas), sparse=True)[1]
+    return (gamma_n2(eta, lambdas) * (1.0 - eta)) ** 2  # gamma_n2 checks eta first
 
 
 def s_limit(a: float, eta: float) -> float:
-    """Limiting version of S with Marchenko-Pastur integrals."""
-    law = MPLaw(a)
-    first = mp_integrate(law, lambda lam: lam * (lam - 1.0) / (eta * (lam - 1.0) + 1.0) ** 2)
-    second = mp_integrate(law, lambda lam: lam / (eta * (lam - 1.0) + 1.0))
-    third = mp_integrate(law, lambda lam: g(eta, lam))
-    return float((first - second * third) ** 2)
+    """Limiting version of S, ((1 - eta) gamma2_limit)^2, by ``s_empirical``'s
+    identity under the Marchenko-Pastur law."""
+    return (gamma2_limit(a, eta) * (1.0 - eta)) ** 2
 
 
-def tau2(a: float, eta: float, q: float, gamma2: float, S: float) -> float:
+def tau2(a: float, eta: float, q: float, gamma2: float) -> float:
     """Asymptotic variance of sqrt(n)(eta_hat - eta*) under sparsity.
 
-    Equals 2/gamma2 plus 3 a^2 eta^2 / gamma2^2 * (1/q - 1) * S; the
-    second term vanishes at q = 1, recovering the non-sparse variance.
+    The paper's 2/gamma2 + 3 a^2 eta^2 / gamma2^2 * (1/q - 1) * S, with
+    S = ((1 - eta) gamma2)^2 (see ``s_empirical``): 2/gamma2 plus
+    3 a^2 eta^2 (1 - eta)^2 (1/q - 1). The second term vanishes at q = 1,
+    recovering the non-sparse variance, and does not depend on the spectrum.
     """
     _check_q(q)
     if not gamma2 > 0.0:
         raise UnidentifiableModelError(f"gamma2 must be positive, got {gamma2}")
-    if S < 0.0:
-        raise ConfigurationError(f"S must be >= 0, got {S}")
-    return 2.0 / gamma2 + 3.0 * a**2 * eta**2 / gamma2**2 * (1.0 / q - 1.0) * S
+    return 2.0 / gamma2 + 3.0 * a**2 * eta**2 * (1.0 - eta) ** 2 * (1.0 / q - 1.0)
 
 
 def normal_quantile(p: float) -> float:
@@ -190,12 +183,12 @@ def build_report(
     n = lam.size
     a = n / n_markers
     eta_hat = solver_result.eta_hat
-    g2, S = _spectral_factors(eta_hat, lam, sparse=q_assumed is not None)
+    g2 = _gamma_n2(eta_hat, lam)
     se1 = se_q1(g2, n)
 
     tau_n2 = se_sp = None
     if q_assumed is not None:
-        tau_n2 = tau2(a, eta_hat, q_assumed, g2, S)
+        tau_n2 = tau2(a, eta_hat, q_assumed, g2)
         se_sp = math.sqrt(tau_n2 / n)
 
     ci_se = se_sp if se_sp is not None else se1

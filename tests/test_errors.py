@@ -66,7 +66,7 @@ Q_ENTRIES = {
     ("StudySpec.q_grid", "q"): lambda q: StudySpec(base=BASE, q_grid=(q,)),
     ("effect_scale", "q"): lambda q: effect_scale(0.5, 1.0, q, 10),
     ("sample_effects", "q"): lambda q: sample_effects(10, q, 0.1, replicate_rng(0)),
-    ("tau2", "q"): lambda q: tau2(0.5, 0.5, q, 1.0, 0.1),
+    ("tau2", "q"): lambda q: tau2(0.5, 0.5, q, 1.0),
     ("build_report", "q"): lambda q: build_report(LAM, Y, 3, RESULT, q_assumed=q),
     ("estimate_from_design", "q"):
         lambda q: estimate_from_design(np.ones((3, 2)), Y, q_assumed=q),
@@ -252,8 +252,6 @@ SINGLE_SITE_FAULTS = {
     "sigma_e2-negative":
         (lambda: simulate_phenotype(np.ones((3, 2)), np.ones(2), -1.0, replicate_rng(0)),
          ConfigurationError, "sigma_e2 must be >= 0, got -1.0"),
-    "S-negative": (lambda: tau2(0.5, 0.5, 1.0, 1.0, -1.0),
-                   ConfigurationError, "S must be >= 0, got -1.0"),
     "policy": (lambda: standardize(np.eye(3), policy="keep"),
                ConfigurationError, "policy must be 'error' or 'drop', got 'keep'"),
     "freqs-2-D": (lambda: sample_genotypes(4, np.full((2, 3), 0.3), replicate_rng(0)),

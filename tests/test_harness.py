@@ -108,15 +108,20 @@ def _general_reader(path):
     delim=st.sampled_from([",", "\t"]),
     header=st.booleans(),
     final_newline=st.booleans(),
+    crlf=st.booleans(),
 )
-def test_single_digit_files_decode_like_loadtxt(tmp_path_factory, W, delim, header, final_newline):
+def test_single_digit_files_decode_like_loadtxt(
+    tmp_path_factory, W, delim, header, final_newline, crlf
+):
     lines = [delim.join(str(v) for v in row) for row in W]
     if header:
         lines.insert(0, delim.join(f"m{j}" for j in range(len(W[0]))))
-    data = ("\n".join(lines) + ("\n" if final_newline else "")).encode()
+    lf = ("\n".join(lines) + ("\n" if final_newline else "")).encode()
+    data = lf.replace(b"\n", b"\r\n") if crlf else lf  # every line, header included
     path = tmp_path_factory.mktemp("geno") / "g.csv"
     path.write_bytes(data)
-    assert harness._decode_digits(data) is not None  # the byte decoder takes it
+    decoded = harness._decode_digits(data)  # the byte decoder takes it
+    assert decoded is not None and np.array_equal(decoded, harness._decode_digits(lf))
     got = read_genotypes(str(path))
     expected = np.loadtxt(path, delimiter=delim, skiprows=int(header), ndmin=2).astype(np.int8)
     assert got.dtype == np.int8 and got.flags.c_contiguous
@@ -129,6 +134,10 @@ def test_single_digit_files_decode_like_loadtxt(tmp_path_factory, W, delim, head
     [
         "0,1,2\r\n2,1,0\r\n",
         "m1,m2,m3\r\n0,1,2\n2,1,0\n",
+        "m1,m2,m3\n0,1,2\r\n2,1,0\r\n",
+        "0,1,2\r\n2,1,0\n",
+        "0,1,2\n2,1,0\r\n",
+        "0,1,2\r\n2,1,0\r",
         "# cohort A\n0,1,2\n2,1,0\n",
         "0,1,2\n2,1,0  # note\n",
         "0,1,2\n\n2,1,0\n",
@@ -151,7 +160,8 @@ def test_single_digit_files_decode_like_loadtxt(tmp_path_factory, W, delim, head
         "0,1\n1,2,0,1\n",
         "",
     ],
-    ids=["crlf", "crlf-header", "comment-line", "trailing-comment", "blank-line",
+    ids=["crlf", "crlf-header", "lf-header-crlf-rows", "crlf-then-lf", "lf-then-crlf",
+         "crlf-then-cr", "comment-line", "trailing-comment", "blank-line",
          "blank-after-header", "trailing-blank", "float", "space", "leading-space",
          "two-digits", "three", "minus-one-tab", "letter", "short-row", "long-row",
          "no-delimiter", "digit-separator", "mixed-delimiters", "empty-field",
@@ -920,7 +930,8 @@ def _cli_fault(tmp_path, case):
             ["estimate", geno, write("p3.txt", "1.5\nnan\n2\n")], EXIT_DATA,
             f"{tmp_path / 'p3.txt'}: line 2, column 1: phenotype entry nan is not finite"),
         "rows-disagree": (["estimate", geno, write("p4.txt", "1\n2\n")], EXIT_DATA,
-                          "genotype rows (3) and phenotype length (2) disagree"),
+                          f"genotype rows (3) of {geno} and phenotype length (2) of "
+                          f"{tmp_path / 'p4.txt'} disagree"),
         "monomorphic-column": (
             ["estimate", write("g5.csv", "0,1\n1,1\n2,1\n"), pheno], EXIT_DATA,
             f"{tmp_path / 'g5.csv'}: monomorphic (zero-variance) columns cannot be "

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from specherit import (
     ConfigurationError,
     DataError,
+    MPLaw,
     NumericalFailureError,
     ShapeMismatchError,
     SolverConfig,
@@ -20,6 +21,7 @@ from specherit import (
     g,
     gamma2_limit,
     gamma_n2,
+    mp_integrate,
     newton_estimate,
     normal_quantile,
     replicate_rng,
@@ -142,17 +144,52 @@ def test_s_empirical_converges_to_limit(wide_gaussian_spectrum):
     assert abs(emp - lim) <= 0.05 * lim
 
 
+def three_mean_s(eta, lam):
+    """The paper's S: the squared difference between the mean of
+    lam (lam - 1) / d^2 and the product of the means of lam / d and g."""
+    d = eta * (lam - 1.0) + 1.0
+    return (np.mean(lam * (lam - 1.0) / d**2) - np.mean(lam / d) * np.mean((lam - 1.0) / d)) ** 2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_s_empirical_equals_the_three_mean_s(seed):
+    """S = Cov(lam / d, g)^2 = ((1 - eta) gamma_n2)^2, since lam / d = 1 + (1 - eta) g;
+    spectra with a block of zero eigenvalues (N < n) included."""
+    rng = replicate_rng(seed)
+    n = int(rng.integers(20, 400))
+    lam = rng.uniform(0.0, 4.0, n)
+    lam[: int(rng.integers(0, n // 2))] = 0.0
+    for eta in (0.0, 0.1, 0.5, 0.9, 0.99, 0.999, float(rng.uniform(0.0, 0.999))):
+        assert s_empirical(eta, lam) == pytest.approx(three_mean_s(eta, lam), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 2.0])
+def test_s_limit_equals_the_three_mp_integrals(a):
+    law = MPLaw(a)
+    for eta in (0.0, 0.3, 0.7):
+        def d(lam):
+            return eta * (lam - 1.0) + 1.0
+        first = mp_integrate(law, lambda lam: lam * (lam - 1.0) / d(lam) ** 2)
+        second = mp_integrate(law, lambda lam: lam / d(lam))
+        third = mp_integrate(law, lambda lam: g(eta, lam))
+        assert abs(s_limit(a, eta) - (first - second * third) ** 2) <= 1e-9
+
+
 def test_tau2_identities():
-    gamma2, S = 0.7, 0.3
-    assert tau2(0.5, 0.6, 1.0, gamma2, S) == 2.0 / gamma2
-    assert tau2(0.5, 0.0, 0.2, gamma2, S) == 2.0 / gamma2
+    gamma2 = 0.7
+    assert tau2(0.5, 0.6, 1.0, gamma2) == 2.0 / gamma2
+    assert tau2(0.5, 0.0, 0.2, gamma2) == 2.0 / gamma2
     a, eta, q = 0.5, 0.7, 0.5
-    expected = 2.0 / gamma2 + 3.0 * a**2 * eta**2 / gamma2**2 * (1.0 / q - 1.0) * S
-    assert abs(tau2(a, eta, q, gamma2, S) - expected) <= 1e-12
+    expected = 2.0 / gamma2 + 3.0 * a**2 * eta**2 * (1.0 - eta) ** 2 * (1.0 / q - 1.0)
+    assert tau2(a, eta, q, gamma2) == expected
+    # the paper's form, with S = ((1 - eta) gamma2)^2
+    S = ((1.0 - eta) * gamma2) ** 2
+    assert tau2(a, eta, q, gamma2) == pytest.approx(
+        2.0 / gamma2 + 3.0 * a**2 * eta**2 / gamma2**2 * (1.0 / q - 1.0) * S, rel=1e-14)
     with pytest.raises(UnidentifiableModelError):
-        tau2(0.5, 0.5, 0.5, 0.0, S)
+        tau2(0.5, 0.5, 0.5, 0.0)
     with pytest.raises(ConfigurationError):
-        tau2(0.5, 0.5, 1.5, gamma2, S)
+        tau2(0.5, 0.5, 1.5, gamma2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -160,18 +197,17 @@ def test_tau2_identities():
     a=st.floats(0.01, 2.0),
     eta=st.floats(0.0, 0.95),
     gamma2=st.floats(1e-3, 10.0),
-    S=st.floats(0.0, 10.0),
     q1=st.floats(0.01, 1.0),
     q2=st.floats(0.01, 1.0),
 )
-def test_tau2_monotone_nonincreasing_in_q(a, eta, gamma2, S, q1, q2):
+def test_tau2_monotone_nonincreasing_in_q(a, eta, gamma2, q1, q2):
     lo, hi = sorted((q1, q2))
-    assert tau2(a, eta, lo, gamma2, S) >= tau2(a, eta, hi, gamma2, S)
+    assert tau2(a, eta, lo, gamma2) >= tau2(a, eta, hi, gamma2)
 
 
 def test_tau2_consistent_with_se_q1():
     gamma2, n = 0.37, 523
-    assert se_q1(gamma2, n) == pytest.approx(np.sqrt(tau2(0.5, 0.4, 1.0, gamma2, 0.2) / n))
+    assert se_q1(gamma2, n) == pytest.approx(np.sqrt(tau2(0.5, 0.4, 1.0, gamma2) / n))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +381,8 @@ def test_report_document_shares_no_mutable_value(small_instance):
 # three sparse fields at q = 0.5, and (ci_lo, ci_hi) per (q, level); recorded
 # before to_dict was built from the dataclass fields, and again when the
 # certified solver, and later its polish-first order, moved the last bits
-# of case "a-2".
+# of case "a-2", and when the sparse term was written without S, which
+# moved the last bits of its q = 0.5 fields.
 GOLDEN_REPORTS = [
     pytest.param(
         (1, 800, 1600, 0.5),
@@ -372,13 +409,13 @@ GOLDEN_REPORTS = [
          "solver": {"eta_hat": 0.42614537542776576, "sigma2_hat": 0.921504150264249,
                     "newton_steps": 4, "converged": True, "clamped": False,
                     "gap": 3.6950563025994754e-08, "rows": 26}},
-        {"q_assumed": 0.5, "tau_n2": 4.486894179246841, "se_sparse": 0.08647633760406023},
+        {"q_assumed": 0.5, "tau_n2": 4.486894179246842, "se_sparse": 0.08647633760406025},
         {(None, 0.9): (0.29577469835405445, 0.5565160525014771),
          (None, 0.95): (0.27079913214035956, 0.581491618715172),
          (None, 0.99): (0.22198580473553184, 0.6303049461199997),
          (0.5, 0.9): (0.28390445787424734, 0.5683862929812842),
-         (0.5, 0.95): (0.256654868208881, 0.5956358826466506),
-         (0.5, 0.99): (0.20339709096363975, 0.6488936598918917)},
+         (0.5, 0.95): (0.25665486820888095, 0.5956358826466506),
+         (0.5, 0.99): (0.2033970909636397, 0.6488936598918918)},
         id="a-2",
     ),
     pytest.param(
@@ -430,7 +467,7 @@ def fused_report_cases():
 
 @pytest.mark.parametrize("seed, n, eta_star, delta, N", fused_report_cases())
 def test_build_report_equals_the_standalone_formulas(seed, n, eta_star, delta, N):
-    """``build_report`` takes g, its moments and S from one pass over the
+    """``build_report`` takes g and its moments from one pass over the
     spectrum; each figure is the bits the standalone function returns."""
     lam, y = seeded_spectrum(seed, n, eta_star)
     result = newton_estimate(lam, y, SolverConfig(delta=delta))
@@ -438,7 +475,7 @@ def test_build_report_equals_the_standalone_formulas(seed, n, eta_star, delta, N
     eta, g2 = result.eta_hat, gamma_n2(result.eta_hat, lam)
     assert report.gamma_n2 == g2
     assert report.se_q1 == se_q1(g2, n)
-    assert report.tau_n2 == tau2(n / N, eta, 0.5, g2, s_empirical(eta, lam))
+    assert report.tau_n2 == tau2(n / N, eta, 0.5, g2)
     assert report.se_sparse == math.sqrt(report.tau_n2 / n)
 
 
