@@ -42,8 +42,8 @@ print("\nPatterns to notice: estimates are unbiased in every cell and the "
       "close to the search boundary, so their SE calibration and coverage "
       "are rougher than at larger sample sizes.")
 
-# The same study can run from the CLI. It runs serially: a process pool
-# (--workers) pays only with OPENBLAS_NUM_THREADS=1, as the README explains.
+# The same study can run from the CLI. It runs serially: worker threads
+# (--workers) pay only with OPENBLAS_NUM_THREADS=1, as the README explains.
 doc = {
     "base": {"n": 300, "N": 600, "eta_star": 0.5, "seed": 777, "replicates": 60},
     "eta_grid": [0.3, 0.5, 0.7],

@@ -4,7 +4,7 @@ Monte-Carlo study harness.
 
 Every public name is listed once in ``_EXPORTS`` and loaded from its module
 on first access (PEP 562), so ``from specherit import newton_estimate``
-imports the solver without the study harness or its process pool.
+imports the solver without the study harness.
 """
 
 import importlib
@@ -19,7 +19,7 @@ _EXPORTS = {
             run_replicate run_study study_records summarize_replicates""",
         "inference": """EstimateReport build_report confidence_interval gamma2_limit gamma_n2
             normal_quantile s_empirical s_limit se_q1 tau2""",
-        "likelihood": """SolverConfig SolverResult d2loglik dloglik g grid_oracle loglik
+        "likelihood": """SolverResult d2loglik dloglik g grid_oracle loglik
             newton_estimate profile_sigma2""",
         "spectral": """MPLaw SpectralDecomposition StandardizedDesign decompose eigendecompose
             esd kinship mp_cdf mp_integrate residualize rotate standardize""",

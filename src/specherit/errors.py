@@ -7,13 +7,14 @@ solver failures).
 
 Each parameter rule is one function, called by every entry that takes the
 parameter: ``_check_count`` (an integer >= a floor, such as N),
-``_check_seed``, ``_check_q``, ``_check_level``, ``_check_eta_star``,
-``_check_sigma_star2``, ``_check_freqs`` and ``_check_design``. Each
-applies ``_check_number`` (a bool, string or None is not a number) before
-its range. The module imports neither numpy nor the package, so every
-module can import it.
+``_check_seed``, ``_check_q``, ``_check_level``, ``_check_delta``,
+``_check_eta_star``, ``_check_sigma_star2``, ``_check_freqs`` and
+``_check_design``. Each applies ``_check_number`` (a bool, string or None
+is not a number) before its range. The module imports neither numpy nor
+the package, so every module can import it.
 """
 
+import math
 import numbers
 
 
@@ -95,14 +96,19 @@ def _check_level(level, name: str = "level") -> None:
         raise ConfigurationError(f"{name} must be in (0, 1), got {level}")
 
 
+def _check_delta(delta) -> None:  # the solver searches eta on [0, 1 - delta]
+    if not 0.0 < _check_number("delta", delta) < 0.5:
+        raise ConfigurationError(f"delta must be in (0, 0.5), got {delta}")
+
+
 def _check_eta_star(eta_star) -> None:
     if not 0.0 <= _check_number("eta_star", eta_star) < 1.0:
         raise ConfigurationError(f"eta_star must be in [0, 1), got {eta_star}")
 
 
 def _check_sigma_star2(sigma_star2) -> None:
-    if not _check_number("sigma_star2", sigma_star2) > 0.0:
-        raise ConfigurationError(f"sigma_star2 must be positive, got {sigma_star2}")
+    if not 0.0 < _check_number("sigma_star2", sigma_star2) < math.inf:  # JSON parses Infinity
+        raise ConfigurationError(f"sigma_star2 must be positive and finite, got {sigma_star2}")
 
 
 def _check_freqs(freq_lo, freq_hi) -> None:

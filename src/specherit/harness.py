@@ -47,13 +47,14 @@ from .errors import (
     SpecheritError,
     UnidentifiableModelError,
     _check_count,
+    _check_delta,
     _check_design,
     _check_level,
     _check_number,
     _check_seed,
 )
 from .inference import EstimateReport, _check_report_options, build_report
-from .likelihood import SolverConfig, newton_estimate
+from .likelihood import newton_estimate
 from . import spectral
 from .spectral import MPLaw, decompose, esd, mp_cdf, standardize
 from .synthcohort import (
@@ -311,7 +312,7 @@ def estimate_from_design(
     *,
     q_assumed: float | None = None,
     ci_level: float = 0.95,
-    solver: SolverConfig | None = None,
+    delta: float = 0.01,
 ) -> EstimateReport:
     """Run the spectral pipeline and inference on an in-memory design.
 
@@ -322,17 +323,18 @@ def estimate_from_design(
     R + ``eigh``'s workspace, not their sum.
     """
     _check_report_options(q_assumed, ci_level)
+    _check_delta(delta)
     held = [np.asarray(getattr(Z, "Z", Z), dtype=np.float64)]
     del Z
     n, N = spectral._design_shape(held[0])
     Y = spectral._phenotype(Y, n)  # one phenotype, before kinship
     spec = decompose(held.pop(), Y)
-    return _solve(spec.lambdas, spec.y_rot, N, q_assumed, ci_level, solver)
+    return _solve(spec.lambdas, spec.y_rot, N, q_assumed, ci_level, delta)
 
 
-def _solve(lam, y_rot, N: int, q_assumed, ci_level: float, solver=None) -> EstimateReport:
+def _solve(lam, y_rot, N: int, q_assumed, ci_level: float, delta: float = 0.01) -> EstimateReport:
     """The fit and report of one spectrum ``(lam, y_rot)`` of an n x N design."""
-    result = newton_estimate(lam, y_rot, solver or SolverConfig())
+    result = newton_estimate(lam, y_rot, delta)
     return build_report(
         lam, y_rot, n_markers=N, solver_result=result, q_assumed=q_assumed, ci_level=ci_level
     )
@@ -346,7 +348,7 @@ def estimate_files(
     q_assumed: float | None = None,
     ci_level: float = 0.95,
     drop_monomorphic: bool = False,
-    solver: SolverConfig | None = None,
+    delta: float = 0.01,
 ) -> dict:
     """File-based estimation: returns the report document with fingerprints.
 
@@ -360,6 +362,7 @@ def estimate_files(
     at ``kinship``, and on the n x n route (N >= n) R alone at ``eigh``.
     """
     _check_report_options(q_assumed, ci_level)
+    _check_delta(delta)
     inputs = {}
     W, inputs["genotype"] = _read_fingerprinted(read_genotypes, geno_path)
     Y, inputs["phenotype"] = _read_fingerprinted(read_phenotype, pheno_path)
@@ -390,7 +393,7 @@ def estimate_files(
     del W
     dropped = held[0].dropped
     doc = estimate_from_design(
-        held.pop(), Y, q_assumed=q_assumed, ci_level=ci_level, solver=solver
+        held.pop(), Y, q_assumed=q_assumed, ci_level=ci_level, delta=delta
     ).to_dict()
     if dropped:
         doc["dropped_monomorphic_columns"] = list(dropped)
@@ -591,11 +594,13 @@ def study_records(spec: StudySpec) -> list[ReplicateRecord]:
 
     Cells that share (n, N, seed, allele-frequency range) share each
     replicate's design, so the tasks are (design group, replicate) pairs,
-    each run by ``_group_records``. Records come in task order of the cells
-    (cell by cell, replicate by replicate). Replicate streams depend only on
-    (master seed, replicate index), so the records are the same for any
-    ``spec.workers`` at a fixed BLAS thread count. This is ``run_study``
-    without the files.
+    each run by ``_group_records``, on ``spec.workers`` = k threads of this
+    process, which hold up to k designs at once. An error that is not a
+    ``SpecheritError`` propagates and cancels the tasks not yet started.
+    Records come in task order of the cells (cell by cell, replicate by
+    replicate). Replicate streams depend only on (master seed, replicate
+    index), so the records are the same for any k at a fixed BLAS thread
+    count. This is ``run_study`` without the files.
     """
     cells = spec.cells()
     groups: dict[tuple, list[int]] = {}
@@ -609,11 +614,11 @@ def study_records(spec: StudySpec) -> list[ReplicateRecord]:
     log.info("running %d replicates across %d cells in %d design groups",
              len(cells) * spec.base.replicates, len(cells), len(groups))
     if spec.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
+        from concurrent.futures import ThreadPoolExecutor  # only a pooled run pays its import
 
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(_group_records, *args, chunksize=4))
-    else:
+        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
+            results = list(pool.map(_group_records, *args))
+    else:  # inline: a worker thread would take a malloc arena of its own
         results = list(map(_group_records, *args))
     records = {
         (i, rep): record
@@ -626,8 +631,9 @@ def study_records(spec: StudySpec) -> list[ReplicateRecord]:
 def run_study(spec: StudySpec, out_dir: str, *, allow_large: bool = False) -> tuple[str, str]:
     """Run every cell of a study and write replicate and summary CSVs.
 
-    The rows are ``study_records(spec)`` in its order, so the output is
-    identical for any ``spec.workers`` at a fixed BLAS thread count.
+    The rows are ``study_records(spec)`` in its order: k workers hold up to
+    k designs in this one process, and the output is identical for any k
+    at a fixed BLAS thread count.
     """
     for cell in spec.cells():
         if cell.N > MAX_MARKERS_DEFAULT and not allow_large:
@@ -654,7 +660,8 @@ def run_study(spec: StudySpec, out_dir: str, *, allow_large: bool = False) -> tu
 
 
 def summarize_replicates(replicates_path: str) -> list[dict]:
-    """Recompute per-cell summary statistics from a replicate CSV alone."""
+    """Recompute per-cell summary statistics from a replicate CSV alone,
+    in numeric order of (eta_star, a, q, n, N)."""
     cells: dict[tuple, list[dict]] = {}
     with open(replicates_path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
@@ -665,7 +672,7 @@ def summarize_replicates(replicates_path: str) -> list[dict]:
         return np.array([float(r[name]) for r in rows if r[name] != ""])
 
     out = []
-    for key in sorted(cells):
+    for key in sorted(cells, key=lambda key: tuple(map(float, key))):
         rows = cells[key]
         good = [r for r in rows if not r["error"]]
         eta_hat = _column(good, "eta_hat")
@@ -760,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--q", type=float, default=None,
                        help="assumed proportion of non-null effects (enables sparse SE)")
     p_est.add_argument("--level", type=float, default=0.95, help="confidence level")
-    p_est.add_argument("--delta", type=float, default=None, help="boundary margin")
+    p_est.add_argument("--delta", type=float, default=0.01, help="boundary margin")
     p_est.add_argument("--drop-monomorphic", action="store_true",
                        help="drop zero-variance genotype columns instead of failing")
     p_est.add_argument("--out", default=None, help="also write the report JSON here")
@@ -773,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc-study", help="run a Monte-Carlo study grid")
     p_mc.add_argument("study", help="StudySpec JSON file")
     p_mc.add_argument("out_dir", help="output directory")
-    p_mc.add_argument("--workers", type=int, default=None, help="parallel workers")
+    p_mc.add_argument("--workers", type=int, default=None, help="worker threads")
     p_mc.add_argument("--seed", type=int, default=None, help="override the base seed")
     p_mc.add_argument("--allow-large", action="store_true",
                       help=f"permit cells with more than {MAX_MARKERS_DEFAULT} markers")
@@ -795,7 +802,7 @@ def _cmd_estimate(args) -> int:
         q_assumed=args.q,
         ci_level=args.level,
         drop_monomorphic=args.drop_monomorphic,
-        solver=None if args.delta is None else SolverConfig(delta=args.delta),
+        delta=args.delta,
     )
     _emit(doc, args.out)
     return EXIT_OK
@@ -806,8 +813,8 @@ def _cmd_simulate(args) -> int:
         config = SimulationConfig.from_json(fh.read())
     if args.seed is not None:
         config = replace(config, seed=args.seed)
+    cohort = simulate_cohort(config, replicate=0)  # a failed draw leaves no directory
     os.makedirs(args.out_dir, exist_ok=True)
-    cohort = simulate_cohort(config, replicate=0)
     geno_path = os.path.join(args.out_dir, "genotypes.csv")
     pheno_path = os.path.join(args.out_dir, "phenotypes.txt")
     truth_path = os.path.join(args.out_dir, "truth.json")

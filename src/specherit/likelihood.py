@@ -50,6 +50,7 @@ from .errors import (
     NumericalFailureError,
     ShapeMismatchError,
     UnidentifiableModelError,
+    _check_delta,
     _check_number,
 )
 
@@ -266,27 +267,6 @@ def d2loglik(eta: float, lambdas, y_rot) -> float:
     return float(_profile([float(eta)], lambdas, y_rot, 2)[0][6, 0])
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Solver settings.
-
-    ``delta`` bounds the search interval [0, 1 - delta]; fits at the upper
-    boundary report ``upper = 1 - delta``. The certificate tolerance (1e-6)
-    and the Newton polish's budget (20 steps) and step tolerance (1e-8) are
-    fixed.
-    """
-
-    delta: float = 0.01
-
-    def __post_init__(self):
-        if not 0.0 < _check_number("delta", self.delta) < 0.5:
-            raise ConfigurationError(f"delta must be in (0, 0.5), got {self.delta}")
-
-    @property
-    def upper(self) -> float:
-        return 1.0 - self.delta
-
-
 @dataclass
 class SolverResult:
     """Outcome of a certified maximization.
@@ -377,21 +357,22 @@ def _newton(eta, d1, d2, upper: float, c, w) -> tuple[float, int, bool, int]:
     return eta, _MAX_ITER, False, rows
 
 
-def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverResult:
+def newton_estimate(lambdas, y_rot, delta: float = 0.01) -> SolverResult:
     """Maximize the profile log-likelihood on [0, 1 - delta], with a certificate.
 
-    Scores 9 equally spaced knots with L_w'', runs Newton (at most 20
-    steps, step tolerance 1e-8) from the best one to p, its first step from
-    the knot's row, and scores p and the ladder p +- h / 2.5^k, k = 1..6
-    (h the knot spacing) in one pass. A best knot where L'' >= 0 starts no
-    run: p is that knot. Branch and bound then bisects, a vectorized pass
-    per round, every interval whose ``_interval_bounds`` bound exceeds the
-    best score by more than 1e-6. Should a point other than p score best,
-    Newton polishes it too, kept if it scores at least as high. An estimate
-    at or above 1 - delta - 1e-12 reports 1 - delta, ``clamped=True``.
-    ``gap`` is the largest bound less the returned score, clipped at 0.
+    ``delta`` in (0, 0.5) is the boundary margin. Scores 9 equally spaced
+    knots with L_w'', runs Newton (at most 20 steps, step tolerance 1e-8)
+    from the best one to p, its first step from the knot's row, and scores p
+    and the ladder p +- h / 2.5^k, k = 1..6 (h the knot spacing) in one
+    pass. A best knot where L'' >= 0 starts no run: p is that knot. Branch
+    and bound then bisects, a vectorized pass per round, every interval
+    whose ``_interval_bounds`` bound exceeds the best score by more than
+    1e-6. Should a point other than p score best, Newton polishes it too,
+    kept if it scores at least as high. An estimate at or above
+    1 - delta - 1e-12 reports 1 - delta, ``clamped=True``. ``gap`` is the
+    largest bound less the returned score, clipped at 0.
     """
-    cfg = cfg or SolverConfig()
+    _check_delta(delta)
     lam, w, m = _prepare(lambdas, y_rot)
     c = lam - 1.0
     if -_FLAT_SPECTRUM_TOL < c.min() and c.max() < _FLAT_SPECTRUM_TOL:
@@ -399,7 +380,7 @@ def newton_estimate(lambdas, y_rot, cfg: SolverConfig | None = None) -> SolverRe
             "all kinship eigenvalues equal 1: the likelihood is constant in eta"
         )
 
-    upper = cfg.upper
+    upper = 1.0 - delta
     # Every eta the solve evaluates lies in [0, upper].
     _check_etas(upper, c)
 
@@ -474,7 +455,8 @@ def grid_oracle(lambdas, y_rot, grid_step: float, delta: float = 0.01) -> float:
     """
     if not 0.0 < _check_number("grid_step", grid_step) <= 0.01:
         raise ConfigurationError(f"grid_step must be in (0, 0.01], got {grid_step}")
-    upper = SolverConfig(delta=delta).upper
+    _check_delta(delta)
+    upper = 1.0 - delta
     count = int(np.floor(upper / grid_step + 1e-9))
     grid = np.linspace(0.0, count * grid_step, count + 1)
     if upper - grid[-1] > 1e-12:

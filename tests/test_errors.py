@@ -13,7 +13,6 @@ from specherit import (
     GenotypeMatrix,
     ShapeMismatchError,
     SimulationConfig,
-    SolverConfig,
     StudySpec,
     build_report,
     confidence_interval,
@@ -111,6 +110,25 @@ def test_every_entry_applies_the_level_rule(level, message):
     check_rule(LEVEL_ENTRIES, level, message)
 
 
+DELTA_ENTRIES = {
+    ("newton_estimate", "delta"): lambda delta: newton_estimate(LAM, Y, delta),
+    ("grid_oracle", "delta"): lambda delta: grid_oracle(LAM, Y, 0.01, delta),
+    ("estimate_from_design", "delta"):
+        lambda delta: estimate_from_design(np.ones((3, 2)), Y, delta=delta),
+    ("estimate_files", "delta"): lambda delta: estimate_files("no.csv", "no.txt", delta=delta),
+}
+
+
+@pytest.mark.parametrize("delta, message", [
+    *not_numbers(),
+    pytest.param(0.0, "delta must be in (0, 0.5), got 0.0", id="0"),
+    pytest.param(0.5, "delta must be in (0, 0.5), got 0.5", id="0.5"),
+    pytest.param(math.nan, "delta must be in (0, 0.5), got nan", id="nan"),
+])
+def test_every_entry_applies_the_delta_rule(delta, message):
+    check_rule(DELTA_ENTRIES, delta, message)
+
+
 ETA_STAR_ENTRIES = {
     ("SimulationConfig", "eta_star"): lambda eta: SimulationConfig(n=40, N=80, eta_star=eta),
     ("StudySpec.eta_grid", "eta_star"): lambda eta: StudySpec(base=BASE, eta_grid=(eta,)),
@@ -136,8 +154,9 @@ SIGMA_STAR2_ENTRIES = {
 
 @pytest.mark.parametrize("sigma_star2, message", [
     *not_numbers(),
-    pytest.param(0.0, "sigma_star2 must be positive, got 0.0", id="0"),
-    pytest.param(math.nan, "sigma_star2 must be positive, got nan", id="nan"),
+    pytest.param(0.0, "sigma_star2 must be positive and finite, got 0.0", id="0"),
+    pytest.param(math.nan, "sigma_star2 must be positive and finite, got nan", id="nan"),
+    pytest.param(math.inf, "sigma_star2 must be positive and finite, got inf", id="inf"),
 ])
 def test_every_entry_applies_the_sigma_star2_rule(sigma_star2, message):
     check_rule(SIGMA_STAR2_ENTRIES, sigma_star2, message)
@@ -208,8 +227,6 @@ def test_every_entry_applies_the_design_rule(design):
 
 # Parameters whose range one entry checks: the number rule comes first.
 SINGLE_SITE = {
-    ("SolverConfig", "delta"): lambda delta: SolverConfig(delta=delta),
-    ("grid_oracle", "delta"): lambda delta: grid_oracle(LAM, Y, 0.01, delta),
     ("grid_oracle", "grid_step"): lambda step: grid_oracle(LAM, Y, step),
     ("StudySpec.a_grid", "a grid value"): lambda a: StudySpec(base=BASE, a_grid=(a,)),
     ("sample_effects", "sigma_u2"): lambda s2: sample_effects(10, 0.5, s2, replicate_rng(0)),

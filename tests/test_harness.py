@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -561,6 +562,15 @@ def test_cmd_simulate_outputs(tmp_path, capsys):
     assert first == ((out / "genotypes.csv").read_bytes(), (out / "phenotypes.txt").read_bytes())
 
 
+def test_cmd_simulate_failure_leaves_no_directory(tmp_path, capsys):
+    # n = 2 at allele frequencies of 1-2% leaves 47 of 50 columns monomorphic
+    config = _write_config(tmp_path, n=2, N=50, seed=1, freq_lo=0.01, freq_hi=0.02)
+    out = tmp_path / "cohort"
+    assert main(["simulate", str(config), str(out)]) == EXIT_DATA
+    assert "monomorphic" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_estimate_cli_and_exit_codes(tmp_path, capsys):
     config = _write_config(tmp_path, n=50, N=100)
     out = tmp_path / "cohort"
@@ -648,6 +658,18 @@ def test_mc_study_rows_and_summary(tmp_path):
     assert len(summary) == 2
     # summary is recomputable from the replicate table alone
     assert summarize_replicates(replicates_path) == summary
+
+
+def test_summary_orders_cells_numerically(tmp_path):
+    # a = 10 sorts before a = 2 as a string
+    spec = StudySpec(base=SimulationConfig(n=40, N=80, eta_star=0.5, seed=5, replicates=2),
+                     a_grid=(0.5, 2, 10), design="gaussian")
+    replicates_path, summary_path = run_study(spec, str(tmp_path / "out"))
+    with open(replicates_path) as fh:
+        cells = list(dict.fromkeys(row["a"] for row in csv.DictReader(fh)))
+    with open(summary_path) as fh:
+        summary = [row["a"] for row in csv.DictReader(fh)]
+    assert summary == cells == ["0.5", "2", "10"]
 
 
 def test_mc_study_single_replicate(tmp_path):
@@ -1005,6 +1027,8 @@ def test_cli_bad_inits_is_usage_error(cohort_files):
     _, geno, pheno = cohort_files
     assert main(["estimate", geno, pheno, "--inits", "0.1"]) == EXIT_USAGE
     assert main(["estimate", geno, pheno, "--delta", "0.7"]) == EXIT_USAGE
+    # the margin is checked before any file is opened
+    assert main(["estimate", "missing.csv", "missing.txt", "--delta", "0.7"]) == EXIT_USAGE
 
 
 def test_cli_solver_flags_change_search_interval(cohort_files, capsys):
@@ -1194,7 +1218,7 @@ def test_study_records_are_run_replicate_in_task_order(monkeypatch, workers):
             raise DegenerateDataError("injected response failure")
         return real_response(config, Z, rng)
 
-    monkeypatch.setattr(harness, "draw_design", failing_design)  # pool workers fork with it
+    monkeypatch.setattr(harness, "draw_design", failing_design)
     monkeypatch.setattr(harness, "draw_response", failing_response)
     spec = StudySpec(
         base=SimulationConfig(n=40, N=80, eta_star=0.5, seed=5, replicates=3),
@@ -1214,6 +1238,25 @@ def test_study_records_are_run_replicate_in_task_order(monkeypatch, workers):
     records = study_records(spec)
     assert [repr(astuple(r)) for r in records] == [repr(astuple(r)) for r in expected]
     assert [r.error for r in records] == errors
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_study_task_error_propagates_and_cancels_the_rest(monkeypatch, workers):
+    """An error that is not the package's leaves ``study_records``; of the 20
+    tasks, only those already running when it is raised still draw."""
+    real_design, calls = harness.draw_design, itertools.count()
+
+    def failing_design(config, rng, design):
+        if next(calls) == 0:
+            raise RuntimeError("injected task failure")
+        return real_design(config, rng, design)
+
+    monkeypatch.setattr(harness, "draw_design", failing_design)
+    spec = StudySpec(base=SimulationConfig(n=100, N=200, eta_star=0.5, seed=5, replicates=20),
+                     design="gaussian", workers=workers)
+    with pytest.raises(RuntimeError, match="injected task failure"):
+        study_records(spec)
+    assert 1 <= next(calls) <= 1 + workers
 
 
 def _watch_release(monkeypatch, module=None):

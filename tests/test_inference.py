@@ -13,7 +13,6 @@ from specherit import (
     MPLaw,
     NumericalFailureError,
     ShapeMismatchError,
-    SolverConfig,
     UnidentifiableModelError,
     build_report,
     confidence_interval,
@@ -470,7 +469,7 @@ def test_build_report_equals_the_standalone_formulas(seed, n, eta_star, delta, N
     """``build_report`` takes g and its moments from one pass over the
     spectrum; each figure is the bits the standalone function returns."""
     lam, y = seeded_spectrum(seed, n, eta_star)
-    result = newton_estimate(lam, y, SolverConfig(delta=delta))
+    result = newton_estimate(lam, y, delta=delta)
     report = build_report(lam, y, n_markers=N, solver_result=result, q_assumed=0.5)
     eta, g2 = result.eta_hat, gamma_n2(result.eta_hat, lam)
     assert report.gamma_n2 == g2

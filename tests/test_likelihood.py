@@ -12,7 +12,6 @@ from specherit import (
     DegenerateDataError,
     NumericalFailureError,
     ShapeMismatchError,
-    SolverConfig,
     UnidentifiableModelError,
     build_report,
     d2loglik,
@@ -225,21 +224,22 @@ def test_second_derivative_limit_is_scale_free():
 
 
 def test_solver_config_validation():
+    lam, y = seeded_spectrum(seed=1, n=30, eta=0.5)
     with pytest.raises(ConfigurationError):
-        SolverConfig(delta=0.6)
-    cfg = SolverConfig()
-    assert cfg.upper == 0.99
+        newton_estimate(lam, y, delta=0.6)
+    # the default margin is 0.01
+    assert newton_estimate(lam, y) == newton_estimate(lam, y, delta=0.01)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.5, math.nan, -0.1])
 def test_solver_and_grid_oracle_reject_the_same_delta(delta):
     lam, y = seeded_spectrum(seed=1, n=30, eta=0.5)
-    with pytest.raises(ConfigurationError) as config_error:
-        SolverConfig(delta=delta)
+    with pytest.raises(ConfigurationError) as solver_error:
+        newton_estimate(lam, y, delta)
     with pytest.raises(ConfigurationError) as oracle_error:
         grid_oracle(lam, y, 1e-3, delta)
     want = f"delta must be in (0, 0.5), got {delta}"
-    assert str(oracle_error.value) == str(config_error.value) == want
+    assert str(oracle_error.value) == str(solver_error.value) == want
 
 
 def test_newton_matches_grid_oracle():
@@ -260,7 +260,7 @@ def test_newton_clamped_instance():
     assert result.eta_hat == 0.99
     assert grid_oracle(lam, y, 1e-3) == pytest.approx(0.99)
     # the boundary value follows delta: [0, 0.95] reports 0.95
-    narrow = newton_estimate(lam, y, SolverConfig(delta=0.05))
+    narrow = newton_estimate(lam, y, delta=0.05)
     assert narrow.clamped
     assert narrow.eta_hat == 0.95
     assert narrow.sigma2_hat == profile_sigma2(0.95, lam, y)
@@ -379,7 +379,7 @@ def check_certificate(lam, y, delta, grid):
     """0 <= gap <= 1e-6, and no point of ``grid`` scores above the solve's
     L_w plus its gap. Returns the solve."""
     lam_, w, _ = likelihood._prepare(lam, y)
-    result = newton_estimate(lam, y, SolverConfig(delta=delta))
+    result = newton_estimate(lam, y, delta=delta)
     score = likelihood._rows(np.array([result.eta_hat]), lam_ - 1.0, w, 0)[3][0]
     assert 0.0 <= result.gap <= 1e-6
     assert likelihood._rows(grid, lam_ - 1.0, w, 0)[3].max() <= score + result.gap
@@ -471,7 +471,7 @@ def test_near_singular_denominator_stops_with_an_honest_gap():
     the gap it reports, above 1e-6, still covers every grid point."""
     lam = np.array([1.0 - 1.0 / 0.95 + 1e-16, 3.0, 0.5])
     y = np.array([1e-8, 2.0, 0.5])
-    result = newton_estimate(lam, y, SolverConfig(delta=0.05))
+    result = newton_estimate(lam, y, delta=0.05)
     assert result.clamped and result.gap > 1e-6
     lam_, w, _ = likelihood._prepare(lam, y)
     score = likelihood._rows(np.array([result.eta_hat]), lam_ - 1.0, w, 0)[3][0]
@@ -668,7 +668,7 @@ GOLDEN_FITS = [
 def test_solver_golden_values(case, summary, oracle):
     seed, n, eta_star, delta, step = case
     lam, y = seeded_spectrum(seed, n, eta_star)
-    result = newton_estimate(lam, y, SolverConfig(delta=delta))
+    result = newton_estimate(lam, y, delta=delta)
     assert result.summary() == summary
     assert grid_oracle(lam, y, step, delta) == oracle
 
@@ -690,7 +690,7 @@ def test_golden_override_decisions(case, summary, oracle):
 
 
 def fit(lam, y, delta=0.01):
-    return newton_estimate(lam, y, SolverConfig(delta=delta)).summary()
+    return newton_estimate(lam, y, delta=delta).summary()
 
 
 @pytest.mark.parametrize("case, summary, oracle", GOLDEN_FITS)

@@ -28,7 +28,7 @@ EXPORTS = {
         "normal_quantile", "s_empirical", "s_limit", "se_q1", "tau2",
     ],
     "likelihood": [
-        "SolverConfig", "SolverResult", "d2loglik", "dloglik", "g", "grid_oracle", "loglik",
+        "SolverResult", "d2loglik", "dloglik", "g", "grid_oracle", "loglik",
         "newton_estimate", "profile_sigma2",
     ],
     "spectral": [
@@ -45,7 +45,7 @@ EXPORTS = {
 
 def test_exports_are_the_defining_modules_objects():
     names = {name for names in EXPORTS.values() for name in names}
-    assert len(names) == 61
+    assert len(names) == 60
     assert set(specherit.__all__) == names
     assert names <= set(dir(specherit))
     for module_name, module_names in EXPORTS.items():
@@ -69,16 +69,18 @@ def test_solver_path_loads_neither_harness_nor_pool():
         "import sys; from specherit import build_report, newton_estimate, rotate; "
         "print(sorted({'specherit.harness', 'specherit.synthcohort', 'concurrent.futures'}"
         " & sys.modules.keys())); "
-        "from specherit.harness import main; print('concurrent.futures.process' in sys.modules); "
-        # a serial study runs without the pool, too
+        "from specherit.harness import main; print('concurrent.futures' in sys.modules); "
+        # a serial study runs without a pool, and a pooled one in this process
         "from specherit import SimulationConfig, StudySpec, study_records; "
         "base = SimulationConfig(n=20, N=40, eta_star=0.5, replicates=2); "
         "print([r.error for r in study_records(StudySpec(base=base))], "
-        "'concurrent.futures.process' in sys.modules)"
+        "'concurrent.futures' in sys.modules); "
+        "print([r.error for r in study_records(StudySpec(base=base, workers=2))], "
+        "sorted({'multiprocessing', 'concurrent.futures.process'} & sys.modules.keys()))"
     )
     proc = run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "False", "['', ''] False", ""]
+    assert proc.stdout.split("\n") == ["[]", "False", "['', ''] False", "['', ''] []", ""]
 
 
 def test_errors_is_a_leaf_module():
@@ -87,7 +89,7 @@ def test_errors_is_a_leaf_module():
     code = (
         "import sys; import specherit.errors; "
         "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('specherit'))); "
-        "from specherit import SolverConfig, build_report; "
+        "from specherit import build_report, newton_estimate; "
         "print(sorted({'specherit.harness', 'specherit.synthcohort'} & sys.modules.keys()))"
     )
     proc = run_child("-c", code)
