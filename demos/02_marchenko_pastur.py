@@ -7,8 +7,8 @@ the limiting law, plus a coarse text histogram of the bulk.
 
 import numpy as np
 
-from specherit import MPLaw, decompose, esd, mp_cdf, mp_check, mp_integrate, replicate_rng
-from specherit.spectral import standardize
+from specherit import MPLaw, esd, kinship, mp_cdf, mp_check, mp_integrate, replicate_rng
+from specherit.spectral import eigenvalues, standardize
 from specherit.synthcohort import sample_allele_frequencies, sample_genotypes
 
 # --- convergence of the empirical spectrum ---------------------------------
@@ -36,9 +36,9 @@ print(f"MP(a=2.0): atom at zero = {law_wide.mass_at_zero} "
 rng = replicate_rng(99)
 n, N = 500, 1000
 W = sample_genotypes(n, sample_allele_frequencies(N, 0.1, 0.5, rng), rng)
-spec = decompose(standardize(W).Z, np.zeros(n))
+lambdas = eigenvalues(kinship(standardize(W).Z))  # no eigenvectors: the histogram needs none
 edges = np.linspace(0.0, law.a_plus + 0.2, 25)
-counts, _ = np.histogram(spec.lambdas, bins=edges)
+counts, _ = np.histogram(lambdas, bins=edges)
 density = counts / counts.sum() / np.diff(edges)
 print("\neigenvalue histogram (n=500, N=1000) vs MP density:")
 for lo, hi, d in zip(edges[:-1], edges[1:], density):
@@ -47,5 +47,5 @@ for lo, hi, d in zip(edges[:-1], edges[1:], density):
     bar = "#" * int(round(40 * d))
     print(f"  [{lo:4.2f},{hi:4.2f})  {bar:<42s} emp {d:5.3f}  mp {mp_mass:5.3f}")
 
-print(f"\nsanity: ESD(1.0) = {esd(spec.lambdas, 1.0):.4f}  "
+print(f"\nsanity: ESD(1.0) = {esd(lambdas, 1.0):.4f}  "
       f"MP CDF(1.0) = {mp_cdf(law, 1.0):.4f}")

@@ -53,10 +53,10 @@ from .errors import (
     _check_number,
     _check_seed,
 )
-from .inference import EstimateReport, _check_report_options, build_report
-from .likelihood import newton_estimate
+from .inference import EstimateReport, _check_report_options, _report
+from .likelihood import _estimate
 from . import spectral
-from .spectral import MPLaw, decompose, esd, mp_cdf, standardize
+from .spectral import MPLaw, esd, mp_cdf, standardize
 from .synthcohort import (
     GenotypeMatrix,
     SimulationConfig,
@@ -316,11 +316,16 @@ def estimate_from_design(
 ) -> EstimateReport:
     """Run the spectral pipeline and inference on an in-memory design.
 
-    Z is an n x N array or a ``StandardizedDesign``. This frame passes its
-    only reference to Z on to ``decompose``, so a caller that passes its
-    only reference too, as ``estimate_files`` does, has Z freed after
-    ``kinship`` when N >= n or N = 1: peak memory is the larger of Z + R and
-    R + ``eigh``'s workspace, not their sum.
+    Z is an n x N array or a ``StandardizedDesign``. The fit reads Y only
+    through its spectral measure, from ``spectral._measures``: on the n side
+    (N >= n or N = 1) that is the eigenvalues plus a Lanczos quadrature rule,
+    with no eigenvectors, unless the spectrum is too ill-conditioned for the
+    rule to pay, as near n = N, where it is ``eigh`` and the rotation; with
+    1 < N < n it is the Gram route. This frame passes its only reference to
+    Z on, so a caller that passes its only reference too, as
+    ``estimate_files`` does, has Z freed after ``kinship`` on the n side:
+    peak memory is the larger of Z + R and R + the solver's workspace, not
+    their sum.
     """
     _check_report_options(q_assumed, ci_level)
     _check_delta(delta)
@@ -328,16 +333,15 @@ def estimate_from_design(
     del Z
     n, N = spectral._design_shape(held[0])
     Y = spectral._phenotype(Y, n)  # one phenotype, before kinship
-    spec = decompose(held.pop(), Y)
-    return _solve(spec.lambdas, spec.y_rot, N, q_assumed, ci_level, delta)
+    (measure,) = spectral._measures(held.pop(), Y, delta)
+    return _solve(measure, N, q_assumed, ci_level, delta)
 
 
-def _solve(lam, y_rot, N: int, q_assumed, ci_level: float, delta: float = 0.01) -> EstimateReport:
-    """The fit and report of one spectrum ``(lam, y_rot)`` of an n x N design."""
-    result = newton_estimate(lam, y_rot, delta)
-    return build_report(
-        lam, y_rot, n_markers=N, solver_result=result, q_assumed=q_assumed, ci_level=ci_level
-    )
+def _solve(measure, N: int, q_assumed, ci_level: float, delta: float = 0.01) -> EstimateReport:
+    """The fit and report of one spectral measure ``(lam, nodes, y)`` of
+    ``spectral._measures`` on an n x N design."""
+    lam, nodes, y = measure
+    return _report(lam, N, _estimate(lam, nodes, y, delta), q_assumed, ci_level)
 
 
 def estimate_files(
@@ -530,13 +534,14 @@ def _group_records(cells, replicate: int, design: str, ci_level: float) -> list[
     """Replicate ``replicate`` of cells that share one design group: the
     same n, N, seed and allele-frequency range, so the same design.
 
-    The design is drawn once, and ``decompose`` gets the only reference to
-    it with the cells' responses as columns, so on the n side it is freed
-    before ``eigh``. Each cell's response is drawn from the stream state the
-    design draw left, so each record equals the cell's own
-    ``simulate_cohort`` plus ``estimate_from_design``. A failure in the
-    design or the decomposition marks every cell still standing; one in a
-    cell's response or solve marks that cell only.
+    The design is drawn once, and ``spectral._measures`` gets the only
+    reference to it with the cells' responses as columns, so on the n side
+    it is freed before the eigenvalue solve. Each column's measure is its own
+    one-column call's, so each record equals the cell's own
+    ``simulate_cohort`` plus ``estimate_from_design``, bit for bit: each
+    response is drawn from the stream state the design draw left. A failure
+    in the design or the decomposition marks every cell still standing; one
+    in a cell's response or solve marks that cell only.
     """
     records = [
         ReplicateRecord(
@@ -561,8 +566,8 @@ def _group_records(cells, replicate: int, design: str, ci_level: float) -> list[
                 records[k].error = _message(exc)
         if not responses:
             return records
-        # the list gives decompose the only reference, so Z is freed before eigh
-        spec = decompose(drawn.pop(), np.column_stack(list(responses.values())))
+        # the list gives _measures the only reference, so Z is freed before eigvalsh
+        measures = spectral._measures(drawn.pop(), np.column_stack(list(responses.values())))
     except SpecheritError as exc:
         for record in records:
             record.error = record.error or _message(exc)
@@ -570,7 +575,7 @@ def _group_records(cells, replicate: int, design: str, ci_level: float) -> list[
     for j, k in enumerate(responses):
         cell, record = cells[k], records[k]
         try:
-            report = _solve(spec.lambdas, spec.y_rot[:, j], N, cell.q, ci_level)
+            report = _solve(measures[j], N, cell.q, ci_level)
         except SpecheritError as exc:
             record.error = _message(exc)
             continue
@@ -706,8 +711,10 @@ def mp_check(n: int, N: int, dist: str = "gaussian", seed: int = 0) -> dict:
     """Sup-distance between the empirical spectral CDF and the MP law.
 
     The design is ``draw_design``'s on replicate 0 at ``seed``, as
-    ``simulate_cohort`` draws it; ``decompose`` gets the only reference to
-    it, so on the n x n route (N >= n) Z is freed before ``eigh``. The distance
+    ``simulate_cohort`` draws it; ``spectral._kinship_eigenvalues`` gets the
+    only reference to it and forms no eigenvectors, so Z is freed before
+    ``eigvalsh``. The eigenvalues may differ from ``decompose``'s in the
+    last bits, and the distance with them. The distance
     is taken on a 2001-point grid over [-0.1, a_plus + 0.1]; below ``bound``
     = max(0.05, 4/n) passes. The ESD moves in steps of 1/n, so a fixed 0.05
     would be two steps at n = 40; from n = 80 on the bound is 0.05.
@@ -718,10 +725,10 @@ def mp_check(n: int, N: int, dist: str = "gaussian", seed: int = 0) -> dict:
     _check_seed(seed)
     config = SimulationConfig(n=n, N=N, eta_star=0.0, seed=seed)
     drawn = [draw_design(config, replicate_rng(seed, 0), dist)[2]]  # genotypes go with the tuple
-    spec = decompose(drawn.pop(), np.zeros(n))
+    lam = spectral._kinship_eigenvalues(drawn.pop())
     law = MPLaw(n / N)
     grid = np.linspace(-0.1, law.a_plus + 0.1, 2001)
-    distance = float(np.max(np.abs(esd(spec.lambdas, grid) - mp_cdf(law, grid))))
+    distance = float(np.max(np.abs(esd(lam, grid) - mp_cdf(law, grid))))
     bound = max(0.05, 4.0 / n)
     return {
         "ks_distance": distance,

@@ -179,7 +179,18 @@ def build_report(
     """
     if _check_number("n_markers", n_markers, integer=True) < 1:
         raise ConfigurationError(f"n_markers must be a positive integer, got {n_markers!r}")
-    lam = _pair(lambdas, y_rot)[0]
+    return _report(_pair(lambdas, y_rot)[0], n_markers, solver_result, q_assumed, ci_level)
+
+
+def _report(
+    lam: np.ndarray,
+    n_markers: int,
+    solver_result: SolverResult,
+    q_assumed: float | None,
+    ci_level: float,
+) -> EstimateReport:
+    """``build_report`` on checked eigenvalues and marker count: the
+    standard errors need the spectrum alone, not the observations."""
     n = lam.size
     a = n / n_markers
     eta_hat = solver_result.eta_hat

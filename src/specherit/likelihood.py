@@ -34,6 +34,13 @@ more than _GAP_TOL are bisected, and the largest bound certifies the
 answer. A best knot where L_w'' >= 0 starts no Newton run, since Newton
 would head for a minimum there; branch and bound finds the peak and a
 second run polishes it. The module keeps no state.
+
+The weights may also sit on nodes other than the eigenvalues: a Lanczos
+quadrature rule for y's spectral measure (``spectral._measures``), which
+``_estimate`` solves on. Then the w terms of a pass run over the nodes and
+the eigenvalue terms over the eigenvalues, in two buffers (``_node_means``);
+with the eigenvalues as nodes, as in every public entry, a pass is the one
+buffer above.
 """
 
 from __future__ import annotations
@@ -96,27 +103,39 @@ def _pair(lambdas, y_rot) -> tuple[np.ndarray, np.ndarray, float]:
         raise ShapeMismatchError(
             f"rotated observations {y.shape} and eigenvalues {lam.shape} differ in shape"
         )
+    return lam, y, _scale(y)
+
+
+def _scale(y: np.ndarray) -> float:
+    """max|y| of observations that are finite and not all zero."""
     s = float(np.maximum.reduce(np.abs(y), initial=0.0))  # inf or nan unless y is finite
     if not math.isfinite(s):
         raise DataError("rotated observations must be finite")
     if s == 0.0:
         raise DegenerateDataError("rotated observations are identically zero")
-    return lam, y, s
+    return s
 
 
 def _prepare(lambdas, y_rot) -> tuple[np.ndarray, np.ndarray, float]:
-    """``_pair``, with y reduced to scale-free weights.
-
-    Returns ``lam``, ``w = u^2 / mean(u^2)`` with ``u = y / max|y|``, and
-    ``m = mean(y^2)``. Dividing by max|y| before squaring keeps ``w`` clear
-    of overflow and of wholesale underflow at any scale of y; ``m`` leaves
-    the float range only when mean(y^2) itself does.
-    """
+    """``_pair``, with y reduced to ``_weights``: ``lam, w, m``."""
     lam, y, s = _pair(lambdas, y_rot)
+    return lam, *_weights(y, s, lam.size)
+
+
+def _weights(y: np.ndarray, s: float, n: int) -> tuple[np.ndarray, float]:
+    """Scale-free weights of observations y with max|y| = s, averaged over n.
+
+    Returns ``w = u^2 / (sum(u^2) / n)`` with ``u = y / s``, and
+    ``m = sum(y^2) / n``. Dividing by max|y| before squaring keeps ``w`` clear
+    of overflow and of wholesale underflow at any scale of y; ``m`` leaves
+    the float range only when sum(y^2) / n itself does. For y of n rotated
+    observations these are ``u^2 / mean(u^2)`` and mean(y^2); for a
+    quadrature rule's amplitudes, n counts the eigenvalues, not the nodes.
+    """
     u2 = (y / s) ** 2
-    mean_u2 = float(np.add.reduce(u2)) / u2.size  # the bits of np.mean
+    mean_u2 = float(np.add.reduce(u2)) / n  # the bits of np.mean when n = y.size
     u2 /= mean_u2
-    return lam, u2, s * (s * mean_u2)
+    return u2, s * (s * mean_u2)
 
 
 def _check_etas(etas, c) -> np.ndarray:
@@ -147,20 +166,21 @@ def _profile(etas, lambdas, y_rot, order: int) -> tuple[np.ndarray, float]:
     return _rows(_check_etas(etas, c), c, w, order), m
 
 
-def _rows(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
+def _rows(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int, cn=None) -> np.ndarray:
     """Scale-free profile quantities at each eta, up to derivative ``order``.
 
     Returns the rows ``[eta, mean(w / d), mean(log d), L_w]``, then for
     ``order >= 1`` ``t = mean(w (lam - 1) / d^2) / mean(w / d)`` and L_w',
     then for ``order >= 2`` L_w'', a column per eta, with d = eta c + 1 and
-    ``c = lam - 1``; unchecked. The etas go in blocks of
+    ``c = lam - 1``; unchecked. With ``cn``, the nodes less 1, the w terms
+    run over the nodes instead (see ``_means``). The etas go in blocks of
     ``_BLOCK_ELEMENTS // n``, and every row is computed and reduced on its
     own, so neither the blocking nor the choice of etas changes a row's bits.
     """
     rows = max(1, _BLOCK_ELEMENTS // c.size)
     if etas.size <= rows:
-        return _rows_block(etas, c, w, order)
-    blocks = [_rows_block(etas[i : i + rows], c, w, order) for i in range(0, etas.size, rows)]
+        return _rows_block(etas, c, w, order, cn)
+    blocks = [_rows_block(etas[i : i + rows], c, w, order, cn) for i in range(0, etas.size, rows)]
     return np.concatenate(blocks, axis=1)
 
 
@@ -168,16 +188,22 @@ def _rows(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> np.ndar
 _TERMS = (1, 3, 5)
 
 
-def _means(etas, c: np.ndarray, w: np.ndarray, order: int, log: bool) -> np.ndarray:
+def _means(etas, c: np.ndarray, w: np.ndarray, order: int, log: bool, cn=None) -> np.ndarray:
     """Spectral means at each eta, a row per term: w / d, then c / d and
     w c / d^2 (``order >= 1``), then w c^2 / d^3 and c^2 / d^2 (``order``
     2), then log d when ``log``; d = eta c + 1. A float eta gives a vector.
 
-    The terms fill one buffer and reduce in one call. Each is the same
-    elementwise product, and its row the same pairwise sum, as on its own.
-    At order 0 the buffer holds two (etas x n) arrays, w / d overwriting d:
-    one more makes the grid pass several times slower.
+    Without ``cn`` the weights sit on the eigenvalues, and the terms fill
+    one buffer and reduce in one call. Each is the same elementwise product,
+    and its row the same pairwise sum, as on its own. At order 0 the buffer
+    holds two (etas x n) arrays, w / d overwriting d: one more makes the
+    grid pass several times slower.
+
+    With ``cn``, the nodes of a quadrature rule less 1, the w terms run over
+    the nodes (see ``_node_means``). Either way every mean divides by n.
     """
+    if cn is not None:
+        return _node_means(etas, c, w, order, log, cn)
     etas = np.asarray(etas)
     buf = np.empty((_TERMS[order] + log, *etas.shape, c.size))
     d = buf[min(order, 1)]  # the row of the term that overwrites d
@@ -197,6 +223,38 @@ def _means(etas, c: np.ndarray, w: np.ndarray, order: int, log: bool) -> np.ndar
     return means
 
 
+def _node_means(etas, c: np.ndarray, w: np.ndarray, order: int, log: bool, cn: np.ndarray):
+    """``_means`` with the weights w on nodes cn + 1 other than the
+    eigenvalues: the w terms over the k nodes, with dn = eta cn + 1, and
+    c / d, c^2 / d^2 and log d over the n eigenvalues, each in its buffer."""
+    etas = np.asarray(etas)
+    data = np.empty((order + 1, *etas.shape, cn.size))  # w / dn, w cn / dn^2, w cn^2 / dn^3
+    dn = np.multiply(etas[..., None], cn)
+    dn += 1.0
+    np.divide(w, dn, out=data[0])
+    if order:
+        hn = np.divide(cn, dn, out=dn)
+        for row in range(1, order + 1):
+            np.multiply(data[row - 1], hn, out=data[row])
+    spectrum = np.empty((order + log, *etas.shape, c.size))  # c / d, c^2 / d^2, log d
+    d = spectrum[0]
+    np.multiply(etas[..., None], c, out=d)
+    d += 1.0
+    if log:
+        np.log(d, out=spectrum[-1])
+    if order:
+        h = np.divide(c, d, out=d)
+        if order == 2:
+            np.multiply(h, h, out=spectrum[1])
+    means = np.empty((_TERMS[order] + log, *etas.shape))
+    means[[0, 2, 3][: order + 1]] = np.add.reduce(data, axis=-1)
+    means[[1, 4][:order]] = np.add.reduce(spectrum[:order], axis=-1)
+    if log:
+        means[-1] = np.add.reduce(spectrum[-1], axis=-1)
+    means /= c.size
+    return means
+
+
 def _slopes(means: np.ndarray, order: int) -> list:
     """``[t, L_w']`` and, for ``order`` 2, L_w'', from ``_means``' rows."""
     s0 = means[0]
@@ -207,9 +265,9 @@ def _slopes(means: np.ndarray, order: int) -> list:
     return out
 
 
-def _rows_block(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
+def _rows_block(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int, cn=None) -> np.ndarray:
     """``_rows`` on one block."""
-    means = _means(etas, c, w, order, log=True)
+    means = _means(etas, c, w, order, True, cn)
     s0, logdet = means[0], means[-1]
     table = [etas, s0, logdet, -np.log(s0) - logdet]
     if order:
@@ -217,13 +275,13 @@ def _rows_block(etas: np.ndarray, c: np.ndarray, w: np.ndarray, order: int) -> n
     return np.array(table)
 
 
-def _newton_block(etas, c: np.ndarray, w: np.ndarray) -> list:
-    """L_w' and L_w'' at each eta: the bits of ``_rows(etas, c, w, 2)[5:]``.
+def _newton_block(etas, c: np.ndarray, w: np.ndarray, cn=None) -> list:
+    """L_w' and L_w'' at each eta: the bits of ``_rows(etas, c, w, 2, cn)[5:]``.
 
     The caller has checked eta and the denominators; log d, which a Newton
     step never reads, is skipped. A float eta gives two scalars.
     """
-    return _slopes(_means(etas, c, w, 2, log=False), 2)[1:]
+    return _slopes(_means(etas, c, w, 2, False, cn), 2)[1:]
 
 
 def g(eta: float, lam):
@@ -319,7 +377,7 @@ def _interval_bounds(a, b) -> np.ndarray:
     return np.maximum(np.maximum(a[3], b[3]), cross)
 
 
-def _newton(eta, d1, d2, upper: float, c, w) -> tuple[float, int, bool, int]:
+def _newton(eta, d1, d2, upper: float, c, w, cn=None) -> tuple[float, int, bool, int]:
     """Newton from ``eta``, where L_w' is ``d1`` and L_w'' is ``d2`` (None:
     not yet evaluated), iterates clipped into [0, upper].
 
@@ -332,20 +390,20 @@ def _newton(eta, d1, d2, upper: float, c, w) -> tuple[float, int, bool, int]:
     eta kept), or after _MAX_ITER steps. The caller ignores floating-point
     errors. Returns the final eta, the step count, the converged flag and
     the rows evaluated, one per step after the first and one for a ``d2``
-    of None.
+    of None. ``cn`` is as in ``_rows``.
     """
     eta = float(eta)
     if (eta == 0.0 and d1 <= 0.0) or (eta == upper and d1 >= 0.0):
         return eta, 0, True, 0
     rows = 0
     if d2 is None:
-        d1, d2 = _newton_block(eta, c, w)
+        d1, d2 = _newton_block(eta, c, w, cn)
         rows = 1
     if not d2 < 0.0:
         return eta, 0, False, rows
     for steps in range(1, _MAX_ITER + 1):
         if steps > 1:
-            d1, d2 = _newton_block(eta, c, w)
+            d1, d2 = _newton_block(eta, c, w, cn)
             rows += 1
         step = float(d1 / d2)
         if not (math.isfinite(d2) and d2 != 0.0 and math.isfinite(step)):
@@ -373,7 +431,25 @@ def newton_estimate(lambdas, y_rot, delta: float = 0.01) -> SolverResult:
     largest bound less the returned score, clipped at 0.
     """
     _check_delta(delta)
-    lam, w, m = _prepare(lambdas, y_rot)
+    lam, y, s = _pair(lambdas, y_rot)
+    return _maximize(lam, lam, y, s, delta)
+
+
+def _estimate(lam: np.ndarray, nodes: np.ndarray, y: np.ndarray, delta: float = 0.01) -> SolverResult:
+    """``newton_estimate`` on a spectral measure of ``spectral._measures``:
+    the eigenvalues ``lam``, and weights y^2 on ``nodes``, which are
+    ``lam`` itself or a quadrature rule's nodes in lam's range. Checks
+    delta, and that y is finite and not all zero, with ``newton_estimate``'s
+    errors; the arrays are trusted otherwise."""
+    _check_delta(delta)
+    return _maximize(lam, nodes, y, _scale(y), delta)
+
+
+def _maximize(lam, nodes, y, s: float, delta: float) -> SolverResult:
+    """The solve of ``newton_estimate`` on checked arrays, with s = max|y|.
+    Nodes that are ``lam`` share one d per pass with the eigenvalue terms."""
+    w, m = _weights(y, s, lam.size)
+    cn = None if nodes is lam else nodes - 1.0
     c = lam - 1.0
     if -_FLAT_SPECTRUM_TOL < c.min() and c.max() < _FLAT_SPECTRUM_TOL:
         raise UnidentifiableModelError(
@@ -390,13 +466,13 @@ def newton_estimate(lambdas, y_rot, delta: float = 0.01) -> SolverResult:
         h = upper / (_KNOTS - 1)
         knots = np.arange(_KNOTS, dtype=np.float64) * h  # np.linspace(0, upper, _KNOTS)'s bits
         knots[-1] = upper
-        knots = _rows(knots, c, w, 2)
+        knots = _rows(knots, c, w, 2, cn)
         start = knots[:, knots[3].argmax()]
-        p, steps, converged, newton_rows = _newton(start[0], start[5], start[6], upper, c, w)
+        p, steps, converged, newton_rows = _newton(start[0], start[5], start[6], upper, c, w, cn)
         scored = knots[:-1]
         if steps or converged:  # else p is a knot where no run started
             ladder = p + h * _LADDER  # kept inside (0, upper): both ends are knots
-            ladder = _rows(ladder[(ladder > 0.0) & (ladder < upper)], c, w, 1)
+            ladder = _rows(ladder[(ladder > 0.0) & (ladder < upper)], c, w, 1, cn)
             scored = np.concatenate((scored, ladder), axis=1)
             scored = scored[:, scored[0].argsort()]
 
@@ -414,7 +490,7 @@ def newton_estimate(lambdas, y_rot, delta: float = 0.01) -> SolverResult:
                 break
             top = max(top, bound[~live].max(initial=-np.inf))
             lo, hi = lo[:, live], hi[:, live]
-            mid = _rows(0.5 * (lo[0] + hi[0]), c, w, 1)
+            mid = _rows(0.5 * (lo[0] + hi[0]), c, w, 1, cn)
             high = max(high, mid[3].max())
             scored = np.concatenate((scored, mid), axis=1)
             lo, hi = np.concatenate((lo, mid), axis=1), np.concatenate((mid, hi), axis=1)
@@ -425,11 +501,11 @@ def newton_estimate(lambdas, y_rot, delta: float = 0.01) -> SolverResult:
         scored = scored[:, scored[0].argsort()]  # ties go to the lowest eta
         best = scored[:, scored[3].argmax()]
         if best[0] != p:  # a multimodal likelihood, a failed or a skipped first run
-            polished, more, converged, extra = _newton(best[0], best[5], None, upper, c, w)
+            polished, more, converged, extra = _newton(best[0], best[5], None, upper, c, w, cn)
             steps, newton_rows = steps + more, newton_rows + extra
             eta_hat = float(best[0])
             if polished != eta_hat:
-                scored = np.concatenate((scored, _rows(np.array([polished]), c, w, 1)), axis=1)
+                scored = np.concatenate((scored, _rows(np.array([polished]), c, w, 1, cn)), axis=1)
                 if scored[3, -1] >= best[3]:
                     eta_hat = polished
     clamped = eta_hat >= upper - 1e-12

@@ -1,8 +1,10 @@
 """Design standardization, kinship spectrum, and Marchenko-Pastur utilities.
 
 The estimator consumes only the eigenvalues of the kinship matrix
-R = Z Z' / N together with the rotated observations U'Y, so the heavy
-objects (eigenvectors) are retained only on request.
+R = Z Z' / N together with the phenotype's spectral measure: the rotated
+observations U'Y on the eigenvalues, or a Lanczos quadrature rule for them
+(``_measures``), so the heavy objects (eigenvectors) are formed only where
+a route needs them and retained only on request.
 
 The reference spectral law is the Marchenko-Pastur distribution with
 aspect ratio a = n/N: an absolutely continuous part on
@@ -20,6 +22,8 @@ theta has the closed form given in ``mp_cdf``.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +52,17 @@ _SYMMETRY_BLOCK = 128
 
 # Entries per row block of ``standardize`` (at least one row).
 _STANDARDIZE_BLOCK = 1 << 16
+
+# Lanczos quadrature (``_measures``): a column's Gauss rule is accepted once
+# the Gauss-Radau bracket on sum w / d at eta = 1 - delta is this narrow,
+# relative. The route runs when the steps predicted from the eigenvalues
+# are at most n / _LANCZOS_SHARE, and a column that takes more than twice
+# that falls back to eigh; below that share a step costs less than what
+# eigvalsh saves over eigh, with room for several columns.
+_LANCZOS_TOL = 1e-14
+_LANCZOS_SHARE = 8
+
+log = logging.getLogger("specherit")
 
 
 @dataclass
@@ -230,12 +245,10 @@ def _asymmetry(R: np.ndarray) -> float:
     return worst
 
 
-def eigendecompose(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending, tiny negatives clamped to 0) and eigenvectors.
-
-    Columns of the returned U are the eigenvectors of the corresponding
-    eigenvalues, so U diag(lambda) U' reconstructs R.
-    """
+def _symmetric_eigh(R, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """``eigh`` (``eigvalsh`` without ``vectors``) of a square, finite matrix
+    symmetric within 1e-10: the eigenvalues descending with tiny negatives
+    clamped to 0, and the eigenvectors in their order or None."""
     R = np.asarray(R, dtype=np.float64)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got {R.shape}")
@@ -244,14 +257,29 @@ def eigendecompose(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if _asymmetry(R) > 1e-10:
         raise ShapeMismatchError("matrix is not symmetric within 1e-10")
     try:
-        lam, U = np.linalg.eigh(R)
+        lam, U = np.linalg.eigh(R) if vectors else (np.linalg.eigvalsh(R), None)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
     lam = lam[::-1].copy()
-    U = U[:, ::-1].copy()
     small_negative = (lam < 0.0) & (lam >= -EIGENVALUE_CLAMP_TOL)
     lam[small_negative] = 0.0
-    return lam, U
+    return lam, None if U is None else U[:, ::-1].copy()
+
+
+def eigendecompose(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending, tiny negatives clamped to 0) and eigenvectors.
+
+    Columns of the returned U are the eigenvectors of the corresponding
+    eigenvalues, so U diag(lambda) U' reconstructs R.
+    """
+    return _symmetric_eigh(R, vectors=True)
+
+
+def eigenvalues(R: np.ndarray) -> np.ndarray:
+    """The eigenvalues of ``eigendecompose``, with its checks, from
+    ``eigvalsh``: about half of ``eigh``'s time, and no n x n eigenvectors.
+    They may differ from ``eigendecompose``'s in the last bits."""
+    return _symmetric_eigh(R, vectors=False)[0]
 
 
 def rotate(U: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -279,6 +307,10 @@ def decompose(Z, Y: np.ndarray, keep_eigvecs: bool = False) -> SpectralDecomposi
     With 1 < N < n the n x n kinship has at least n - N zero eigenvalues,
     so the N x N Gram Z'Z is decomposed instead (see ``_gram_rotate``); Z is
     kept for the rotations.
+
+    The estimate and the study need no rotations, only y's spectral measure:
+    they call ``_measures``, whose n-side route forms no eigenvectors.
+    ``decompose`` is the route that keeps them, and its bits do not change.
     """
     Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
     n, N = _design_shape(Zm)
@@ -308,11 +340,8 @@ def _gram_rotate(Zm: np.ndarray, nu: np.ndarray, V: np.ndarray, columns) -> tupl
     small.
     """
     n, N = Zm.shape
-    mu = nu * (n / N)
-    r = int(np.count_nonzero(mu > EIGENVALUE_CLAMP_TOL))
+    lam, r = _gram_eigenvalues(nu, n, N)
     V1, scale = V[:, :r], np.sqrt(n * nu[:r])
-    lam = np.zeros(n)
-    lam[:r] = mu[:r]
     y_rot = np.zeros((n, len(columns)), order="F")
     for j, y in enumerate(columns):
         top = (V1.T @ rotate(Zm, y)) / scale  # rotate(Zm, y) is Z'y
@@ -320,6 +349,177 @@ def _gram_rotate(Zm: np.ndarray, nu: np.ndarray, V: np.ndarray, columns) -> tupl
         y_rot[:r, j] = top
         y_rot[r, j] = np.sqrt(residual @ residual)
     return lam, y_rot
+
+
+def _gram_eigenvalues(nu: np.ndarray, n: int, N: int) -> tuple[np.ndarray, int]:
+    """The n eigenvalues of R = Z Z'/N from the descending eigenvalues
+    ``nu`` of Z'Z/n, and their count r above EIGENVALUE_CLAMP_TOL: the
+    first r are mu = (n/N) nu, the rest are 0."""
+    mu = nu * (n / N)
+    r = int(np.count_nonzero(mu > EIGENVALUE_CLAMP_TOL))
+    lam = np.zeros(n)
+    lam[:r] = mu[:r]
+    return lam, r
+
+
+def _kinship_eigenvalues(Z) -> np.ndarray:
+    """The eigenvalues of R = Z Z'/N (descending), with no eigenvectors.
+
+    With 1 < N < n they come from the N x N Gram Z'Z/n, as in
+    ``decompose``. Either way this frame drops its references to Z once the
+    kinship is formed, so a caller that passes the only one has Z freed
+    before ``eigvalsh``.
+    """
+    Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
+    n, N = _design_shape(Zm)
+    gram = 1 < N < n
+    R = kinship(Zm.T if gram else Zm)
+    del Z, Zm  # eigvalsh needs only R
+    lam = eigenvalues(R)
+    return _gram_eigenvalues(lam, n, N)[0] if gram else lam
+
+
+def _lanczos_steps(lam: np.ndarray, shift: float) -> float:
+    """Lanczos steps that the Gauss rule for sum w / (lambda + shift) is
+    predicted to take on the spectrum ``lam`` (descending) before its
+    relative error falls to _LANCZOS_TOL.
+
+    This is the conjugate-gradient bound: the error falls by
+    ((r - 1) / (r + 1))^2 per step, with r^2 the condition number of
+    R + shift I over its nonzero eigenvalues. The null space, of any
+    multiplicity, is one node of y's measure and costs a few steps more.
+    """
+    positive = lam[lam > EIGENVALUE_CLAMP_TOL]
+    if positive.size == 0:
+        return 0.0
+    r = math.sqrt((positive[0] + shift) / (positive[-1] + shift))
+    if r == 1.0:
+        return 0.0
+    return math.log(4.0 / _LANCZOS_TOL) / (2.0 * math.log1p(2.0 / (r - 1.0)))
+
+
+def _lanczos(R: np.ndarray, y: np.ndarray, shift: float, floor: float, cap: int):
+    """The Gauss rule of y's spectral measure on R from at most ``cap``
+    Lanczos steps started at y.
+
+    y's measure puts mass (u_i'y)^2 on each eigenvalue lambda_i of R. k
+    steps with full reorthogonalization give the tridiagonal T_k, whose
+    eigenvalues theta_j are the rule's nodes, with weights ||y||^2 tau_j^2
+    from the first components tau_j of its eigenvectors. The k-node rule
+    integrates polynomials of degree 2k - 1 exactly. For
+    f(x) = 1 / (x + shift) with shift > 0, the Gauss rule falls below
+    sum (u_i'y)^2 f(lambda_i) and the Gauss-Radau rule with a node fixed at
+    ``floor`` <= min lambda rises above it (Golub & Meurant, *Matrices,
+    Moments and Quadrature*, 2010). Both come from the pivots of
+    T_k + shift I and T_k - floor I, updated per step: the run stops when
+    they agree within _LANCZOS_TOL, relative, or at ``cap``. A breakdown
+    (beta = 0) gives them equal, as the rule is then exact; a pivot of
+    T_k - floor I that is not positive means a node has reached ``floor``,
+    and counts as agreement.
+
+    y, a finite nonzero vector, is divided by max|y| before the run, so that
+    neither its scale nor its square leaves the float range. ``cap`` is at
+    least 1. Returns the nodes, one per step and clipped below at ``floor``,
+    which round-off could cross, the amplitudes ||y|| |tau_j|, whose squares
+    are the weights, and the bracket ``(gauss, radau)`` on
+    sum (u_i'y)^2 f(lambda_i) / ||y||^2.
+    """
+    scale = float(np.abs(y).max())
+    u = y / scale
+    norm = math.sqrt(float(u @ u))
+    Q = np.empty((cap, y.size))  # the Lanczos vectors, one per row
+    alphas, betas = np.empty(cap), np.empty(cap)  # T_k's diagonal and off-diagonal
+    Q[0] = u / norm
+    gauss, c2, pi, rho, beta = 0.0, 1.0, 1.0, 1.0, 0.0
+    for k in range(cap):
+        v = R @ Q[k]
+        a = float(Q[k] @ v)
+        v -= a * Q[k]
+        if k:
+            v -= beta * Q[k - 1]
+        basis = Q[: k + 1]
+        v -= basis.T @ (basis @ v)  # full reorthogonalization
+        # The pivots of T_k + shift I and T_k - floor I, and
+        # gauss = e1'(T_k + shift I)^-1 e1 = sum of c_j^2 / pi_j.
+        pi = a + shift - beta * beta / pi
+        rho = a - floor - beta * beta / rho
+        gauss += c2 / pi
+        alphas[k] = a
+        beta = betas[k] = math.sqrt(float(v @ v))
+        c2 *= (beta / pi) ** 2
+        # Radau appends beta and the diagonal floor + beta^2 / rho to T_k,
+        # which adds c2 over the new last pivot of T + shift I to gauss.
+        gap = c2 / (floor + shift + beta * beta * (1.0 / rho - 1.0 / pi)) if rho > 0.0 else 0.0
+        if gap <= _LANCZOS_TOL * gauss or k + 1 == cap:
+            break
+        Q[k + 1] = v / beta
+    T = np.diag(alphas[: k + 1]) + np.diag(betas[:k], 1) + np.diag(betas[:k], -1)
+    theta, V = np.linalg.eigh(T)
+    return np.clip(theta, floor, None), np.abs(V[0]) * (scale * norm), (gauss, gauss + gap)
+
+
+def _measures(Z, Y: np.ndarray, delta: float = 0.01) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """y's spectral measure on R = Z Z'/N for each column y of Y, as
+    ``(lambdas, nodes, amplitudes)``: the solver reads the eigenvalues of R
+    and the weights amplitudes^2 on the nodes, which sum to ||y||^2.
+
+    Z and Y pass ``decompose``'s rules; Y is (n,) or (n, k), and each
+    column's measure equals its own 1-D call bit for bit. ``delta`` is the
+    solver's boundary margin, at whose eta = 1 - delta the quadrature is
+    checked. Routes:
+
+    * 1 < N < n: ``decompose``'s Gram route; the nodes are the eigenvalues
+      and the amplitudes the rotated observations.
+    * N >= n or N = 1: this frame forms the kinship and drops its
+      references to Z, as ``decompose`` does, then takes R's eigenvalues
+      from ``eigenvalues`` alone. When the Lanczos steps that the spectrum
+      predicts (``_lanczos_steps``) are at most n / _LANCZOS_SHARE, each
+      nonzero column gets the Gauss rule of ``_lanczos``, capped at twice
+      that share. Otherwise, and for a column that reaches the cap, the
+      measure is ``eigendecompose`` plus ``rotate``, the bits of
+      ``decompose``. A zero column has no nodes.
+
+    One DEBUG line on the package logger names the route, with each
+    column's Lanczos steps and final bracket width.
+    """
+    Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
+    n, N = _design_shape(Zm)
+    Y = _phenotype(Y, n, columns=True)
+    columns = np.ascontiguousarray(Y.reshape(n, -1).T)  # one row per column of Y
+    if 1 < N < n:
+        lam, y_rot = _gram_rotate(Zm, *eigendecompose(kinship(Zm.T)), columns)
+        log.debug("spectrum of a %d x %d design: Gram eigh", n, N)
+        return [(lam, lam, y) for y in y_rot.T]
+    R = kinship(Zm)
+    del Z, Zm  # eigvalsh, Lanczos and eigh need only R
+    lam = eigenvalues(R)
+    shift = delta / (1.0 - delta)  # sum w / d at eta = 1 - delta is sum w / (lam + shift), over eta
+    predicted = _lanczos_steps(lam, shift)
+    share = n // _LANCZOS_SHARE
+    quadrature, cap = 0 < share and predicted <= share, 2 * share
+    exact = None  # eigendecompose(R), once a column needs it
+    measures, routes = [], []
+    for y in columns:
+        if not y.any():
+            measures.append((lam, lam[:0], y[:0]))
+            routes.append("zero")
+            continue
+        route = "eigh"
+        if quadrature:
+            nodes, amplitudes, (gauss, radau) = _lanczos(R, y, shift, max(float(lam[-1]), 0.0), cap)
+            width = (radau - gauss) / gauss
+            if width <= _LANCZOS_TOL:
+                measures.append((lam, nodes, amplitudes))
+                routes.append(f"Lanczos {nodes.size} steps, bracket {width:.1e}")
+                continue
+            route = f"no Lanczos rule in {cap} steps (bracket {width:.1e}), eigh"
+        if exact is None:
+            exact = eigendecompose(R)
+        measures.append((exact[0], exact[0], rotate(exact[1], y)))
+        routes.append(route)
+    log.debug("spectrum of a %d x %d design: eigvalsh, %.0f Lanczos steps predicted for a "
+              "share of %d; %s", n, N, predicted, share, "; ".join(routes))
+    return measures
 
 
 def esd(lambdas: np.ndarray, x) -> float | np.ndarray:

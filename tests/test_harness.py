@@ -25,6 +25,7 @@ from specherit import (
     estimate_from_design,
     mp_check,
     newton_estimate,
+    residualize,
     run_study,
     simulate_cohort,
     standardize,
@@ -887,10 +888,12 @@ def test_mp_check_small_degenerate():
 
 @pytest.mark.parametrize("dist", ["gaussian", "genotype"])
 def test_mp_check_uses_the_simulated_design(dist, monkeypatch, tmp_path):
-    """mp-check decomposes ``simulate_cohort``'s design, so ``specherit
-    simulate`` at the same seed writes the genotypes behind its spectrum."""
-    seen = []
-    monkeypatch.setattr(harness, "decompose", lambda Z, Y: seen.append(Z) or decompose(Z, Y))
+    """mp-check takes the spectrum of ``simulate_cohort``'s design, so
+    ``specherit simulate`` at the same seed writes the genotypes behind it."""
+    from specherit import spectral
+
+    seen, real = [], spectral._kinship_eigenvalues
+    monkeypatch.setattr(spectral, "_kinship_eigenvalues", lambda Z: seen.append(Z) or real(Z))
     mp_check(40, 30, dist, seed=9)
     config = SimulationConfig(n=40, N=30, eta_star=0.0, seed=9)
     assert np.array_equal(seen[0], simulate_cohort(config, design=dist).Z)
@@ -1042,16 +1045,20 @@ def test_cli_solver_flags_change_search_interval(cohort_files, capsys):
 
 
 def test_bench_tracer_reads_the_solver_result(monkeypatch):
-    """The benchmark's tracer observes each solve through ``SolverResult``
-    attributes; one it cannot read would fail every traced benchmark pass."""
+    """The benchmark's tracer observes each ``newton_estimate`` solve through
+    ``SolverResult`` attributes; one it cannot read would fail every traced
+    benchmark pass. The call is the ``traits`` workload's: the estimate path
+    solves on a quadrature measure through a private entry instead."""
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
     import tracer
+    from specherit import likelihood
 
     cohort = simulate_cohort(SimulationConfig(n=60, N=120, eta_star=0.5, seed=404))
     trace = tracer.Tracer()
     trace.install()
     try:
-        harness.estimate_from_design(cohort.Z, cohort.Y)
+        spec = decompose(cohort.Z, cohort.Y)
+        likelihood.newton_estimate(spec.lambdas, spec.y_rot)
     finally:
         trace.uninstall()
     assert trace.counts["likelihood.solves"] == 1
@@ -1079,7 +1086,7 @@ def forbid_pipeline(monkeypatch):
         raise AssertionError("the pipeline ran on rejected options")
 
     monkeypatch.setattr(harness, "read_genotypes", forbidden)
-    monkeypatch.setattr(harness, "decompose", forbidden)
+    monkeypatch.setattr(harness.spectral, "_measures", forbidden)
 
 
 @pytest.mark.parametrize("options, message", BAD_REPORT_OPTIONS)
@@ -1154,10 +1161,12 @@ def test_study_records_per_replicate_failures(tmp_path, monkeypatch):
 
 
 def test_a_group_whose_every_response_fails_is_not_decomposed(monkeypatch):
-    def decompose(*args):
+    from specherit import spectral
+
+    def measures(*args):
         raise AssertionError("a group with no response was decomposed")
 
-    monkeypatch.setattr(harness, "decompose", decompose)
+    monkeypatch.setattr(spectral, "_measures", measures)
     cells = tuple(SimulationConfig(n=40, N=80, eta_star=eta) for eta in (0.5, 0.3))
     records = harness._group_records(cells, 0, "genotype", ci_level=1.5)
     message = "ConfigurationError: level must be in (0, 1), got 1.5"
@@ -1260,53 +1269,63 @@ def test_study_task_error_propagates_and_cancels_the_rest(monkeypatch, workers):
 
 
 def _watch_release(monkeypatch, module=None):
-    """Weak references that must all be dead when ``spectral.eigendecompose``
-    runs. With ``module``, its ``standardize`` is wrapped to watch the
-    genotypes it reads and the Z it returns."""
+    """Weak references that must all be dead when ``spectral.eigenvalues`` or
+    ``spectral.eigendecompose`` runs, and the list of those stages in the
+    order they ran. With ``module``, its ``standardize`` is wrapped to watch
+    the genotypes it reads and the Z it returns."""
     from specherit import spectral
 
-    watched = []
-    real_standardize, real_eigendecompose = spectral.standardize, spectral.eigendecompose
+    watched, ran = [], []
+    real_standardize = spectral.standardize
 
     def standardize(W, policy="error"):
         design = real_standardize(W, policy)
         watched.extend((weakref.ref(W), weakref.ref(design.Z)))
         return design
 
-    def eigendecompose(R):
-        assert watched, "no design was watched"
-        assert all(ref() is None for ref in watched), "the design is alive at eigendecompose"
-        return real_eigendecompose(R)
+    def watching(name, real):
+        def stage(R):
+            assert watched, "no design was watched"
+            assert all(ref() is None for ref in watched), f"the design is alive at {name}"
+            ran.append(name)
+            return real(R)
+
+        return stage
 
     if module is not None:
         monkeypatch.setattr(module, "standardize", standardize)
-    monkeypatch.setattr(spectral, "eigendecompose", eigendecompose)
-    return watched
+    for name in ("eigenvalues", "eigendecompose"):
+        monkeypatch.setattr(spectral, name, watching(name, getattr(spectral, name)))
+    return watched, ran
 
 
-# On the n side (N >= n) eigh needs only the kinship: on each route below the
-# genotypes and the n x N design are gone by the time it runs.
+# On the n side (N >= n) the eigenvalue solve needs only the kinship: on each
+# route below the genotypes and the n x N design are gone by the time
+# eigvalsh runs, and by the time eigh runs where the route falls back to it.
+# At these small n every estimate falls back; mp_check never needs eigh.
 
 
 def test_study_path_releases_the_design_before_eigh(monkeypatch):
     from specherit import spectral
 
-    watched = _watch_release(monkeypatch, spectral)
+    watched, ran = _watch_release(monkeypatch, spectral)
     spec = StudySpec(
         base=SimulationConfig(n=40, N=120, eta_star=0.5, seed=5, replicates=2),
         eta_grid=(0.3, 0.5),
     )
     assert [r.error for r in study_records(spec)] == [""] * 4
     assert len(watched) == 2 * 2  # one design per replicate, shared by both cells
+    assert ran == ["eigenvalues", "eigendecompose"] * 2
 
 
 def test_estimate_files_releases_the_design_before_eigh(cohort_files, monkeypatch):
     _, geno, pheno = cohort_files
     Y = read_phenotype(pheno)
     expected = estimate_from_design(standardize(read_genotypes(geno)).Z, Y - Y.mean()).to_dict()
-    watched = _watch_release(monkeypatch, harness)
+    watched, ran = _watch_release(monkeypatch, harness)
     doc = estimate_files(geno, pheno)
     assert len(watched) == 2  # the int8 genotypes and Z
+    assert ran == ["eigenvalues", "eigendecompose"]
     # the report is the one the plain route gives, byte for byte
     del doc["inputs"]
     assert harness._json_text(doc) == harness._json_text(expected)
@@ -1316,16 +1335,128 @@ def test_mp_check_releases_the_design_before_eigh(monkeypatch):
     from specherit import spectral
 
     expected = mp_check(40, 80, "genotype", seed=4)
-    watched = _watch_release(monkeypatch, spectral)
+    watched, ran = _watch_release(monkeypatch, spectral)
     assert mp_check(40, 80, "genotype", seed=4) == expected
     assert len(watched) == 2  # the genotypes and Z
+    assert ran == ["eigenvalues"]
 
 
 def test_estimate_from_design_releases_the_callers_only_reference(monkeypatch):
     cohort = simulate_cohort(SimulationConfig(n=40, N=80, eta_star=0.5, seed=6))
     expected = estimate_from_design(cohort.Z, cohort.Y)
     held = [cohort.Z.copy()]
-    watched = _watch_release(monkeypatch)
+    watched, ran = _watch_release(monkeypatch)
     watched.append(weakref.ref(held[0]))
     report = estimate_from_design(held.pop(), cohort.Y)  # not in an assert, whose rewrite keeps it
     assert report.to_dict() == expected.to_dict()
+    assert ran == ["eigenvalues", "eigendecompose"]
+
+
+def test_quadrature_route_releases_the_design_and_forms_no_eigenvectors(monkeypatch):
+    cohort = simulate_cohort(SimulationConfig(n=400, N=4000, eta_star=0.5, seed=6))
+    expected = estimate_from_design(cohort.Z, cohort.Y)
+    held = [cohort.Z.copy()]
+    watched, ran = _watch_release(monkeypatch)
+    watched.append(weakref.ref(held[0]))
+    report = estimate_from_design(held.pop(), cohort.Y)
+    assert report.to_dict() == expected.to_dict()
+    assert ran == ["eigenvalues"]  # Lanczos took the place of eigh
+
+
+# ---------------------------------------------------------------------------
+# the quadrature route: eigenvalues plus a Lanczos rule on the n side
+# ---------------------------------------------------------------------------
+
+
+def _eigh_report(Z, Y, q_assumed=None):
+    """The report of the route that forms eigenvectors: ``decompose``, then
+    the public solve and report on its rotated observations."""
+    spec = decompose(Z, Y)
+    result = newton_estimate(spec.lambdas, spec.y_rot)
+    return build_report(spec.lambdas, spec.y_rot, Z.shape[1], result, q_assumed=q_assumed)
+
+
+def _routes(caplog):
+    """The DEBUG lines that name each decomposition's route."""
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("spectrum of")]
+
+
+@pytest.mark.parametrize("design", ["genotype", "gaussian"])
+@pytest.mark.parametrize("a", [0.1, 0.5, 1.0])
+def test_quadrature_route_matches_the_eigh_route(caplog, design, a):
+    """At n = 400 the a = 0.1 and 0.5 cohorts take eigvalsh plus Lanczos, and
+    agree with the eigh route within 1e-10 for the phenotype as drawn,
+    centered, and projected off [1, X]; at a = 1 the route is eigh itself,
+    and the report is the eigh route's bit for bit."""
+    caplog.set_level("DEBUG", logger="specherit")
+    n = 400
+    cohort = simulate_cohort(SimulationConfig(n=n, N=round(n / a), eta_star=0.5, seed=17),
+                             design=design)
+    X = np.column_stack([np.ones(n), np.random.default_rng(17).standard_normal((n, 2))])
+    phenotypes = {
+        "uncentered": cohort.Y,
+        "centered": cohort.Y - cohort.Y.mean(),
+        "covariates": residualize(cohort.Y, X),
+    }
+    for label, Y in phenotypes.items():
+        caplog.clear()
+        got = estimate_from_design(cohort.Z, Y, q_assumed=0.5)
+        (route,) = _routes(caplog)
+        want = _eigh_report(cohort.Z, Y, q_assumed=0.5)
+        if a < 1.0:
+            assert "; Lanczos " in route and "eigh" not in route, (label, route)
+            for name in ("eta_hat", "sigma2_hat", "se_q1", "se_sparse"):
+                assert abs(getattr(got, name) - getattr(want, name)) <= 1e-10, (label, name)
+        else:
+            assert route.endswith("; eigh"), (label, route)
+            assert harness._json_text(got.to_dict()) == harness._json_text(want.to_dict())
+
+
+def test_fallback_cohort_gives_the_eigh_report_bit_for_bit(tmp_path, caplog):
+    """At N = n the spectrum is too ill-conditioned for the rule to pay, and
+    ``estimate_files`` gives the eigh route's report, byte for byte."""
+    caplog.set_level("DEBUG", logger="specherit")
+    cohort = simulate_cohort(SimulationConfig(n=200, N=200, eta_star=0.5, seed=8))
+    geno, pheno = tmp_path / "geno.csv", tmp_path / "pheno.txt"
+    write_genotypes(geno, cohort.genotypes.entries)
+    write_phenotype(pheno, cohort.Y)
+    doc = estimate_files(str(geno), str(pheno), q_assumed=0.5)
+    (route,) = _routes(caplog)
+    assert route.endswith("; eigh")
+    del doc["inputs"]
+    Y = read_phenotype(str(pheno))
+    want = _eigh_report(standardize(read_genotypes(str(geno))).Z, Y - Y.mean(), q_assumed=0.5)
+    assert harness._json_text(doc) == harness._json_text(want.to_dict())
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_quadrature_estimate_does_not_move_with_the_phenotype_scale(caplog, scale):
+    caplog.set_level("DEBUG", logger="specherit")
+    cohort = simulate_cohort(SimulationConfig(n=400, N=4000, eta_star=0.5, seed=19))
+    unit = estimate_from_design(cohort.Z, cohort.Y)
+    scaled = estimate_from_design(cohort.Z, scale * cohort.Y)
+    assert all("; Lanczos " in route for route in _routes(caplog))
+    assert abs(scaled.eta_hat - unit.eta_hat) <= 1e-12
+    assert scaled.sigma2_hat == pytest.approx(scale**2 * unit.sigma2_hat, rel=1e-12)
+
+
+def test_quadrature_group_records_equal_one_column_calls(caplog):
+    """A design group of four cells takes the quadrature route with four
+    columns, and each record is the cell's own one-column estimate, bit for
+    bit."""
+    caplog.set_level("DEBUG", logger="specherit")
+    spec = StudySpec(
+        base=SimulationConfig(n=400, N=4000, eta_star=0.5, seed=23, replicates=1),
+        eta_grid=(0.3, 0.5), q_grid=(0.5, 1.0), design="genotype",
+    )
+    records = study_records(spec)
+    (route, *_) = _routes(caplog)
+    assert route.count("; Lanczos ") == 4, route
+    expected = [_reference_record(c, 0, spec.design, spec.ci_level) for c in spec.cells()]
+    assert [repr(astuple(r)) for r in records] == [repr(astuple(r)) for r in expected]
+
+
+def test_zero_phenotype_keeps_its_error_on_the_quadrature_route():
+    cohort = simulate_cohort(SimulationConfig(n=400, N=4000, eta_star=0.5, seed=29))
+    with pytest.raises(DegenerateDataError, match="^rotated observations are identically zero$"):
+        estimate_from_design(cohort.Z, np.zeros(400))

@@ -36,7 +36,7 @@ from specherit.synthcohort import (
     draw_design, draw_response, sample_allele_frequencies, sample_genotypes,
 )
 
-from conftest import raised, riemann_mp
+from conftest import raised, riemann_mp, simulated_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +621,95 @@ def test_decompose_gram_side_matches_n_side(seed, n, shape, kind, duplicate, noi
     h = c[0] + c[1] * spec.lambdas + c[2] * spec.lambdas**2
     size = np.abs(c) @ [Y @ Y, abs(Y @ RY), RY @ RY]
     assert abs(np.sum(h * spec.y_rot**2) - direct) <= 1e-10 * size
+
+
+# ---------------------------------------------------------------------------
+# Lanczos quadrature
+# ---------------------------------------------------------------------------
+
+SHIFT = 0.01 / 0.99  # sum w / d at eta = 1 - delta is sum w / (lambda + SHIFT), over eta
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("a", [0.1, 0.5])
+def test_gauss_and_radau_bracket_the_sum_at_every_step(a, seed):
+    """On R = diag(lambda), with lambda a seeded genotype spectrum and y its
+    rotated observations, sum y^2 / (lambda + shift) is known to round-off.
+    After each of k steps the Gauss value lies below it and the Radau value
+    above, within 1e-13 relative; while the bracket is wider than 1e-10 the
+    order is strict. The run stops once the bracket is 1e-14 wide, and the
+    Gauss value is then the sum within 1e-13."""
+    lam, y = simulated_spectrum(seed, 300, round(300 / a), 0.5)
+    exact = np.sum(y**2 / (lam + SHIFT)) / (y @ y)
+    R, floor = np.diag(lam), max(lam[-1], 0.0)
+    for cap in range(1, 120):
+        nodes, amplitudes, (gauss, radau) = spectral._lanczos(R, y, SHIFT, floor, cap)
+        assert nodes.size == amplitudes.size <= cap
+        assert gauss <= exact * (1 + 1e-13) and exact <= radau * (1 + 1e-13), cap
+        if radau - gauss > 1e-10 * gauss:
+            assert gauss < exact < radau, cap
+        if nodes.size < cap:
+            break
+    assert radau - gauss <= 1e-14 * gauss
+    assert gauss == pytest.approx(exact, rel=1e-13)
+    # the rule's weights are y's mass, and its first moment is y'Ry
+    assert amplitudes @ amplitudes == pytest.approx(y @ y, rel=1e-13)
+    assert (amplitudes**2) @ nodes == pytest.approx(lam @ y**2, rel=1e-12)
+
+
+def _cohort(n, N, seed):
+    return simulate_cohort(SimulationConfig(n=n, N=N, eta_star=0.5, seed=seed))
+
+
+def test_measures_of_columns_equal_their_one_column_calls():
+    cohort = _cohort(400, 4000, 31)
+    Y = np.column_stack([cohort.Y, cohort.Y - cohort.Y.mean(), np.zeros(400), 3.0 * cohort.Y])
+    measures = spectral._measures(cohort.Z, Y)
+    for j, measure in enumerate(measures):
+        (alone,) = spectral._measures(cohort.Z, Y[:, j])
+        assert all(np.array_equal(x, z) for x, z in zip(measure, alone)), j
+    lam = spectral.eigenvalues(kinship(cohort.Z))
+    assert all(np.array_equal(m[0], lam) for m in measures)  # no eigh ran
+    assert measures[2][1].size == 0  # a zero column has no nodes
+    assert 10 < measures[0][1].size <= 400 // 8 * 2
+
+
+def test_a_column_without_a_rule_at_the_cap_falls_back_to_eigh(monkeypatch, caplog):
+    """A column whose bracket is still open at the cap gets ``decompose``'s
+    measure, bit for bit; the other columns keep their rules."""
+    caplog.set_level("DEBUG", logger="specherit")
+    cohort = _cohort(400, 4000, 37)
+    Y = np.column_stack([cohort.Y, cohort.Y - cohort.Y.mean()])
+    real = spectral._lanczos
+    monkeypatch.setattr(spectral, "_lanczos", lambda R, y, shift, floor, cap: real(
+        R, y, shift, floor, 3 if y[0] == Y[0, 1] else cap))
+    quadrature, fallback = spectral._measures(cohort.Z, Y)
+    spec = decompose(cohort.Z, Y[:, 1])
+    assert all(np.array_equal(x, z) for x, z in
+               zip(fallback, (spec.lambdas, spec.lambdas, spec.y_rot)))
+    assert np.array_equal(quadrature[0], spectral.eigenvalues(kinship(cohort.Z)))
+    (line,) = [r.getMessage() for r in caplog.records]
+    assert "; Lanczos " in line and line.endswith("), eigh")
+
+
+def test_lanczos_steps_predict_the_steps_taken():
+    """The conjugate-gradient bound, from the eigenvalues alone, predicts the
+    steps the rule takes within a few, uncentered phenotype included."""
+    for n, N in [(400, 4000), (400, 800)]:
+        cohort = _cohort(n, N, 41)
+        lam = spectral.eigenvalues(kinship(cohort.Z))
+        predicted = spectral._lanczos_steps(lam, SHIFT)
+        nodes = spectral._measures(cohort.Z, cohort.Y)[0][1]
+        assert predicted - 5 <= nodes.size <= predicted + 10, (n, N, predicted, nodes.size)
+
+
+def test_eigenvalues_are_eigendecompose_within_round_off():
+    R = kinship(_cohort(200, 600, 43).Z)
+    lam = spectral.eigenvalues(R)
+    assert np.all(np.diff(lam) <= 0.0) and abs(lam[-1]) <= 1e-12  # descending; the null pair
+    assert np.abs(lam - eigendecompose(R)[0]).max() <= 1e-12
+    assert raised(lambda: spectral.eigenvalues(R[:, :-1])) == raised(
+        lambda: eigendecompose(R[:, :-1]))
 
 
 # ---------------------------------------------------------------------------
