@@ -379,20 +379,18 @@ def _kinship_eigenvalues(Z) -> np.ndarray:
     return _gram_eigenvalues(lam, n, N)[0] if gram else lam
 
 
-def _lanczos_steps(lam: np.ndarray, shift: float) -> float:
+def _lanczos_steps(top: float, bottom: float, shift: float) -> float:
     """Lanczos steps that the Gauss rule for sum w / (lambda + shift) is
-    predicted to take on the spectrum ``lam`` (descending) before its
-    relative error falls to _LANCZOS_TOL.
+    predicted to take on a spectrum in [bottom, top] before its relative
+    error falls to _LANCZOS_TOL.
 
     This is the conjugate-gradient bound: the error falls by
-    ((r - 1) / (r + 1))^2 per step, with r^2 the condition number of
-    R + shift I over its nonzero eigenvalues. The null space, of any
-    multiplicity, is one node of y's measure and costs a few steps more.
+    ((r - 1) / (r + 1))^2 per step, with r^2 = (top + shift) / (bottom +
+    shift). For R's spectrum, bottom is the least nonzero eigenvalue: the
+    null space, of any multiplicity, is one node of y's measure and costs a
+    few steps more.
     """
-    positive = lam[lam > EIGENVALUE_CLAMP_TOL]
-    if positive.size == 0:
-        return 0.0
-    r = math.sqrt((positive[0] + shift) / (positive[-1] + shift))
+    r = math.sqrt((top + shift) / (bottom + shift))
     if r == 1.0:
         return 0.0
     return math.log(4.0 / _LANCZOS_TOL) / (2.0 * math.log1p(2.0 / (r - 1.0)))
@@ -475,9 +473,13 @@ def _measures(Z, Y: np.ndarray, delta: float = 0.01) -> list[tuple[np.ndarray, n
       from ``eigenvalues`` alone. When the Lanczos steps that the spectrum
       predicts (``_lanczos_steps``) are at most n / _LANCZOS_SHARE, each
       nonzero column gets the Gauss rule of ``_lanczos``, capped at twice
-      that share. Otherwise, and for a column that reaches the cap, the
-      measure is ``eigendecompose`` plus ``rotate``, the bits of
-      ``decompose``. A zero column has no nodes.
+      that share, and a zero column gets no nodes. Otherwise, and for a
+      column that reaches the cap, the measure is ``eigendecompose`` plus
+      ``rotate``, the bits of ``decompose``. With N >= n the steps are
+      first predicted from the Marchenko-Pastur edges m (1 -+ sqrt(n/N))^2,
+      m = trace(R) / n the mean eigenvalue, and when even those exceed the
+      share, eigvalsh is skipped, as it would only precede eigh: near
+      n = N, and for small n.
 
     One DEBUG line on the package logger names the route, with each
     column's Lanczos steps and final bracket width.
@@ -492,20 +494,30 @@ def _measures(Z, Y: np.ndarray, delta: float = 0.01) -> list[tuple[np.ndarray, n
         return [(lam, lam, y) for y in y_rot.T]
     R = kinship(Zm)
     del Z, Zm  # eigvalsh, Lanczos and eigh need only R
-    lam = eigenvalues(R)
     shift = delta / (1.0 - delta)  # sum w / d at eta = 1 - delta is sum w / (lam + shift), over eta
-    predicted = _lanczos_steps(lam, shift)
     share = n // _LANCZOS_SHARE
-    quadrature, cap = 0 < share and predicted <= share, 2 * share
+    cap = 2 * share
+    stage, predicted = "Marchenko-Pastur edges", 0.0
+    if N >= n:  # at N = 1 < n the edges would cross
+        mean, root = float(np.trace(R)) / n, math.sqrt(n / N)
+        predicted = _lanczos_steps(mean * (1.0 + root) ** 2, mean * (1.0 - root) ** 2, shift)
+    quadrature = 0 < share and predicted <= share
+    if quadrature:
+        lam = eigenvalues(R)
+        positive = lam[lam > EIGENVALUE_CLAMP_TOL]
+        stage, predicted = "eigvalsh", 0.0
+        if positive.size:
+            predicted = _lanczos_steps(positive[0], positive[-1], shift)
+        quadrature = predicted <= share
     exact = None  # eigendecompose(R), once a column needs it
     measures, routes = [], []
     for y in columns:
-        if not y.any():
-            measures.append((lam, lam[:0], y[:0]))
-            routes.append("zero")
-            continue
         route = "eigh"
         if quadrature:
+            if not y.any():
+                measures.append((lam, lam[:0], y[:0]))
+                routes.append("zero")
+                continue
             nodes, amplitudes, (gauss, radau) = _lanczos(R, y, shift, max(float(lam[-1]), 0.0), cap)
             width = (radau - gauss) / gauss
             if width <= _LANCZOS_TOL:
@@ -517,8 +529,8 @@ def _measures(Z, Y: np.ndarray, delta: float = 0.01) -> list[tuple[np.ndarray, n
             exact = eigendecompose(R)
         measures.append((exact[0], exact[0], rotate(exact[1], y)))
         routes.append(route)
-    log.debug("spectrum of a %d x %d design: eigvalsh, %.0f Lanczos steps predicted for a "
-              "share of %d; %s", n, N, predicted, share, "; ".join(routes))
+    log.debug("spectrum of a %d x %d design: %.0f Lanczos steps predicted from the %s for a "
+              "share of %d; %s", n, N, predicted, stage, share, "; ".join(routes))
     return measures
 
 

@@ -1302,7 +1302,8 @@ def _watch_release(monkeypatch, module=None):
 # On the n side (N >= n) the eigenvalue solve needs only the kinship: on each
 # route below the genotypes and the n x N design are gone by the time
 # eigvalsh runs, and by the time eigh runs where the route falls back to it.
-# At these small n every estimate falls back; mp_check never needs eigh.
+# At these small n every estimate goes to eigh without eigvalsh, and mp_check
+# runs eigvalsh alone; the quadrature route's own test follows them.
 
 
 def test_study_path_releases_the_design_before_eigh(monkeypatch):
@@ -1315,7 +1316,7 @@ def test_study_path_releases_the_design_before_eigh(monkeypatch):
     )
     assert [r.error for r in study_records(spec)] == [""] * 4
     assert len(watched) == 2 * 2  # one design per replicate, shared by both cells
-    assert ran == ["eigenvalues", "eigendecompose"] * 2
+    assert ran == ["eigendecompose"] * 2
 
 
 def test_estimate_files_releases_the_design_before_eigh(cohort_files, monkeypatch):
@@ -1325,7 +1326,7 @@ def test_estimate_files_releases_the_design_before_eigh(cohort_files, monkeypatc
     watched, ran = _watch_release(monkeypatch, harness)
     doc = estimate_files(geno, pheno)
     assert len(watched) == 2  # the int8 genotypes and Z
-    assert ran == ["eigenvalues", "eigendecompose"]
+    assert ran == ["eigendecompose"]
     # the report is the one the plain route gives, byte for byte
     del doc["inputs"]
     assert harness._json_text(doc) == harness._json_text(expected)
@@ -1349,7 +1350,7 @@ def test_estimate_from_design_releases_the_callers_only_reference(monkeypatch):
     watched.append(weakref.ref(held[0]))
     report = estimate_from_design(held.pop(), cohort.Y)  # not in an assert, whose rewrite keeps it
     assert report.to_dict() == expected.to_dict()
-    assert ran == ["eigenvalues", "eigendecompose"]
+    assert ran == ["eigendecompose"]
 
 
 def test_quadrature_route_releases_the_design_and_forms_no_eigenvectors(monkeypatch):

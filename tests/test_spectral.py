@@ -693,12 +693,17 @@ def test_a_column_without_a_rule_at_the_cap_falls_back_to_eigh(monkeypatch, capl
 
 
 def test_lanczos_steps_predict_the_steps_taken():
-    """The conjugate-gradient bound, from the eigenvalues alone, predicts the
-    steps the rule takes within a few, uncentered phenotype included."""
+    """The conjugate-gradient bound, from the least nonzero and the largest
+    eigenvalue, predicts the steps the rule takes within a few, uncentered
+    phenotype included; the Marchenko-Pastur edges predict it nearly as
+    well."""
     for n, N in [(400, 4000), (400, 800)]:
         cohort = _cohort(n, N, 41)
         lam = spectral.eigenvalues(kinship(cohort.Z))
-        predicted = spectral._lanczos_steps(lam, SHIFT)
+        predicted = spectral._lanczos_steps(lam[0], lam[-2], SHIFT)  # lam[-1] is the null pair's
+        law = MPLaw(n / N)
+        assert spectral._lanczos_steps(law.a_plus, law.a_minus, SHIFT) == pytest.approx(
+            predicted, abs=3)
         nodes = spectral._measures(cohort.Z, cohort.Y)[0][1]
         assert predicted - 5 <= nodes.size <= predicted + 10, (n, N, predicted, nodes.size)
 
