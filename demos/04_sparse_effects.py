@@ -13,7 +13,6 @@ from specherit import (
     build_report,
     decompose,
     newton_estimate,
-    s_empirical,
     se_q1,
     simulate_cohort,
     study_records,
@@ -63,8 +62,8 @@ print(f"\ntau^2 at q=1: {base:.4f} (= 2/gamma_n^2; se = {se_q1(g2, n):.4f})")
 print(f"tau^2 at q={q}: {sparse:.4f} "
       f"(inflation {100 * (sparse / base - 1):.1f}% from the sparsity term)")
 # The paper's sparsity term is 3 a^2 eta^2 / gamma^4 (1/q - 1) S, with
-# S = s_empirical = ((1 - eta) gamma^2)^2: the gammas cancel.
-S = s_empirical(eta, spec.lambdas)
+# S = ((1 - eta) gamma^2)^2: the gammas cancel.
+S = ((1 - eta) * g2) ** 2
 term = 3 * a**2 * eta**2 * (1 - eta) ** 2 * (1 / q - 1)
 print(f"sparsity term 3 a^2 eta^2 (1 - eta)^2 (1/q - 1) = {term:.4f}, "
       f"with S = ((1 - eta) gamma_n^2)^2 = {S:.4f}: it needs no spectrum")

@@ -12,20 +12,16 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in {
-        "errors": """ConfigurationError DataError DataParseError DegenerateDataError
-            MonomorphicColumnError NumericalFailureError RankDeficientCovariatesError
+        "errors": """ConfigurationError DataError MonomorphicColumnError NumericalFailureError
             ShapeMismatchError SpecheritError UnidentifiableModelError""",
         "harness": """ReplicateRecord StudySpec estimate_files estimate_from_design mp_check
-            run_replicate run_study study_records summarize_replicates""",
-        "inference": """EstimateReport build_report confidence_interval gamma2_limit gamma_n2
-            normal_quantile s_empirical s_limit se_q1 tau2""",
-        "likelihood": """SolverResult d2loglik dloglik g grid_oracle loglik
-            newton_estimate profile_sigma2""",
+            run_replicate run_study study_records""",
+        "inference": "EstimateReport build_report gamma_n2 se_q1 tau2",
+        "likelihood": "SolverResult d2loglik dloglik grid_oracle newton_estimate",
         "spectral": """MPLaw SpectralDecomposition StandardizedDesign decompose eigendecompose
             esd kinship mp_cdf mp_integrate residualize rotate standardize""",
         "synthcohort": """EffectVector GenotypeMatrix SimulatedCohort SimulationConfig
-            effect_scale replicate_rng sample_allele_frequencies sample_effects
-            sample_genotypes simulate_cohort simulate_phenotype""",
+            replicate_rng sample_allele_frequencies sample_genotypes simulate_cohort""",
     }.items()
     for name in names.split()
 }

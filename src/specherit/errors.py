@@ -27,15 +27,13 @@ class ConfigurationError(SpecheritError, ValueError):
 
 
 class DataError(SpecheritError):
-    """Invalid or degenerate input data."""
+    """Invalid or degenerate input data: a file that fails to parse (the
+    message names its line), rank-deficient covariates, or observations
+    that carry no signal."""
 
 
 class ShapeMismatchError(DataError):
     """Array dimensions do not agree with the operation's contract."""
-
-
-class DataParseError(DataError):
-    """A data file failed to parse; message carries the line number."""
 
 
 class MonomorphicColumnError(DataError):
@@ -49,14 +47,6 @@ class MonomorphicColumnError(DataError):
         if len(self.columns) > 10:  # a message line stays short; .columns has them all
             shown = f"{len(self.columns)} columns, the first 10 {shown}"
         super().__init__(f"monomorphic (zero-variance) columns cannot be standardized: {shown}")
-
-
-class RankDeficientCovariatesError(DataError):
-    """Covariate matrix is not of full column rank."""
-
-
-class DegenerateDataError(DataError):
-    """Observations carry no signal (e.g. all-zero phenotype)."""
 
 
 class NumericalFailureError(SpecheritError):

@@ -40,7 +40,6 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DataError,
-    DataParseError,
     MonomorphicColumnError,
     NumericalFailureError,
     ShapeMismatchError,
@@ -72,6 +71,8 @@ log = logging.getLogger("specherit")
 
 # Desk-scale guard: study cells wider than this need an explicit opt-in.
 MAX_MARKERS_DEFAULT = 20_000
+
+_EPS = np.finfo(np.float64).eps
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,7 +135,7 @@ def _data_lines(path: str, data) -> list[tuple[int, str]]:
             line.encode("utf-8")  # fails only on an escaped byte
         except UnicodeEncodeError as exc:
             byte = ord(line[exc.start]) - 0xDC00
-            raise DataParseError(f"{path}: line {k}: byte 0x{byte:02x} is not UTF-8") from None
+            raise DataError(f"{path}: line {k}: byte 0x{byte:02x} is not UTF-8") from None
         text = line.split("#", 1)[0].rstrip("\r\n")
         if text.strip():
             rows.append((k, text))
@@ -173,17 +174,17 @@ def _read_matrix(path: str, kind: str, allowed, rule: str, width=None, data=None
     delim, header = _sniff(rows[0][1] if rows else "")
     rows = rows[1:] if header else rows
     if not rows:
-        raise DataParseError(f"{path}: no {kind} values found")
+        raise DataError(f"{path}: no {kind} values found")
     try:
         M = np.loadtxt([text for _, text in rows], delimiter=delim, ndmin=2)
     except ValueError as exc:
-        raise DataParseError(f"{path}: {_first_bad_line(rows, delim, width) or exc}") from exc
+        raise DataError(f"{path}: {_first_bad_line(rows, delim, width) or exc}") from exc
     if width is not None and M.shape[1] != width:
-        raise DataParseError(f"{path}: {_first_bad_line(rows, delim, width)}")
+        raise DataError(f"{path}: {_first_bad_line(rows, delim, width)}")
     bad = ~allowed(M)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise DataParseError(
+        raise DataError(
             f"{path}: line {rows[i][0]}, column {j + 1}: {kind} entry {float(M[i, j])!r} {rule}"
         )
     return M
@@ -359,6 +360,8 @@ def estimate_files(
     The phenotype mean is always fitted: Y is projected off [1, X], or off 1
     alone without a covariate file. Covariates that already span 1, such as
     a constant non-zero column or indicators of every level, are used as given.
+    A phenotype that the projection leaves at round-off (at most n eps of
+    its norm), such as a constant one, is a ``DataError`` naming its file.
 
     The genotypes are dropped once standardized, and ``estimate_from_design``
     gets the only reference to the design, so one design-sized array is
@@ -373,6 +376,7 @@ def estimate_files(
     if W.shape[0] != Y.size:
         raise DataError(f"genotype rows ({W.shape[0]}) of {geno_path} and phenotype "
                         f"length ({Y.size}) of {pheno_path} disagree")
+    raw = Y
     if covar_path is None:
         Y = Y - Y.mean()
     else:
@@ -394,6 +398,12 @@ def estimate_files(
         raise
     if not held[0].Z.shape[1]:
         raise DataError(f"{geno_path}: every one of its {W.shape[1]} columns is monomorphic")
+    # The genotype faults come first. What the projection leaves of Y must
+    # stand above its round-off; both norms are taken on Y / max|Y|, free of Y's scale.
+    scale = np.abs(raw).max()
+    if scale == 0.0 or np.linalg.norm(Y / scale) <= Y.size * _EPS * np.linalg.norm(raw / scale):
+        raise DataError(f"{pheno_path}: the phenotype is constant, or spanned by the covariates "
+                        "and the intercept")
     del W
     dropped = held[0].dropped
     doc = estimate_from_design(

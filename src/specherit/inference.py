@@ -15,8 +15,7 @@ Two regimes:
   it needs no spectrum.
 
 Empirical plug-ins replace the limiting spectral integrals by eigenvalue
-averages; the limiting versions are available through the Marchenko-Pastur
-quadrature for convergence checks.
+averages.
 """
 
 from __future__ import annotations
@@ -30,18 +29,20 @@ import numpy as np
 from .errors import (
     ConfigurationError, UnidentifiableModelError, _check_level, _check_number, _check_q,
 )
-from .likelihood import SolverResult, _check_etas, _eigenvalues, _pair, g
-from .spectral import MPLaw, mp_integrate
+from .likelihood import SolverResult, _check_etas, _eigenvalues, _pair
 
 
 def gamma_n2(eta: float, lambdas) -> float:
-    """Empirical variance of g(eta, lambda) over the spectrum."""
+    """Empirical variance over the spectrum of the sensitivity kernel
+    g(eta, lambda) = (lambda - 1) / (eta (lambda - 1) + 1), the eta
+    derivative of log(eta (lambda - 1) + 1)."""
     return _gamma_n2(eta, _eigenvalues(lambdas))
 
 
 def _gamma_n2(eta: float, lam: np.ndarray) -> float:
-    """``gamma_n2`` at eta for a checked spectrum, with ``g``'s checks: the
-    kernel g = (lam - 1) / d and its square, summed in one reduction."""
+    """``gamma_n2`` at eta for a checked spectrum: eta in [0, 1) and every
+    d = eta (lam - 1) + 1 positive, then the kernel g = (lam - 1) / d and
+    its square, summed in one reduction."""
     eta = float(eta)
     c = lam - 1.0
     _check_etas(eta, c)
@@ -50,14 +51,6 @@ def _gamma_n2(eta: float, lam: np.ndarray) -> float:
     np.multiply(kernel, kernel, out=terms[1])
     means = np.add.reduce(terms, axis=1) / lam.size
     return float(means[1] - means[0] ** 2)
-
-
-def gamma2_limit(a: float, eta: float) -> float:
-    """Limiting spectral variance of g under the Marchenko-Pastur law."""
-    law = MPLaw(a)
-    mean = mp_integrate(law, lambda lam: g(eta, lam))
-    second = mp_integrate(law, lambda lam: g(eta, lam) ** 2)
-    return second - mean**2
 
 
 def se_q1(gamma_n2: float, n: int) -> float:
@@ -69,30 +62,11 @@ def se_q1(gamma_n2: float, n: int) -> float:
     return math.sqrt(2.0 / (n * gamma_n2))
 
 
-def s_empirical(eta: float, lambdas) -> float:
-    """Empirical version of the sparse-variance factor S, ((1 - eta) gamma_n2)^2.
-
-    The paper defines S as the squared difference between the eigenvalue
-    average of lam (lam-1) / d^2 and the product of the averages of lam / d
-    and (lam-1) / d, with d = eta (lam-1) + 1: the squared covariance of
-    lam / d and g. As lam / d = 1 + (1 - eta) g, that covariance is
-    (1 - eta) times the variance of g. Like ``g``, it requires eta in
-    [0, 1) and positive denominators.
-    """
-    return (gamma_n2(eta, lambdas) * (1.0 - eta)) ** 2  # gamma_n2 checks eta first
-
-
-def s_limit(a: float, eta: float) -> float:
-    """Limiting version of S, ((1 - eta) gamma2_limit)^2, by ``s_empirical``'s
-    identity under the Marchenko-Pastur law."""
-    return (gamma2_limit(a, eta) * (1.0 - eta)) ** 2
-
-
 def tau2(a: float, eta: float, q: float, gamma2: float) -> float:
     """Asymptotic variance of sqrt(n)(eta_hat - eta*) under sparsity.
 
     The paper's 2/gamma2 + 3 a^2 eta^2 / gamma2^2 * (1/q - 1) * S, with
-    S = ((1 - eta) gamma2)^2 (see ``s_empirical``): 2/gamma2 plus
+    S = ((1 - eta) gamma2)^2 (see the module docstring): 2/gamma2 plus
     3 a^2 eta^2 (1 - eta)^2 (1/q - 1). The second term vanishes at q = 1,
     recovering the non-sparse variance, and does not depend on the spectrum.
     """

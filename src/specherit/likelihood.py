@@ -53,7 +53,6 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DataError,
-    DegenerateDataError,
     NumericalFailureError,
     ShapeMismatchError,
     UnidentifiableModelError,
@@ -112,7 +111,7 @@ def _scale(y: np.ndarray) -> float:
     if not math.isfinite(s):
         raise DataError("rotated observations must be finite")
     if s == 0.0:
-        raise DegenerateDataError("rotated observations are identically zero")
+        raise DataError("rotated observations are identically zero")
     return s
 
 
@@ -282,31 +281,6 @@ def _newton_block(etas, c: np.ndarray, w: np.ndarray, cn=None) -> list:
     step never reads, is skipped. A float eta gives two scalars.
     """
     return _slopes(_means(etas, c, w, 2, False, cn), 2)[1:]
-
-
-def g(eta: float, lam):
-    """Eigenvalue sensitivity kernel (lam - 1) / (eta (lam - 1) + 1).
-
-    This is d/d_eta log(eta (lam - 1) + 1); its empirical variance over the
-    spectrum drives every standard-error formula in the package.
-    """
-    eta = float(eta)
-    c = np.asarray(lam, dtype=np.float64) - 1.0
-    _check_etas(eta, c)
-    result = c / (eta * c + 1.0)
-    return float(result) if result.ndim == 0 else result
-
-
-def profile_sigma2(eta: float, lambdas, y_rot) -> float:
-    """Closed-form residual-variance profile at a given heritability."""
-    table, m = _profile([float(eta)], lambdas, y_rot, 0)
-    return m * float(table[1, 0])
-
-
-def loglik(eta: float, lambdas, y_rot) -> float:
-    """Profile log-likelihood (up to constants) at eta."""
-    table, m = _profile([float(eta)], lambdas, y_rot, 0)
-    return float(table[3, 0]) - math.log(m)
 
 
 def loglik_grid(etas: np.ndarray, lambdas, y_rot) -> np.ndarray:

@@ -34,7 +34,6 @@ from .errors import (
     DataError,
     MonomorphicColumnError,
     NumericalFailureError,
-    RankDeficientCovariatesError,
     ShapeMismatchError,
     _check_count,
 )
@@ -195,8 +194,8 @@ def _residualizer(X: np.ndarray, n: int):
     space of X, with X checked and QR-factored once.
 
     X must be finite (DataError). Raises ShapeMismatchError unless X has n
-    rows and fewer columns than rows, and RankDeficientCovariatesError when
-    X is column-rank deficient.
+    rows and fewer columns than rows, and DataError when X is column-rank
+    deficient.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -214,7 +213,7 @@ def _residualizer(X: np.ndarray, n: int):
     diag = np.abs(np.diag(R))
     tol = max(n, p) * np.finfo(np.float64).eps * (diag.max() if diag.size else 0.0)
     if diag.size == 0 or (diag <= tol).any():
-        raise RankDeficientCovariatesError(
+        raise DataError(
             f"covariate matrix has column rank < {p} (tolerance {tol:.3e})"
         )
     return lambda v: v - Q @ (Q.T @ v)

@@ -189,51 +189,6 @@ def sample_genotypes(n: int, freqs: np.ndarray, rng: np.random.Generator) -> Gen
     return GenotypeMatrix(entries=entries)
 
 
-def effect_scale(eta_star: float, sigma_star2: float, q: float, N: int) -> tuple[float, float]:
-    """Split (eta_star, sigma_star2) into per-component variances.
-
-    Returns (sigma_u2, sigma_e2) with sigma_u2 = eta_star*sigma_star2/(N q)
-    and sigma_e2 = (1 - eta_star)*sigma_star2, so that the heritability
-    ratio N q sigma_u2 / (N q sigma_u2 + sigma_e2) recovers eta_star exactly.
-    """
-    _check_eta_star(eta_star)
-    _check_sigma_star2(sigma_star2)
-    _check_q(q)
-    _check_count("N", N, 1)
-    sigma_u2 = eta_star * sigma_star2 / (N * q)
-    sigma_e2 = (1.0 - eta_star) * sigma_star2
-    return sigma_u2, sigma_e2
-
-
-def sample_effects(N: int, q: float, sigma_u2: float, rng: np.random.Generator) -> EffectVector:
-    """Draw a sparse effect vector: Bernoulli(q) support times N(0, sigma_u2)."""
-    _check_count("N", N, 0)
-    _check_q(q)
-    if _check_number("sigma_u2", sigma_u2) < 0.0:
-        raise ConfigurationError(f"sigma_u2 must be >= 0, got {sigma_u2}")
-    support = rng.random(N) < q
-    u = support * rng.normal(0.0, np.sqrt(sigma_u2), N)
-    return EffectVector(u=u, support=support, sigma_u2=sigma_u2)
-
-
-def simulate_phenotype(Z, u, sigma_e2: float, rng: np.random.Generator) -> np.ndarray:
-    """Simulate Y = Z u + e with e_i i.i.d. Normal(0, sigma_e2).
-
-    ``Z`` may be a plain array or any object with a ``Z`` attribute;
-    ``u`` may be a plain vector or an :class:`EffectVector`.
-    """
-    Zm = np.asarray(getattr(Z, "Z", Z), dtype=np.float64)
-    uv = np.asarray(getattr(u, "u", u), dtype=np.float64)
-    if _check_number("sigma_e2", sigma_e2) < 0.0:
-        raise ConfigurationError(f"sigma_e2 must be >= 0, got {sigma_e2}")
-    if Zm.ndim != 2 or uv.ndim != 1 or Zm.shape[1] != uv.size:
-        raise ShapeMismatchError(
-            f"design is {Zm.shape} but effect vector has length {uv.size}"
-        )
-    e = rng.normal(0.0, np.sqrt(sigma_e2), Zm.shape[0])
-    return Zm @ uv + e
-
-
 @dataclass
 class SimulatedCohort:
     """One realized cohort plus the ground truth that generated it."""
@@ -287,11 +242,21 @@ def draw_response(
 ) -> tuple[EffectVector, float, np.ndarray]:
     """Draw a cohort's response on the design Z: ``(effects, sigma_e2, Y)``.
 
-    ``rng`` continues the stream in the state ``draw_design`` left it.
+    ``rng`` continues the stream in the state ``draw_design`` left it. The
+    variance splits into sigma_u2 = eta_star sigma_star2 / (N q) per effect
+    and sigma_e2 = (1 - eta_star) sigma_star2, so the heritability ratio
+    N q sigma_u2 / (N q sigma_u2 + sigma_e2) is eta_star. Then come a
+    Bernoulli(q) support over the N effects, N(0, sigma_u2) values on it,
+    and Y = Z u + e with e_i i.i.d. N(0, sigma_e2), drawn in that order.
     """
-    sigma_u2, sigma_e2 = effect_scale(config.eta_star, config.sigma_star2, config.q, config.N)
-    effects = sample_effects(config.N, config.q, sigma_u2, rng)
-    return effects, sigma_e2, simulate_phenotype(Z, effects, sigma_e2, rng)
+    N, q = config.N, config.q
+    sigma_u2 = config.eta_star * config.sigma_star2 / (N * q)
+    sigma_e2 = (1.0 - config.eta_star) * config.sigma_star2
+    support = rng.random(N) < q
+    effects = EffectVector(u=support * rng.normal(0.0, np.sqrt(sigma_u2), N),
+                           support=support, sigma_u2=sigma_u2)
+    e = rng.normal(0.0, np.sqrt(sigma_e2), Z.shape[0])
+    return effects, sigma_e2, Z @ effects.u + e
 
 
 def simulate_cohort(

@@ -22,11 +22,11 @@ from specherit import (
     d2loglik,
     dloglik,
     grid_oracle,
-    loglik,
     mp_check,
     newton_estimate,
     replicate_rng,
 )
+from specherit.likelihood import loglik_grid
 from specherit.spectral import MPLaw, mp_integrate
 
 from conftest import MASTER_SEED, cell, riemann_mp, simulated_spectrum, var_quadform_oracle
@@ -225,7 +225,7 @@ def test_criterion_08_derivatives():
         lam = rng.uniform(0.0, 3.0, size)
         y = rng.standard_normal(size)
         eta = float(rng.uniform(0.05, 0.9))
-        f = lambda e: loglik(e, lam, y)
+        f = lambda e: loglik_grid([e], lam, y)[0]
         fd1 = (f(eta + 1e-6) - f(eta - 1e-6)) / 2e-6
         fd2 = (f(eta + 1e-4) - 2.0 * f(eta) + f(eta - 1e-4)) / 1e-8
         worst1 = max(worst1, abs(dloglik(eta, lam, y) - fd1) / max(1.0, abs(fd1)))

@@ -15,25 +15,21 @@ from specherit import (
     SimulationConfig,
     StudySpec,
     build_report,
-    confidence_interval,
-    effect_scale,
     eigendecompose,
     estimate_files,
     estimate_from_design,
     grid_oracle,
     mp_check,
     newton_estimate,
-    normal_quantile,
     replicate_rng,
     residualize,
     sample_allele_frequencies,
-    sample_effects,
     sample_genotypes,
     simulate_cohort,
-    simulate_phenotype,
     standardize,
     tau2,
 )
+from specherit.inference import confidence_interval, normal_quantile
 
 from conftest import raised
 
@@ -63,8 +59,6 @@ def check_rule(entries, value, message):
 Q_ENTRIES = {
     ("SimulationConfig", "q"): lambda q: SimulationConfig(n=40, N=80, eta_star=0.5, q=q),
     ("StudySpec.q_grid", "q"): lambda q: StudySpec(base=BASE, q_grid=(q,)),
-    ("effect_scale", "q"): lambda q: effect_scale(0.5, 1.0, q, 10),
-    ("sample_effects", "q"): lambda q: sample_effects(10, q, 0.1, replicate_rng(0)),
     ("tau2", "q"): lambda q: tau2(0.5, 0.5, q, 1.0),
     ("build_report", "q"): lambda q: build_report(LAM, Y, 3, RESULT, q_assumed=q),
     ("estimate_from_design", "q"):
@@ -72,7 +66,7 @@ Q_ENTRIES = {
     ("estimate_files", "q"): lambda q: estimate_files("no.csv", "no.txt", q_assumed=q),
 }
 
-Q_REQUIRED = ("SimulationConfig", "StudySpec.q_grid", "effect_scale", "sample_effects", "tau2")
+Q_REQUIRED = ("SimulationConfig", "StudySpec.q_grid", "tau2")
 
 
 @pytest.mark.parametrize("q, message", [
@@ -132,7 +126,6 @@ def test_every_entry_applies_the_delta_rule(delta, message):
 ETA_STAR_ENTRIES = {
     ("SimulationConfig", "eta_star"): lambda eta: SimulationConfig(n=40, N=80, eta_star=eta),
     ("StudySpec.eta_grid", "eta_star"): lambda eta: StudySpec(base=BASE, eta_grid=(eta,)),
-    ("effect_scale", "eta_star"): lambda eta: effect_scale(eta, 1.0, 0.5, 10),
 }
 
 
@@ -148,7 +141,6 @@ def test_every_entry_applies_the_eta_star_rule(eta_star, message):
 SIGMA_STAR2_ENTRIES = {
     ("SimulationConfig", "sigma_star2"):
         lambda s2: SimulationConfig(n=40, N=80, eta_star=0.5, sigma_star2=s2),
-    ("effect_scale", "sigma_star2"): lambda s2: effect_scale(0.5, s2, 0.5, 10),
 }
 
 
@@ -165,10 +157,8 @@ def test_every_entry_applies_the_sigma_star2_rule(sigma_star2, message):
 # A model needs N >= 1 markers; a sampler draws N >= 0 values.
 MODEL_N_ENTRIES = {
     ("SimulationConfig", "N"): lambda N: SimulationConfig(n=40, N=N, eta_star=0.5),
-    ("effect_scale", "N"): lambda N: effect_scale(0.5, 1.0, 0.5, N),
 }
 SAMPLER_N_ENTRIES = {
-    ("sample_effects", "N"): lambda N: sample_effects(N, 0.5, 0.1, replicate_rng(0)),
     ("sample_allele_frequencies", "N"):
         lambda N: sample_allele_frequencies(N, 0.1, 0.5, replicate_rng(0)),
 }
@@ -186,7 +176,7 @@ def test_every_entry_takes_an_integer_N(N, message):
 def test_every_entry_applies_the_N_rule():
     check_rule(MODEL_N_ENTRIES, 0, "need N >= 1, got N=0")
     check_rule(SAMPLER_N_ENTRIES, -1, "need N >= 0, got N=-1")
-    assert sample_effects(0, 0.5, 0.1, replicate_rng(0)).u.size == 0
+    assert sample_allele_frequencies(0, 0.1, 0.5, replicate_rng(0)).size == 0
 
 
 FREQ_ENTRIES = {
@@ -229,9 +219,6 @@ def test_every_entry_applies_the_design_rule(design):
 SINGLE_SITE = {
     ("grid_oracle", "grid_step"): lambda step: grid_oracle(LAM, Y, step),
     ("StudySpec.a_grid", "a grid value"): lambda a: StudySpec(base=BASE, a_grid=(a,)),
-    ("sample_effects", "sigma_u2"): lambda s2: sample_effects(10, 0.5, s2, replicate_rng(0)),
-    ("simulate_phenotype", "sigma_e2"):
-        lambda s2: simulate_phenotype(np.ones((3, 2)), np.ones(2), s2, replicate_rng(0)),
 }
 SINGLE_SITE_COUNTS = {
     ("SimulationConfig", "n"): lambda n: SimulationConfig(n=n, N=80, eta_star=0.5),
@@ -264,11 +251,6 @@ SINGLE_SITE_FAULTS = {
                  ConfigurationError, "a grid value 0.0 must be positive"),
     "replicates-0": (lambda: SimulationConfig(n=40, N=80, eta_star=0.5, replicates=0),
                      ConfigurationError, "replicates must be >= 1, got 0"),
-    "sigma_u2-negative": (lambda: sample_effects(10, 0.5, -1.0, replicate_rng(0)),
-                          ConfigurationError, "sigma_u2 must be >= 0, got -1.0"),
-    "sigma_e2-negative":
-        (lambda: simulate_phenotype(np.ones((3, 2)), np.ones(2), -1.0, replicate_rng(0)),
-         ConfigurationError, "sigma_e2 must be >= 0, got -1.0"),
     "policy": (lambda: standardize(np.eye(3), policy="keep"),
                ConfigurationError, "policy must be 'error' or 'drop', got 'keep'"),
     "freqs-2-D": (lambda: sample_genotypes(4, np.full((2, 3), 0.3), replicate_rng(0)),

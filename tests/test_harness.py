@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from specherit import (
     ConfigurationError,
-    DataParseError,
-    DegenerateDataError,
+    DataError,
     SimulationConfig,
     StudySpec,
     build_report,
@@ -30,7 +29,6 @@ from specherit import (
     simulate_cohort,
     standardize,
     study_records,
-    summarize_replicates,
 )
 from specherit import harness
 from specherit.harness import (
@@ -42,6 +40,7 @@ from specherit.harness import (
     read_covariates,
     read_genotypes,
     read_phenotype,
+    summarize_replicates,
     write_genotypes,
     write_phenotype,
 )
@@ -80,7 +79,7 @@ def test_genotype_tab_and_header(tmp_path):
 def test_genotype_bad_entry_reports_line(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text("0,1,2\n0,3,1\n")
-    with pytest.raises(DataParseError) as excinfo:
+    with pytest.raises(DataError) as excinfo:
         read_genotypes(str(path))
     assert "line 2" in str(excinfo.value)
 
@@ -88,7 +87,7 @@ def test_genotype_bad_entry_reports_line(tmp_path):
 def test_genotype_non_numeric_reports_error(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text("0,1,2\n0,x,1\n")
-    with pytest.raises(DataParseError):
+    with pytest.raises(DataError, match=f"^{path}: line 2, column 2: 'x' is not a number$"):
         read_genotypes(str(path))
 
 
@@ -174,8 +173,8 @@ def test_near_miss_files_read_like_the_general_parser(tmp_path, text):
     path.write_bytes(text.encode())
     try:
         expected = _general_reader(str(path))
-    except DataParseError as exc:
-        with pytest.raises(DataParseError) as excinfo:
+    except DataError as exc:
+        with pytest.raises(DataError) as excinfo:
             read_genotypes(str(path))
         assert str(excinfo.value) == str(exc)
     else:
@@ -191,7 +190,7 @@ def test_header_only_files_have_no_values(tmp_path, cohort_files, capsys):
     for text in ("m1,m2\n", "m1,m2", "m1\tm2\n# none\n\n"):
         path.write_text(text)
         for reader, kind in ((read_genotypes, "genotype"), (read_covariates, "covariate")):
-            with pytest.raises(DataParseError) as excinfo:
+            with pytest.raises(DataError) as excinfo:
                 reader(str(path))
             assert str(excinfo.value) == f"{path}: no {kind} values found"
     assert main(["estimate", str(path), pheno]) == EXIT_DATA
@@ -229,7 +228,7 @@ def test_a_number_with_a_digit_separator_is_data_not_a_header(tmp_path):
     ``np.loadtxt`` then rejects; it is not skipped as a header."""
     path = tmp_path / "c.csv"
     path.write_text("1_0,2.5\n3,4\n5,6\n")
-    with pytest.raises(DataParseError) as excinfo:
+    with pytest.raises(DataError) as excinfo:
         read_covariates(str(path))
     assert str(excinfo.value) == f"{path}: line 1, column 1: '1_0' is not a number"
 
@@ -257,12 +256,12 @@ def test_phenotype_round_trip_and_errors(tmp_path):
     assert np.array_equal(read_phenotype(str(path)), values)
     bad = tmp_path / "bad.txt"
     bad.write_text("1.0\nnot-a-number\n")
-    with pytest.raises(DataParseError) as excinfo:
+    with pytest.raises(DataError) as excinfo:
         read_phenotype(str(bad))
     assert "line 2" in str(excinfo.value)
     for token in ("nan", "inf", "-inf", "1e309"):
         bad.write_text(f"1.0\n2.0\n{token}\n")
-        with pytest.raises(DataParseError) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             read_phenotype(str(bad))
         assert f"{bad}: line 3" in str(excinfo.value)
 
@@ -274,7 +273,7 @@ def test_covariates_reader(tmp_path):
     assert X.shape == (3, 2)
     for token in ("nan", "inf", "-inf"):
         path.write_text(f"age,sex\n30,1\n40,{token}\n50,1\n")
-        with pytest.raises(DataParseError) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             read_covariates(str(path))
         assert f"{path}: line 3, column 2" in str(excinfo.value)
 
@@ -283,16 +282,16 @@ def test_readers_report_file_lines_past_blank_lines(tmp_path):
     # np.loadtxt skips blank and comment-only lines; errors name the file line
     path = tmp_path / "c.csv"
     path.write_text("1,2\n\n3,4\n5,nan\n")
-    with pytest.raises(DataParseError) as excinfo:
+    with pytest.raises(DataError) as excinfo:
         read_covariates(str(path))
     assert f"{path}: line 4, column 2" in str(excinfo.value)
     path.write_text("age,sex\n30,1\n\n# note\n\n40,1\n50,inf\n")
-    with pytest.raises(DataParseError) as excinfo:
+    with pytest.raises(DataError) as excinfo:
         read_covariates(str(path))
     assert f"{path}: line 7, column 2" in str(excinfo.value)
     geno = tmp_path / "g.csv"
     geno.write_text("0,1,2\n\n2,1,0\n\n\n0,3,1\n")
-    with pytest.raises(DataParseError) as excinfo:
+    with pytest.raises(DataError) as excinfo:
         read_genotypes(str(geno))
     assert f"{geno}: line 6, column 2" in str(excinfo.value)
 
@@ -304,7 +303,7 @@ def test_readers_find_the_header_past_blank_and_comment_lines(tmp_path):
     path.write_text("# cohort A\nm1,m2\n0,1\n1,2\n")
     assert np.array_equal(read_genotypes(str(path)), [[0, 1], [1, 2]])
     path.write_text("\n# x\n\n")
-    with pytest.raises(DataParseError, match="no genotype values found"):
+    with pytest.raises(DataError, match="no genotype values found"):
         read_genotypes(str(path))
 
 
@@ -313,16 +312,16 @@ def test_readers_report_parse_errors_by_file_line(tmp_path):
     # column counts; the reader names the file line and column instead
     path = tmp_path / "c.csv"
     path.write_text("1,2\n\n\n3,4\n5,x\n")
-    with pytest.raises(DataParseError) as excinfo:
+    with pytest.raises(DataError) as excinfo:
         read_covariates(str(path))
     assert str(excinfo.value) == f"{path}: line 5, column 2: 'x' is not a number"
     path.write_text("age,sex\n# note\n30,1\n\n40,1,7\n")
-    with pytest.raises(DataParseError) as excinfo:
+    with pytest.raises(DataError) as excinfo:
         read_covariates(str(path))
     assert str(excinfo.value) == f"{path}: line 5: 3 columns, expected 2"
     geno = tmp_path / "g.tsv"
     geno.write_text("m1\tm2\n0\t1\n\n1\t1_0\n")
-    with pytest.raises(DataParseError) as excinfo:
+    with pytest.raises(DataError) as excinfo:
         read_genotypes(str(geno))
     assert str(excinfo.value) == f"{geno}: line 4, column 2: '1_0' is not a number"
 
@@ -332,7 +331,7 @@ def test_phenotype_reader_skips_comments(tmp_path):
     path.write_text("# trait: height\n1.5\n\n2.5  # outlier?\n# end\n-1\n")
     assert np.array_equal(read_phenotype(str(path)), [1.5, 2.5, -1.0])
     path.write_text("# trait: height\n1.5\n# note\nnan\n")
-    with pytest.raises(DataParseError) as excinfo:
+    with pytest.raises(DataError) as excinfo:
         read_phenotype(str(path))
     assert f"{path}: line 4" in str(excinfo.value)
 
@@ -366,7 +365,7 @@ READERS = [
 def test_one_rule_table_for_the_three_readers(tmp_path, reader, kind, rule, data, message):
     path = tmp_path / "input.txt"
     path.write_bytes(data)
-    with pytest.raises(DataParseError) as excinfo:
+    with pytest.raises(DataError) as excinfo:
         reader(str(path))
     assert str(excinfo.value) == f"{path}: " + message.format(kind=kind, rule=rule)
 
@@ -384,7 +383,7 @@ def test_phenotype_lines_hold_one_column(tmp_path):
     for text, k in (("1.5,2.5\n3,4\n", 1), ("1.5\n2.5,3\n", 2), ("y\n1\n2,3\n", 3),
                     ("1.5\t2.5\n3\t4\n", 1)):
         path.write_text(text)
-        with pytest.raises(DataParseError) as excinfo:
+        with pytest.raises(DataError) as excinfo:
             read_phenotype(str(path))
         assert str(excinfo.value) == f"{path}: line {k}: 2 columns, expected 1"
 
@@ -494,6 +493,36 @@ def test_covariates_leave_no_residual_beside_the_intercept(cohort_files, tmp_pat
     assert main(["estimate", geno, pheno, "--covariates", str(covar)]) == EXIT_DATA
     want = f"error: {covar}: need p < n - 1 covariates besides the intercept, got p=59, n=60\n"
     assert capsys.readouterr().err == want
+
+
+NO_SIGNAL = "the phenotype is constant, or spanned by the covariates and the intercept"
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_phenotype_without_signal_fails_at_its_file(cohort_files, tmp_path, capsys, scale):
+    """A constant phenotype, or one that the covariates and the intercept
+    span, leaves only round-off once projected: its file is refused, through
+    the library and the CLI, at any scale. A part outside the span of 1e-6
+    of the phenotype's norm is still estimated."""
+    cohort, geno, _ = cohort_files
+    x = np.random.default_rng(0).standard_normal(60)
+    covar = str(tmp_path / "x.csv")
+    np.savetxt(covar, x, delimiter=",")
+    spanned = 2.0 + 3.0 * x
+    for name, Y, options in (("constant", np.full(60, 0.3), []),
+                             ("spanned", spanned, ["--covariates", covar])):
+        pheno = str(tmp_path / f"{name}.txt")
+        write_phenotype(pheno, scale * Y)
+        with pytest.raises(DataError, match=f"^{re.escape(pheno)}: {NO_SIGNAL}$"):
+            estimate_files(geno, pheno, *options[1:])
+        assert main(["estimate", geno, pheno, *options]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {pheno}: {NO_SIGNAL}\n"
+    outside = residualize(cohort.Y, np.column_stack([np.ones(60), x]))
+    pheno = str(tmp_path / "near.txt")
+    write_phenotype(pheno, scale * (spanned + 1e-6 * np.linalg.norm(spanned) /
+                                    np.linalg.norm(outside) * outside))
+    doc = estimate_files(geno, pheno, covar)
+    assert 0.0 < doc["eta_hat"] < 0.99 and doc["sigma2_hat"] > 0.0
 
 
 def test_estimate_files_sparse_flag(cohort_files):
@@ -1139,9 +1168,7 @@ def test_study_records_per_replicate_failures(tmp_path, monkeypatch):
     def flaky(*args, **kwargs):
         calls["count"] += 1
         if calls["count"] == 2:
-            from specherit import DegenerateDataError
-
-            raise DegenerateDataError("injected failure")
+            raise DataError("injected failure")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "_solve", flaky)
@@ -1153,7 +1180,7 @@ def test_study_records_per_replicate_failures(tmp_path, monkeypatch):
         rows = list(csv.DictReader(fh))
     errors = [row for row in rows if row["error"]]
     assert len(rows) == 3 and len(errors) == 1
-    assert "DegenerateDataError" in errors[0]["error"]
+    assert errors[0]["error"] == "DataError: injected failure"
     assert errors[0]["eta_hat"] == ""
     with open(summary_path) as fh:
         summary = list(csv.DictReader(fh))[0]
@@ -1219,12 +1246,12 @@ def test_study_records_are_run_replicate_in_task_order(monkeypatch, workers):
 
     def failing_design(config, rng, design):
         if rng.bit_generator.state == replicate_1:
-            raise DegenerateDataError("injected design failure")
+            raise DataError("injected design failure")
         return real_design(config, rng, design)
 
     def failing_response(config, Z, rng):
         if config.eta_star == 0.6:
-            raise DegenerateDataError("injected response failure")
+            raise DataError("injected response failure")
         return real_response(config, Z, rng)
 
     monkeypatch.setattr(harness, "draw_design", failing_design)
@@ -1234,10 +1261,10 @@ def test_study_records_are_run_replicate_in_task_order(monkeypatch, workers):
         eta_grid=(0.3, 0.6), design="gaussian", workers=workers, ci_level=0.9,
     )
     errors = [
-        "", "DegenerateDataError: injected design failure", "",
-        "DegenerateDataError: injected response failure",
-        "DegenerateDataError: injected design failure",
-        "DegenerateDataError: injected response failure",
+        "", "DataError: injected design failure", "",
+        "DataError: injected response failure",
+        "DataError: injected design failure",
+        "DataError: injected response failure",
     ]
     expected = [
         _reference_record(c, r, spec.design, spec.ci_level) if not error else
@@ -1459,5 +1486,5 @@ def test_quadrature_group_records_equal_one_column_calls(caplog):
 
 def test_zero_phenotype_keeps_its_error_on_the_quadrature_route():
     cohort = simulate_cohort(SimulationConfig(n=400, N=4000, eta_star=0.5, seed=29))
-    with pytest.raises(DegenerateDataError, match="^rotated observations are identically zero$"):
+    with pytest.raises(DataError, match="^rotated observations are identically zero$"):
         estimate_from_design(cohort.Z, np.zeros(400))

@@ -15,23 +15,45 @@ from specherit import (
     ShapeMismatchError,
     UnidentifiableModelError,
     build_report,
-    confidence_interval,
     decompose,
-    g,
-    gamma2_limit,
     gamma_n2,
     mp_integrate,
     newton_estimate,
-    normal_quantile,
     replicate_rng,
-    s_empirical,
-    s_limit,
     se_q1,
     tau2,
 )
+from specherit.inference import confidence_interval, normal_quantile
 
 from conftest import cell, riemann_mp, seeded_spectrum, var_quadform_oracle
 from test_likelihood import GOLDEN_FITS
+
+
+# The kernel, its Marchenko-Pastur variance and the paper's S, as oracles:
+# S = Cov(lam / d, g)^2 = ((1 - eta) gamma^2)^2, since lam / d = 1 + (1 - eta) g.
+
+
+def g(eta, lam):
+    """The sensitivity kernel (lam - 1) / (eta (lam - 1) + 1), unchecked."""
+    c = np.asarray(lam, dtype=np.float64) - 1.0
+    return c / (eta * c + 1.0)
+
+
+def gamma2_limit(a, eta):
+    """Limiting spectral variance of g under the Marchenko-Pastur law."""
+    law = MPLaw(a)
+    mean = mp_integrate(law, lambda lam: g(eta, lam))
+    return mp_integrate(law, lambda lam: g(eta, lam) ** 2) - mean**2
+
+
+def s_empirical(eta, lambdas):
+    """S from the identity on the spectrum; ``gamma_n2`` checks its inputs."""
+    return (gamma_n2(eta, lambdas) * (1.0 - eta)) ** 2
+
+
+def s_limit(a, eta):
+    """S from the identity under the Marchenko-Pastur law."""
+    return (gamma2_limit(a, eta) * (1.0 - eta)) ** 2
 
 
 @pytest.fixture(scope="module")
@@ -131,8 +153,7 @@ def test_spectral_statistics_reject_bad_spectra(statistic, lambdas, error):
     ],
 )
 def test_s_empirical_checks_eta_like_g(eta, lambdas, error):
-    with pytest.raises(error):
-        g(eta, np.array(lambdas))
+    """S reads the spectrum through ``gamma_n2``, which applies g's eta rule."""
     with pytest.raises(error):
         s_empirical(eta, lambdas)
 

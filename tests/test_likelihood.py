@@ -9,27 +9,36 @@ from hypothesis import strategies as st
 from specherit import (
     ConfigurationError,
     DataError,
-    DegenerateDataError,
     NumericalFailureError,
     ShapeMismatchError,
     UnidentifiableModelError,
     build_report,
     d2loglik,
     dloglik,
-    g,
     gamma_n2,
     grid_oracle,
-    loglik,
     newton_estimate,
-    profile_sigma2,
     replicate_rng,
-    s_empirical,
 )
 
 from specherit import likelihood
 from specherit.likelihood import loglik_grid
 
 from conftest import raised, seeded_spectrum, simulated_spectrum
+
+
+def loglik(eta, lam, y):
+    """L(eta) at one point: ``loglik_grid``'s value, the same bits."""
+    return float(loglik_grid([float(eta)], lam, y)[0])
+
+
+def profile_sigma2(eta, lam, y):
+    """sigma2(eta) = mean(y^2 / d), as m mean(w / d): the bits of the solver's sigma2_hat."""
+    table, m = likelihood._profile([float(eta)], lam, y, 0)
+    return m * float(table[1, 0])
+
+
+ZERO_Y = "^rotated observations are identically zero$"
 
 
 def finite_difference(fn, eta, h):
@@ -54,14 +63,16 @@ def random_instance(seed):
 
 
 def test_g_values():
-    assert g(0.3, 1.0) == 0.0
-    assert g(0.0, 2.5) == pytest.approx(1.5)
-    assert g(0.5, 3.0) == pytest.approx(1.0)
-    assert np.allclose(g(0.2, np.array([1.0, 2.0])), [0.0, 1.0 / 1.2])
+    """The kernel g = (lam - 1) / (eta (lam - 1) + 1), read through
+    ``gamma_n2``: on a two-point spectrum its variance is ((g_1 - g_2) / 2)^2."""
+    assert gamma_n2(0.3, np.array([1.0, 1.0])) == 0.0  # g(0.3, 1) = 0
+    assert gamma_n2(0.0, np.array([2.5, 1.0])) == pytest.approx(0.75**2)  # g(0, 2.5) = 1.5
+    assert gamma_n2(0.5, np.array([3.0, 1.0])) == pytest.approx(0.25)  # g(0.5, 3) = 1
+    assert gamma_n2(0.2, np.array([1.0, 2.0])) == pytest.approx((0.5 / 1.2) ** 2)
 
 
 def test_g_zero_eigenvalue_is_finite():
-    assert g(0.5, 0.0) == pytest.approx(-2.0)
+    assert gamma_n2(0.5, np.array([0.0, 1.0])) == pytest.approx(1.0)  # g(0.5, 0) = -2
 
 
 def test_profile_sigma2_cases():
@@ -70,7 +81,7 @@ def test_profile_sigma2_cases():
     assert profile_sigma2(0.0, lam, y) == pytest.approx(np.mean(y**2))
     assert profile_sigma2(0.7, np.ones(2), y) == pytest.approx(np.mean(y**2))
     assert profile_sigma2(0.5, np.array([2.0, 0.0]), np.array([1.0, 1.0])) == pytest.approx(4.0 / 3.0)
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(DataError, match=ZERO_Y):
         profile_sigma2(0.5, lam, np.zeros(2))
 
 
@@ -112,11 +123,9 @@ PAIR_ENTRIES = {
         lam, y, 60, newton_estimate(*seeded_spectrum(seed=1, n=30, eta=0.5))
     ),
     "grid_oracle": lambda lam, y: grid_oracle(lam, y, 1e-2),
-    "loglik": lambda lam, y: loglik(0.5, lam, y),
     "loglik_grid": lambda lam, y: loglik_grid(np.array([0.0, 0.5]), lam, y),
     "dloglik": lambda lam, y: dloglik(0.5, lam, y),
     "d2loglik": lambda lam, y: d2loglik(0.5, lam, y),
-    "profile_sigma2": lambda lam, y: profile_sigma2(0.5, lam, y),
 }
 
 
@@ -134,7 +143,7 @@ PAIR_ENTRIES = {
                      "eigenvalues must be finite", id="nan-lambda"),
         pytest.param([0.5, 1.5, 2.0], [1.0, np.inf, 3.0], DataError,
                      "rotated observations must be finite", id="inf-y"),
-        pytest.param([0.5, 1.5, 2.0], [0.0, 0.0, 0.0], DegenerateDataError,
+        pytest.param([0.5, 1.5, 2.0], [0.0, 0.0, 0.0], DataError,
                      "rotated observations are identically zero", id="zero-y"),
     ],
 )
@@ -145,10 +154,7 @@ def test_every_entry_applies_the_pair_rule(lam, y, error, message):
 
 Y3 = np.array([1.0, 2.0, 3.0])
 ETA_ENTRIES = {
-    "g": lambda eta, lam: g(eta, lam),
     "gamma_n2": lambda eta, lam: gamma_n2(eta, lam),
-    "s_empirical": lambda eta, lam: s_empirical(eta, lam),
-    "loglik": lambda eta, lam: loglik(eta, lam, Y3),
     "loglik_grid": lambda eta, lam: loglik_grid(np.array([0.0, eta]), lam, Y3),
 }
 
@@ -278,7 +284,7 @@ def test_newton_grid_dominance_invariant():
 def test_newton_unidentifiable_and_degenerate():
     with pytest.raises(UnidentifiableModelError):
         newton_estimate(np.ones(5), np.arange(1.0, 6.0))
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(DataError, match=ZERO_Y):
         newton_estimate(np.array([2.0, 0.5]), np.zeros(2))
 
 

@@ -13,7 +13,6 @@ from specherit import (
     DataError,
     MPLaw,
     MonomorphicColumnError,
-    RankDeficientCovariatesError,
     ShapeMismatchError,
     SimulationConfig,
     decompose,
@@ -281,7 +280,7 @@ def test_residualize_names_the_non_finite_input():
 
 def test_residualize_rank_deficient():
     X = np.ones((20, 2))
-    with pytest.raises(RankDeficientCovariatesError):
+    with pytest.raises(DataError, match="^covariate matrix has column rank < 2 "):
         residualize(np.arange(20.0), X)
 
 

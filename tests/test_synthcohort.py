@@ -9,18 +9,21 @@ from hypothesis import strategies as st
 from specherit import (
     ConfigurationError,
     GenotypeMatrix,
-    ShapeMismatchError,
     SimulationConfig,
-    effect_scale,
     kinship,
     replicate_rng,
     sample_allele_frequencies,
-    sample_effects,
     sample_genotypes,
     simulate_cohort,
-    simulate_phenotype,
     standardize,
 )
+from specherit.synthcohort import draw_response
+
+
+def draw(config, Z=None, seed=0):
+    """``draw_response`` on Z (zeros by default) from ``replicate_rng(seed)``."""
+    Z = np.zeros((config.n, config.N)) if Z is None else Z
+    return draw_response(config, Z, replicate_rng(seed))
 
 
 def test_frequencies_degenerate_interval():
@@ -125,9 +128,10 @@ def test_genotype_sampler_peak_memory():
 
 
 def test_effect_scale_examples():
-    assert effect_scale(0.5, 1.0, 1.0, 100) == (0.005, 0.5)
-    sigma_u2, sigma_e2 = effect_scale(0.0, 2.0, 0.3, 50)
-    assert sigma_u2 == 0.0 and sigma_e2 == 2.0
+    effects, sigma_e2, _ = draw(SimulationConfig(n=2, N=100, eta_star=0.5, q=1.0))
+    assert (effects.sigma_u2, sigma_e2) == (0.005, 0.5)
+    effects, sigma_e2, _ = draw(SimulationConfig(n=2, N=50, eta_star=0.0, sigma_star2=2.0, q=0.3))
+    assert effects.sigma_u2 == 0.0 and sigma_e2 == 2.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -138,39 +142,47 @@ def test_effect_scale_examples():
     N=st.integers(1, 10**6),
 )
 def test_effect_scale_round_trip(eta, sigma2, q, N):
-    sigma_u2, sigma_e2 = effect_scale(eta, sigma2, q, N)
-    total = N * q * sigma_u2 + sigma_e2
+    config = SimulationConfig(n=2, N=N, eta_star=eta, sigma_star2=sigma2, q=q)
+    effects, sigma_e2, _ = draw(config)
+    total = N * q * effects.sigma_u2 + sigma_e2
     assert abs(total - sigma2) <= 1e-12 * sigma2
-    assert abs(N * q * sigma_u2 / total - eta) <= 1e-12
+    assert abs(N * q * effects.sigma_u2 / total - eta) <= 1e-12
 
 
 def test_effects_dense_case():
-    effects = sample_effects(100, 1.0, 0.5, replicate_rng(3))
+    effects = draw(SimulationConfig(n=2, N=100, eta_star=0.5, q=1.0), seed=3)[0]
     assert effects.support.all()
 
 
 def test_effects_zero_variance():
-    effects = sample_effects(100, 0.5, 0.0, replicate_rng(3))
+    effects = draw(SimulationConfig(n=2, N=100, eta_star=0.0, q=0.5), seed=3)[0]
     assert np.all(effects.u == 0.0)
 
 
 def test_effects_support_fraction():
-    effects = sample_effects(10**5, 0.5, 1.0, replicate_rng(4))
+    effects = draw(SimulationConfig(n=2, N=10**5, eta_star=0.5, q=0.5), seed=4)[0]
     assert abs(effects.support.mean() - 0.5) < 0.007
     assert np.all(effects.u[~effects.support] == 0.0)
 
 
 def test_phenotype_degenerate_cases():
+    # eta_star = 0: no effect, and Y is the noise drawn after the effects
+    config = SimulationConfig(n=5, N=3, eta_star=0.0, sigma_star2=4.0)
+    effects, sigma_e2, Y = draw(config, np.ones((5, 3)))
+    assert np.all(effects.u == 0.0) and sigma_e2 == 4.0
     rng = replicate_rng(0)
-    Z = np.ones((5, 3))
-    assert np.all(simulate_phenotype(Z, np.zeros(3), 0.0, rng) == 0.0)
-    u = np.array([1.0, -1.0, 2.0])
-    assert np.allclose(simulate_phenotype(Z, u, 0.0, rng), Z @ u)
-
-
-def test_phenotype_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        simulate_phenotype(np.ones((5, 3)), np.zeros(4), 1.0, replicate_rng(0))
+    rng.random(3)
+    rng.normal(0.0, 0.0, 3)
+    assert np.array_equal(Y, rng.normal(0.0, 2.0, 5))
+    # Y = Z u + e, from the support, effect and noise draws in that order
+    config = SimulationConfig(n=5, N=3, eta_star=0.5, q=0.5)
+    Z = replicate_rng(1).standard_normal((5, 3))
+    effects, sigma_e2, Y = draw(config, Z)
+    rng = replicate_rng(0)
+    support = rng.random(3) < 0.5
+    u = support * rng.normal(0.0, np.sqrt(effects.sigma_u2), 3)
+    assert np.array_equal(effects.support, support) and np.array_equal(effects.u, u)
+    assert np.array_equal(Y, Z @ u + rng.normal(0.0, np.sqrt(sigma_e2), 5))
 
 
 def test_phenotype_conditional_covariance():
@@ -184,7 +196,7 @@ def test_phenotype_conditional_covariance():
     expected_diag = eta_star * sigma2 * np.diag(R) + (1.0 - eta_star) * sigma2
 
     rng = replicate_rng(100)
-    sigma_u2, sigma_e2 = effect_scale(eta_star, sigma2, 1.0, N)
+    sigma_u2, sigma_e2 = eta_star * sigma2 / N, (1.0 - eta_star) * sigma2
     U = rng.normal(0.0, np.sqrt(sigma_u2), (reps, N))
     E = rng.normal(0.0, np.sqrt(sigma_e2), (reps, n))
     Y = U @ Z.T + E
@@ -207,7 +219,7 @@ def test_cohort_determinism_and_stream_independence():
 def test_truth_matches_effect_scale():
     config = SimulationConfig(n=20, N=50, eta_star=0.3, q=0.5, sigma_star2=2.0, seed=8)
     cohort = simulate_cohort(config)
-    sigma_u2, sigma_e2 = effect_scale(0.3, 2.0, 0.5, 50)
+    sigma_u2, sigma_e2 = 0.3 * 2.0 / (50 * 0.5), (1.0 - 0.3) * 2.0
     assert cohort.truth["sigma_u2"] == sigma_u2
     assert cohort.truth["sigma_e2"] == sigma_e2
     assert cohort.truth["support_indices"] == np.flatnonzero(cohort.effects.support).tolist()
@@ -245,7 +257,8 @@ def test_config_json_round_trip_and_validation():
 
 def test_q1_matches_classical_gaussian_effects():
     # with q = 1 the support is all-true and u is plain N(0, sigma_u2)
-    effects = sample_effects(5000, 1.0, 0.25, replicate_rng(17))
+    config = SimulationConfig(n=2, N=5000, eta_star=0.5, sigma_star2=2500.0, q=1.0)
+    effects = draw(config, seed=17)[0]  # sigma_u2 = 0.25
     assert effects.support.all()
     assert abs(effects.u.std() - 0.5) < 0.02
 
